@@ -1,34 +1,34 @@
 #!/usr/bin/env python3
 """Map basins of attraction of both flows for the built-in example.
 
-For each flow this locates the equilibria, integrates a grid of initial
-conditions, and prints the basin boundaries next to the unstable root they
-should straddle.  CSV/JSON artifacts land under --out/<flow>/.
+For each flow this runs ``perflow basins``, which locates the equilibria and
+integrates a grid of initial conditions, then prints the basin boundaries
+next to the unstable root they should straddle, both read back from the
+artifacts.  CSV/JSON artifacts land under --out/<flow>/.
 """
 
 import argparse
+import json
+from pathlib import Path
 
-import numpy as np
-
-import perflow as pf
 from perflow.cli import main as perflow_main
 from perflow.equilibria import UNSTABLE
 
 
 def run(grid: int, t_end: float, out: str) -> None:
-    model = pf.BernoulliSquaredModel(shift=pf.bump_shift())
     for flow in ("rgd", "prm"):
+        flow_out = Path(out) / flow
         code = perflow_main(
             ["basins", "--flow", flow, "--grid", str(grid), "--t-end", str(t_end),
-             "--out", f"{out}/{flow}"]
+             "--out", str(flow_out)]
         )
         if code != 0:
             raise SystemExit(code)
-        reports = pf.find_equilibria(model, flow, grid_n=grid)
-        unstable = [r for r in reports if UNSTABLE in r.labels]
-        basin = pf.basin_scan(model, flow, reports, grid_n=grid, t_end=t_end)
-        boundaries = [b["boundary"] for b in pf.basin_boundaries(basin)]
-        root = unstable[0].location[0] if unstable else np.nan
+        summary = json.loads((flow_out / "basins_summary.json").read_text())
+        reports = json.loads((flow_out / "equilibria.json").read_text())["equilibria"]
+        boundaries = [b["boundary"] for b in summary["boundaries"]]
+        unstable = [r["location"][0] for r in reports if UNSTABLE in r["labels"]]
+        root = unstable[0] if unstable else float("nan")
         print(f"{flow}: boundaries at {boundaries}, unstable root at {root:.6f}")
 
 

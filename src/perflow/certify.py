@@ -62,38 +62,6 @@ def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
     return x_star, pts, dist, exclusion_cells * cell
 
 
-def _batch_risk(model, pts):
-    if model.supports_batch:
-        return np.asarray(model.decoupled_risk(pts, pts), dtype=float)
-    return np.array([float(model.decoupled_risk(row, row)) for row in pts])
-
-
-def _batch_total_grad(model, pts):
-    if model.supports_batch:
-        return np.asarray(model.grad_x1(pts, pts), dtype=float) + np.asarray(
-            model.grad_x2(pts, pts), dtype=float
-        )
-    return np.stack(
-        [
-            np.asarray(model.grad_x1(row, row), dtype=float)
-            + np.asarray(model.grad_x2(row, row), dtype=float)
-            for row in pts
-        ]
-    )
-
-
-def _batch_perturbation(model, pts):
-    if model.supports_batch:
-        return np.asarray(model.grad_x2(pts, pts), dtype=float)
-    return np.stack([np.asarray(model.grad_x2(row, row), dtype=float) for row in pts])
-
-
-def _batch_first_grad(model, pts):
-    if model.supports_batch:
-        return np.asarray(model.grad_x1(pts, pts), dtype=float)
-    return np.stack([np.asarray(model.grad_x1(row, row), dtype=float) for row in pts])
-
-
 # ---------------------------------------------------------------------------
 # curvature certificates
 
@@ -160,18 +128,19 @@ def estimate_curvature_constants(
         raise ValueError("constant estimation needs at least 100 grid points")
     x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, exclusion_cells)
 
-    risk_center = float(_batch_risk(model, x_star[None, :])[0])
+    center = x_star[None, :]  # a one-row batch, evaluated like the grid points
+    risk_center = float(model.decoupled_risk(center, center)[0])
     keep = dist >= excl
     pts, dist = pts[keep], dist[keep]
 
-    value_gap = _batch_risk(model, pts) - risk_center
+    value_gap = model.decoupled_risk(pts, pts) - risk_center
     if np.min(value_gap) < -1e-12 * (1.0 + abs(risk_center)):
         worst = pts[np.argmin(value_gap)]
         raise NotAMinimizerError(
             f"risk at {worst.tolist()} is below the risk at x_star={x_star.tolist()}: "
             "the reference point is not a local minimizer on this ball"
         )
-    grad = _batch_total_grad(model, pts)
+    grad = model.grad_x1(pts, pts) + model.grad_x2(pts, pts)
     grad_norm = np.linalg.norm(grad, axis=-1)
     radial = np.einsum("ij,ij->i", grad, pts - x_star) / dist
 
@@ -270,7 +239,7 @@ def estimate_perturbation_envelope(
     if fit_mode not in ("delta-zero", "epsilon-capped"):
         raise ValueError(f"unknown fit mode {fit_mode!r}")
     x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, 2)
-    g_norm = np.linalg.norm(_batch_perturbation(model, pts), axis=-1)
+    g_norm = np.linalg.norm(model.grad_x2(pts, pts), axis=-1)
 
     if fit_mode == "delta-zero":
         keep = dist >= excl
@@ -525,8 +494,8 @@ def alignment_check(model: DecisionDependentModel, lo: float, hi: float, grid_n:
         raise ValueError("the alignment check is defined for scalar models")
     xs = np.linspace(float(lo), float(hi), int(grid_n))
     pts = xs[:, None]
-    g1 = _batch_first_grad(model, pts)[:, 0]
-    g = _batch_perturbation(model, pts)[:, 0]
+    g1 = model.grad_x1(pts, pts)[:, 0]
+    g = model.grad_x2(pts, pts)[:, 0]
     lhs = g * g
     rhs = -g1 * g
 

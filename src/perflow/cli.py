@@ -9,9 +9,8 @@ Flags override values from the configuration file, which overrides built-in
 defaults.  Every command writes fixed filenames under ``--out`` and is
 deterministic given its configuration and seed: floats are emitted with 17
 significant digits (round-trip exact), CSV uses comma separators and LF line
-endings, JSON keys are sorted.  ``PERFLOW_THREADS`` caps grid-scan
-parallelism.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure.
+endings, JSON keys are sorted.  Exit codes: 0 success, 2 configuration
+error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -294,32 +293,6 @@ def cmd_repro(cfg, target: str) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_FLAG_TO_KEY = {
-    "model": "model",
-    "domain": "domain",
-    "flow": "flow",
-    "x0": "x0",
-    "t_end": "t_end",
-    "h": "h",
-    "eq_tol": "eq_tol",
-    "grid": "grid_n",
-    "match_radius": "match_radius",
-    "refine_tol": "refine_tol",
-    "r": "radius",
-    "x_star": "x_star",
-    "theta": "theta",
-    "fit_mode": "fit_mode",
-    "epsilon_cap": "epsilon_cap",
-    "noise": "noise",
-    "seed": "seed",
-    "steps": "steps",
-    "schedule": "schedule",
-    "lo": "lo",
-    "hi": "hi",
-    "out": "out",
-}
-
-
 def _common_flags(parser):
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output directory (fixed filenames per command)")
@@ -353,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basins", help="label a grid of initial conditions by limit equilibrium")
     _common_flags(p)
     p.add_argument("--flow", help="rgd | prm")
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", dest="grid_n", type=int)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--h", type=float)
     p.add_argument("--eq-tol", dest="eq_tol", type=float)
@@ -363,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibria", help="locate and classify field zeros")
     _common_flags(p)
     p.add_argument("--flow", help="rgd | prm")
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", dest="grid_n", type=int)
     p.add_argument("--refine-tol", dest="refine_tol", type=float)
 
     p = sub.add_parser("certify", help="estimate curvature constants and the perturbation envelope")
     _common_flags(p)
     p.add_argument("--x-star", dest="x_star", nargs="+", type=float)
-    p.add_argument("--r", type=float, help="certification ball radius")
-    p.add_argument("--grid", type=int)
+    p.add_argument("--r", dest="radius", type=float, help="certification ball radius")
+    p.add_argument("--grid", dest="grid_n", type=int)
     p.add_argument("--fit-mode", dest="fit_mode", help="delta-zero | epsilon-capped")
     p.add_argument("--epsilon-cap", dest="epsilon_cap", type=float)
     p.add_argument("--sweep", action="store_true", help="also emit the constants-vs-radius CSV")
@@ -379,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate transient/ultimate convergence bounds")
     _common_flags(p)
     p.add_argument("--x-star", dest="x_star", nargs="+", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--r", dest="radius", type=float)
+    p.add_argument("--grid", dest="grid_n", type=int)
     p.add_argument("--x0", nargs="+", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--fit-mode", dest="fit_mode")
@@ -390,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", dest="grid_n", type=int)
 
     p = sub.add_parser("repro", help="emit the headline data files for the built-in example")
     _common_flags(p)
@@ -412,8 +385,8 @@ def _load_config(args) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("configuration file must hold a JSON object")
 
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
+    for key in config_mod.to_document(config_mod.ExperimentConfig()):
+        value = getattr(args, key, None)
         if value is not None:
             doc[key] = list(value) if isinstance(value, (list, tuple)) else value
 

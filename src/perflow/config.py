@@ -99,40 +99,42 @@ def _freeze(value):
 
 
 def parse_config(document: dict) -> ExperimentConfig:
-    """Validate a configuration document; unknown keys and bad ranges are errors."""
+    """Validate a configuration document; unknown keys and bad ranges are errors.
+
+    Keys the document leaves out take the defaults of :class:`ExperimentConfig`.
+    """
     if not isinstance(document, dict):
         _fail(f"configuration must be a JSON object, got {type(document).__name__}")
-    doc = dict(document)
-
-    known = {f.name for f in fields(ExperimentConfig)} - {"shift_kind", "shift_params"}
-    known.add("shift")
-    unknown = set(doc) - known
+    defaults = to_document(ExperimentConfig())
+    unknown = set(document) - set(defaults)
     if unknown:
         _fail(f"unknown configuration keys: {', '.join(sorted(unknown))}")
+    doc = {**defaults, **document}
 
     kwargs = {}
 
-    model = doc.get("model", "bernoulli-squared")
+    model = doc["model"]
     if model not in _MODEL_ALIASES:
         _fail(f"unknown model {model!r}; expected one of {sorted(_MODEL_ALIASES)}")
     model, forced_shift = _MODEL_ALIASES[model]
     kwargs["model"] = model
 
-    shift_doc = doc.get("shift", {"kind": forced_shift or "bump", "params": {}})
+    shift_doc = doc["shift"]
     if not isinstance(shift_doc, dict) or set(shift_doc) - {"kind", "params"}:
         _fail("shift must be an object with keys 'kind' and 'params'")
-    kind = shift_doc.get("kind", "bump")
+    shift_doc = {**defaults["shift"], **shift_doc}
+    kind = shift_doc["kind"]
     if forced_shift is not None and kind != forced_shift:
         _fail(f"model alias fixes the shift kind to {forced_shift!r}, got {kind!r}")
     if kind not in _SHIFT_KINDS:
         _fail(f"unknown shift kind {kind!r}; expected one of {_SHIFT_KINDS}")
-    params = shift_doc.get("params", {})
+    params = shift_doc["params"]
     if not isinstance(params, dict):
         _fail("shift.params must be an object")
     kwargs["shift_kind"] = kind
     kwargs["shift_params"] = tuple(sorted((k, _freeze(v)) for k, v in params.items()))
 
-    domain = doc.get("domain", [-0.5, 1.5])
+    domain = doc["domain"]
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         _fail(f"domain must be [lo, hi], got {domain!r}")
     d_lo, d_hi = _as_float(domain[0], "domain lo"), _as_float(domain[1], "domain hi")
@@ -141,68 +143,67 @@ def parse_config(document: dict) -> ExperimentConfig:
     kwargs["domain"] = (d_lo, d_hi)
 
     try:
-        kwargs["flow"] = normalize_flow_kind(doc.get("flow", "rgd"))
+        kwargs["flow"] = normalize_flow_kind(doc["flow"])
     except ValueError as exc:
         _fail(str(exc))
 
-    kwargs["x0"] = _as_vector(doc.get("x0", [0.1]), "x0")
-    kwargs["x_star"] = _as_vector(doc.get("x_star", [0.0]), "x_star")
+    kwargs["x0"] = _as_vector(doc["x0"], "x0")
+    kwargs["x_star"] = _as_vector(doc["x_star"], "x_star")
 
-    positive = {"t_end": 50.0, "h": 0.01, "match_radius": 1e-3, "refine_tol": 1e-10, "radius": 0.4}
-    for key, default in positive.items():
-        v = _as_float(doc.get(key, default), key)
+    for key in ("t_end", "h", "match_radius", "refine_tol", "radius"):
+        v = _as_float(doc[key], key)
         if v <= 0:
             _fail(f"{key} must be positive, got {v}")
         kwargs[key] = v
 
-    eq_tol = _as_float(doc.get("eq_tol", 1e-9), "eq_tol")
+    eq_tol = _as_float(doc["eq_tol"], "eq_tol")
     if eq_tol < 0:
         _fail(f"eq_tol must be nonnegative, got {eq_tol}")
     kwargs["eq_tol"] = eq_tol
 
-    grid_n = _as_int(doc.get("grid_n", 2001), "grid_n")
+    grid_n = _as_int(doc["grid_n"], "grid_n")
     if grid_n < 2:
         _fail(f"grid_n must be at least 2, got {grid_n}")
     kwargs["grid_n"] = grid_n
 
-    theta = _as_float(doc.get("theta", 0.5), "theta")
+    theta = _as_float(doc["theta"], "theta")
     if not 0.0 < theta < 1.0:
         _fail(f"theta must lie strictly inside (0, 1), got {theta}")
     kwargs["theta"] = theta
 
-    fit_mode = doc.get("fit_mode", "delta-zero")
+    fit_mode = doc["fit_mode"]
     if fit_mode not in _FIT_MODES:
         _fail(f"unknown fit_mode {fit_mode!r}; expected one of {_FIT_MODES}")
     kwargs["fit_mode"] = fit_mode
 
-    cap = doc.get("epsilon_cap", None)
+    cap = doc["epsilon_cap"]
     if cap is not None:
         cap = _as_float(cap, "epsilon_cap")
         if cap < 0:
             _fail(f"epsilon_cap must be nonnegative, got {cap}")
     kwargs["epsilon_cap"] = cap
 
-    noise = doc.get("noise", "none")
+    noise = doc["noise"]
     parse_noise(noise, 0)  # validates the grammar
     kwargs["noise"] = noise
 
-    kwargs["seed"] = _as_int(doc.get("seed", 0), "seed")
+    kwargs["seed"] = _as_int(doc["seed"], "seed")
 
-    steps = _as_int(doc.get("steps", 5000), "steps")
+    steps = _as_int(doc["steps"], "steps")
     if steps < 0:
         _fail(f"steps must be nonnegative, got {steps}")
     kwargs["steps"] = steps
 
-    schedule = doc.get("schedule", "constant:0.01")
+    schedule = doc["schedule"]
     parse_schedule(schedule)
     kwargs["schedule"] = schedule
 
-    kwargs["lo"] = _as_float(doc.get("lo", 0.0), "lo")
-    kwargs["hi"] = _as_float(doc.get("hi", 1.0), "hi")
+    kwargs["lo"] = _as_float(doc["lo"], "lo")
+    kwargs["hi"] = _as_float(doc["hi"], "hi")
     if kwargs["lo"] >= kwargs["hi"]:
         _fail(f"alignment region needs lo < hi, got [{kwargs['lo']}, {kwargs['hi']}]")
 
-    out = doc.get("out", "out")
+    out = doc["out"]
     if not isinstance(out, str) or not out:
         _fail(f"out must be a non-empty path string, got {out!r}")
     kwargs["out"] = out
@@ -214,31 +215,12 @@ def parse_config(document: dict) -> ExperimentConfig:
 
 def to_document(cfg: ExperimentConfig) -> dict:
     """Canonical JSON document reproducing the configuration."""
-    return {
-        "model": cfg.model,
-        "shift": {"kind": cfg.shift_kind, "params": cfg.shift_params_dict},
-        "domain": list(cfg.domain),
-        "flow": cfg.flow,
-        "x0": list(cfg.x0),
-        "t_end": cfg.t_end,
-        "h": cfg.h,
-        "eq_tol": cfg.eq_tol,
-        "grid_n": cfg.grid_n,
-        "match_radius": cfg.match_radius,
-        "refine_tol": cfg.refine_tol,
-        "radius": cfg.radius,
-        "x_star": list(cfg.x_star),
-        "theta": cfg.theta,
-        "fit_mode": cfg.fit_mode,
-        "epsilon_cap": cfg.epsilon_cap,
-        "noise": cfg.noise,
-        "seed": cfg.seed,
-        "steps": cfg.steps,
-        "schedule": cfg.schedule,
-        "lo": cfg.lo,
-        "hi": cfg.hi,
-        "out": cfg.out,
-    }
+    doc = {"shift": {"kind": cfg.shift_kind, "params": cfg.shift_params_dict}}
+    for f in fields(cfg):
+        if f.name not in ("shift_kind", "shift_params"):
+            value = getattr(cfg, f.name)
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
@@ -253,7 +235,7 @@ def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
             extra = set(params) - {"rate", "midpoint"}
             if extra:
                 _fail(f"unknown logistic parameters: {sorted(extra)}")
-            return logistic_shift(params.get("rate", 8.0), params.get("midpoint", 0.5))
+            return logistic_shift(**{k: _as_float(v, f"logistic {k}") for k, v in params.items()})
         if kind == "clamped-polynomial":
             extra = set(params) - {"coefficients"}
             if extra or "coefficients" not in params:
@@ -263,7 +245,7 @@ def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
         if extra or "knots_x" not in params or "knots_p" not in params:
             _fail("tabulated shift needs exactly 'knots_x' and 'knots_p'")
         return tabulated_shift(params["knots_x"], params["knots_p"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         _fail(f"invalid shift parameters: {exc}")
 
 

@@ -253,10 +253,7 @@ def find_equilibria(
     points, residuals = [], []
     if model.dimension == 1:
         xs = np.linspace(lo[0], hi[0], int(grid_n))
-        if model.supports_batch:
-            fv = np.asarray(field(xs[:, None]), dtype=float)[:, 0]
-        else:
-            fv = np.array([float(field(np.array([v]))[0]) for v in xs])
+        fv = np.asarray(field(xs[:, None]), dtype=float)[:, 0]
 
         def f_scalar(v):
             return float(np.asarray(field(np.array([v])), dtype=float)[0])
@@ -299,8 +296,7 @@ def basin_scan(
 ) -> BasinMap:
     """Label a lattice of initial conditions by the equilibrium each one reaches.
 
-    Every grid point is integrated to ``t_end`` (grid points are independent;
-    the scan is vectorized and may be chunked across ``PERFLOW_THREADS``).
+    Every grid point is integrated to ``t_end`` in one vectorized ensemble.
     The final state is matched to the nearest known equilibrium within
     ``match_radius``; anything unmatched, including domain exits, gets the
     divergence label ``-1`` rather than spawning a new equilibrium.

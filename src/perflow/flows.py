@@ -14,8 +14,6 @@ are cheap, smooth, and low-dimensional, so adaptivity buys nothing.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +154,14 @@ def _field_function(model: DecisionDependentModel, kind: str):
     raise ValueError(f"{kind!r} is not a continuous flow")
 
 
+def _rk4_step(field, x, k1, h):
+    """One classical Runge-Kutta step from ``x``, given ``k1 = field(x)``."""
+    k2 = np.asarray(field(x + 0.5 * h * k1), dtype=float)
+    k3 = np.asarray(field(x + 0.5 * h * k2), dtype=float)
+    k4 = np.asarray(field(x + h * k3), dtype=float)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _record_stride(h: float) -> int:
     # bounds trajectory memory: one sample per ~0.1 time units
     return max(1, math.ceil(1.0 / (10.0 * h)))
@@ -203,11 +209,7 @@ def integrate_flow(
                 times.append(k * h)
                 states.append(x.copy())
             break
-        k1 = fx
-        k2 = np.asarray(field(x + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(field(x + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(field(x + h * k3), dtype=float)
-        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_new = _rk4_step(field, x, fx, h)
         if not np.all(np.isfinite(x_new)):
             raise NumericIntegrationError(
                 f"non-finite state after step from {x.tolist()}", state=x.copy()
@@ -236,18 +238,26 @@ def integrate_flow(
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PERFLOW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PERFLOW_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+def integrate_ensemble(
+    model: DecisionDependentModel,
+    kind: str,
+    x0s,
+    t_end: float,
+    h: float = 0.01,
+    eq_tol: float = 1e-9,
+    record: bool = False,
+):
+    """Integrate many initial conditions at once.
 
-
-def _integrate_batch(model, kind, x0s, t_end, h, eq_tol, record):
+    The whole ensemble advances through vectorized Runge-Kutta steps;
+    converged or exited points freeze in place while the rest continue.
+    Returns ``(final_states, statuses, recording)`` where ``recording`` is
+    ``(times, states[k, m, n])`` when requested, else None.  Per-point
+    failures are recorded as status ``numeric-error``, not raised.
+    """
+    kind = normalize_flow_kind(kind)
+    x = _check_domain(model, np.atleast_2d(np.asarray(x0s, dtype=float))).copy()
     field = _field_function(model, kind)
-    x = np.array(x0s, dtype=float)
     m = x.shape[0]
     active = np.ones(m, dtype=bool)
     statuses = np.full(m, MAX_TIME, dtype=object)
@@ -270,11 +280,7 @@ def _integrate_batch(model, kind, x0s, t_end, h, eq_tol, record):
             active &= ~done
         if not active.any():
             break
-        k1 = fx
-        k2 = np.asarray(field(x + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(field(x + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(field(x + h * k3), dtype=float)
-        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_new = _rk4_step(field, x, fx, h)
         bad = active & ~np.all(np.isfinite(x_new), axis=-1)
         if bad.any():
             statuses[bad] = NUMERIC_ERROR
@@ -295,63 +301,6 @@ def _integrate_batch(model, kind, x0s, t_end, h, eq_tol, record):
         rec_states.append(x.copy())
     recording = (np.asarray(rec_times), np.stack(rec_states)) if record else None
     return x, statuses, recording
-
-
-def integrate_ensemble(
-    model: DecisionDependentModel,
-    kind: str,
-    x0s,
-    t_end: float,
-    h: float = 0.01,
-    eq_tol: float = 1e-9,
-    record: bool = False,
-):
-    """Integrate many initial conditions at once.
-
-    For batch-capable models the whole ensemble advances through vectorized
-    Runge-Kutta steps; converged or exited points freeze in place while the
-    rest continue.  ``PERFLOW_THREADS`` (default 1) caps how many row chunks
-    run concurrently; recording runs keep a single chunk so the snapshot
-    arrays stay whole.  Returns ``(final_states, statuses, recording)`` where
-    ``recording`` is ``(times, states[k, m, n])`` when requested, else None.
-    Per-point failures are recorded as status ``numeric-error``, not raised.
-    """
-    kind = normalize_flow_kind(kind)
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    for row in x0s:
-        _check_domain(model, row)
-
-    if not model.supports_batch:
-        finals = np.empty_like(x0s)
-        statuses = np.empty(x0s.shape[0], dtype=object)
-        for i, row in enumerate(x0s):
-            try:
-                traj = integrate_flow(model, kind, row, t_end, h=h, eq_tol=eq_tol)
-                finals[i] = traj.final_state
-                statuses[i] = traj.terminal_status
-            except NumericIntegrationError:
-                finals[i] = np.nan
-                statuses[i] = NUMERIC_ERROR
-        return finals, statuses, None
-
-    workers = _worker_count()
-    if workers == 1 or x0s.shape[0] < 2 * workers or record:
-        return _integrate_batch(model, kind, x0s, t_end, h, eq_tol, record)
-
-    chunks = np.array_split(np.arange(x0s.shape[0]), workers)
-    finals = np.empty_like(x0s)
-    statuses = np.empty(x0s.shape[0], dtype=object)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_integrate_batch, model, kind, x0s[idx], t_end, h, eq_tol, False): idx
-            for idx in chunks
-            if idx.size
-        }
-        for fut, idx in futures.items():
-            f, s, _ = fut.result()
-            finals[idx] = f
-            statuses[idx] = s
-    return finals, statuses, None
 
 
 def discrete_rgd(

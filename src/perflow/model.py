@@ -12,8 +12,9 @@ samples.  From these the package derives:
   gradient descent;
 * their difference, the perturbation ``g(x) = grad_x2 R(x,x)``.
 
-States are 1-D numpy vectors of length ``model.dimension``; the built-in
-model also accepts stacked batches with the coordinate on the last axis.
+States are 1-D numpy vectors of length ``model.dimension``.  Every
+evaluator also accepts stacked ``(..., n)`` batches with the coordinate on
+the last axis, so grid scans evaluate the model once per batch.
 """
 
 from __future__ import annotations
@@ -67,12 +68,15 @@ def interval(lo: float, hi: float) -> Box:
 
 
 class DecisionDependentModel(abc.ABC):
-    """Interface every model implements; evaluators must be pure and thread-safe."""
+    """Interface every model implements; evaluators must be pure.
+
+    Each evaluator takes one state ``(n,)`` or a stacked batch ``(..., n)``
+    and returns one result per state: a risk of shape ``(...)``, a gradient
+    of shape ``(..., n)``.
+    """
 
     dimension: int
     domain: Box
-    #: evaluators accept stacked (..., n) batches, enabling vectorized scans
-    supports_batch: bool = False
 
     @abc.abstractmethod
     def decoupled_risk(self, x1, x2):
@@ -101,7 +105,6 @@ class BernoulliSquaredModel(DecisionDependentModel):
     shift: ShiftFunction
     domain: Box = None
     dimension: int = 1
-    supports_batch: bool = True
 
     def __post_init__(self):
         if self.domain is None:
@@ -129,12 +132,23 @@ class BernoulliSquaredModel(DecisionDependentModel):
         return np.asarray(0.5 * (1.0 - 2.0 * a) * self.shift.derivative(b))[..., np.newaxis]
 
 
+def _each_row(fn, x1, x2, tail):
+    """Apply a per-state callable to one state, or to each row of a batch."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    if x1.ndim == 1:
+        return fn(x1, x2)
+    n = x1.shape[-1]
+    rows = [fn(a, b) for a, b in zip(x1.reshape(-1, n), x2.reshape(-1, n))]
+    return np.array(rows, dtype=float).reshape(x1.shape[:-1] + tail)
+
+
 @dataclass(frozen=True, eq=False)
 class CallableModel(DecisionDependentModel):
     """Model built from plain callables; gradients default to finite differences.
 
     Handy for tests and ad-hoc experiments.  ``risk(x1, x2)`` must return a
     scalar; gradient callables, when given, must return length-n vectors.
+    The callables see one state at a time: batches are evaluated row by row.
     """
 
     dimension: int
@@ -142,21 +156,24 @@ class CallableModel(DecisionDependentModel):
     risk: Callable
     grad1: Optional[Callable] = None
     grad2: Optional[Callable] = None
-    supports_batch: bool = False
 
     def decoupled_risk(self, x1, x2):
-        return self.risk(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+        return _each_row(self.risk, x1, x2, ())
 
     def grad_x1(self, x1, x2):
-        if self.grad1 is not None:
-            return np.asarray(self.grad1(x1, x2), dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        return finite_diff_gradient(lambda y: self.risk(y, x2), x1)
+        return _each_row(self._grad1, x1, x2, (self.dimension,))
 
     def grad_x2(self, x1, x2):
+        return _each_row(self._grad2, x1, x2, (self.dimension,))
+
+    def _grad1(self, x1, x2):
+        if self.grad1 is not None:
+            return np.asarray(self.grad1(x1, x2), dtype=float)
+        return finite_diff_gradient(lambda y: self.risk(y, x2), x1)
+
+    def _grad2(self, x1, x2):
         if self.grad2 is not None:
             return np.asarray(self.grad2(x1, x2), dtype=float)
-        x1 = np.asarray(x1, dtype=float)
         return finite_diff_gradient(lambda y: self.risk(x1, y), x2)
 
 
@@ -198,8 +215,10 @@ def _check_domain(model: DecisionDependentModel, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != model.dimension:
         raise ValueError(f"expected {model.dimension}-vector states, got shape {x.shape}")
-    if not np.all(model.domain.contains_each(x)):
-        raise OutOfDomainError(x, model.domain)
+    outside = ~model.domain.contains_each(x)
+    if outside.any():
+        # name the first offending state, not a whole batch
+        raise OutOfDomainError(x[outside][0] if x.ndim > 1 else x, model.domain)
     return x
 
 

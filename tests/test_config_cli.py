@@ -69,6 +69,11 @@ class TestConfigParsing:
             {"x0": []},
             {"epsilon_cap": -0.5},
             {"lo": 2.0, "hi": 1.0},
+            {"shift": {"kind": "logistic", "params": {"rate": "x"}}},
+            {"shift": {"kind": "logistic", "params": {"rate": None}}},
+            {"shift": {"kind": "logistic", "params": {"midpoint": "x"}}},
+            {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [[1]]}}},
+            {"shift": {"kind": "tabulated", "params": {"knots_x": {}, "knots_p": [0, 1]}}},
         ],
     )
     def test_range_and_grammar_violations(self, doc):
@@ -256,10 +261,10 @@ class TestCliErrors:
         assert summary["final_state"] == [0.0]
         assert summary["config"]["t_end"] == 1.0
 
-    def test_threads_env_does_not_change_results(self, tmp_path, monkeypatch):
-        out_a = tmp_path / "a"
-        assert cli.main(["basins", "--flow", "rgd", "--grid", "201", "--out", str(out_a)]) == 0
-        monkeypatch.setenv("PERFLOW_THREADS", "4")
-        out_b = tmp_path / "b"
-        assert cli.main(["basins", "--flow", "rgd", "--grid", "201", "--out", str(out_b)]) == 0
-        assert (out_a / "basins.csv").read_bytes() == (out_b / "basins.csv").read_bytes()
+    def test_mistyped_shift_parameter_exits_2(self, tmp_path, capsys):
+        code = cli.main(
+            ["equilibria", "--shift-kind", "logistic", "--shift-params", '{"rate": "x"}',
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err

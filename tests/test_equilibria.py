@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import perflow as pf
+from perflow.config import ExperimentConfig
 from perflow.equilibria import INCONCLUSIVE, PERFORMATIVELY_STABLE, PRM_MINIMIZER, UNSTABLE
+from perflow.flows import CONVERGED
 
 
 def v(x):
@@ -38,6 +40,37 @@ def planar_model(slope=0.3):
         grad1=lambda x1, x2: x1 - slope * x2,
         grad2=lambda x1, x2: -slope * (x1 - slope * x2),
     )
+
+
+def exact_basin_labels(model, kind, reports, xs, eq_tol, match_radius):
+    """Basin labels of a scalar autonomous flow, from its roots alone.
+
+    A 1-D flow is monotone: a start between two consecutive roots moves to
+    the one its field points at.  So an attracting root owns the open
+    interval up to its neighbouring repelling roots or domain edges (an edge
+    itself included), and a start toward an edge reaches no root (-1).  A
+    start where the field is already within ``eq_tol`` stays where it is.
+    """
+    attracting = PERFORMATIVELY_STABLE if kind == "rgd" else PRM_MINIMIZER
+    field = pf.rgd_vector_field if kind == "rgd" else pf.prm_vector_field
+    roots = np.array([r.location[0] for r in reports])
+    order = np.argsort(roots)
+    edges = np.concatenate([[model.domain.lower[0]], roots[order], [model.domain.upper[0]]])
+    labels = np.full(xs.size, -1)
+    for pos, i in enumerate(order):
+        if attracting not in reports[i].labels:
+            continue
+        neighbours = order[max(pos - 1, 0):pos + 2]
+        assert all(UNSTABLE in reports[j].labels for j in neighbours if j != i)
+        left, right = edges[pos], edges[pos + 2]
+        above_left = xs >= left if pos == 0 else xs > left
+        below_right = xs <= right if pos == order.size - 1 else xs < right
+        labels[above_left & below_right] = i
+    at_rest = np.abs(field(model, xs[:, None])[:, 0]) <= eq_tol
+    nearest = np.argmin(np.abs(xs[:, None] - roots[None, :]), axis=1)
+    near = np.abs(xs - roots[nearest]) <= match_radius
+    labels[at_rest] = np.where(near, nearest, -1)[at_rest]
+    return labels
 
 
 class TestFindEquilibria:
@@ -199,3 +232,29 @@ class TestBasinScan:
         basin = pf.basin_scan(m, "rgd", reports, grid_n=16, t_end=10.0, h=0.05)
         with pytest.raises(ValueError):
             pf.basin_boundaries(basin)
+
+
+class TestExactBasinOracle:
+    @pytest.mark.parametrize(
+        "shift, kind",
+        [
+            (pf.bump_shift(), "rgd"),
+            (pf.bump_shift(), "prm"),
+            (pf.logistic_shift(8.0, 0.5), "rgd"),
+        ],
+        ids=["bump-rgd", "bump-prm", "logistic-rgd"],
+    )
+    def test_scan_labels_equal_monotone_oracle(self, shift, kind):
+        model = pf.BernoulliSquaredModel(shift=shift)
+        cfg = ExperimentConfig()  # the command-line defaults, t_end included
+        reports = pf.find_equilibria(model, kind, grid_n=cfg.grid_n)
+        basin = pf.basin_scan(
+            model, kind, reports, grid_n=cfg.grid_n, t_end=cfg.t_end,
+            match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
+        )
+        xs = basin.grid[:, 0]
+        expected = exact_basin_labels(model, kind, reports, xs, cfg.eq_tol, cfg.match_radius)
+        converged = basin.statuses == CONVERGED
+        assert converged.mean() > 0.99
+        assert len(set(expected[converged])) >= 2
+        assert np.array_equal(basin.labels[converged], expected[converged])

@@ -112,13 +112,13 @@ class TestEnsemble:
         assert states.shape == (times.size, 2, 1)
         assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
 
-    def test_thread_chunking_is_invisible(self, bump_model, monkeypatch):
-        x0s = np.linspace(-0.4, 1.4, 37)[:, None]
-        base, base_status, _ = pf.integrate_ensemble(bump_model, "rgd", x0s, 3.0)
-        monkeypatch.setenv("PERFLOW_THREADS", "3")
-        threaded, thr_status, _ = pf.integrate_ensemble(bump_model, "rgd", x0s, 3.0)
-        assert np.array_equal(base, threaded)
-        assert list(base_status) == list(thr_status)
+    def test_out_of_domain_start_names_first_offender(self, bump_model):
+        x0s = np.linspace(-0.4, 1.4, 2001)[:, None]
+        x0s[[700, 1500]] = [[2.5], [3.5]]
+        with pytest.raises(pf.OutOfDomainError) as info:
+            pf.integrate_ensemble(bump_model, "rgd", x0s, 1.0)
+        assert np.array_equal(info.value.state, [2.5])
+        assert len(str(info.value)) < 200
 
     def test_nonbatch_model_falls_back_to_loop(self):
         m = outward_model()

@@ -1,0 +1,93 @@
+"""Golden digests: the bytes of every CLI artifact at fixed configurations.
+
+Each configuration runs through ``perflow.cli.main`` with a fixed relative
+``--out`` (``summary.json`` embeds it), and the SHA-256 of every file it
+writes is compared with ``golden_digests.json``.  A refactor that keeps the
+numbers keeps these bytes; one that moves them must say which and why.
+
+Regenerate the digest file only on purpose::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import perflow.cli as cli
+
+DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
+
+LOGISTIC = '{"rate": 8.0, "midpoint": 0.5}'
+TABULATED = '{"knots_x": [-0.5, 0.1, 0.6, 1.5], "knots_p": [0.0, 0.0, 0.9, 1.0]}'
+DISCRETE = ["simulate", "--flow", "discrete-rgd", "--steps", "20000", "--x0", "0.8",
+            "--schedule", "inverse:0.5,10", "--seed", "7"]
+
+CONFIGS = {
+    "simulate_rgd": ["simulate", "--flow", "rgd", "--x0", "0.1", "--t-end", "50"],
+    "simulate_prm": ["simulate", "--flow", "prm", "--x0", "0.39", "--t-end", "50"],
+    "simulate_discrete_bernoulli": DISCRETE + ["--noise", "bernoulli:100"],
+    "simulate_discrete_gaussian": DISCRETE + ["--noise", "gaussian:0.1"],
+    "basins_rgd": ["basins", "--flow", "rgd", "--grid", "2001"],
+    "basins_prm": ["basins", "--flow", "prm", "--grid", "2001"],
+    "equilibria_rgd": ["equilibria", "--flow", "rgd"],
+    "equilibria_prm": ["equilibria", "--flow", "prm"],
+    "certify_sweep": ["certify", "--x-star", "0", "--r", "0.4", "--grid", "4001", "--sweep"],
+    "bounds": ["bounds", "--x-star", "0", "--r", "0.4", "--grid", "4001", "--x0", "0.2"],
+    "align": ["align", "--lo", "0", "--hi", "1", "--grid", "10001"],
+    "repro_fig1": ["repro", "fig1"],
+    "repro_fig2": ["repro", "fig2"],
+    "repro_constants": ["repro", "constants"],
+    "basins_logistic": ["basins", "--flow", "rgd", "--grid", "501",
+                        "--shift-kind", "logistic", "--shift-params", LOGISTIC],
+    "certify_tabulated": ["certify", "--x-star", "0", "--r", "0.3", "--grid", "4001",
+                          "--shift-kind", "tabulated", "--shift-params", TABULATED],
+}
+
+
+def artifact_digests(workdir: Path) -> dict:
+    """Run every configuration under ``workdir`` and hash what it writes."""
+    digests = {}
+    for name, argv in CONFIGS.items():
+        out = Path("golden") / name
+        code = cli.main(argv + ["--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"{name} exited with {code}")
+        for path in sorted((workdir / out).iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    pinned = json.loads(DIGEST_FILE.read_text())
+    monkeypatch.chdir(tmp_path)
+    actual = artifact_digests(tmp_path)
+    changed = sorted(k for k in pinned["artifacts"] if actual.get(k) != pinned["artifacts"][k])
+    extra = sorted(set(actual) - set(pinned["artifacts"]))
+    assert not changed and not extra, (
+        f"artifact bytes differ from the digests pinned with numpy {pinned['numpy']} "
+        f"(running numpy {np.__version__}): changed {changed}, unpinned {extra}"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_golden.py --write")
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            digests = artifact_digests(Path(tmp))
+        finally:
+            os.chdir(here)
+    DIGEST_FILE.write_text(
+        json.dumps({"numpy": np.__version__, "artifacts": digests}, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote {len(digests)} digests to {DIGEST_FILE}")

@@ -227,3 +227,76 @@ class TestDomainBox:
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError):
             pf.interval(1.0, 1.0)
+
+
+def bump_closed_forms(explicit):
+    # the built-in model's closed forms, one scalar state at a time
+    s = pf.bump_shift()
+    kwargs = {}
+    if explicit:
+        kwargs["grad1"] = lambda x1, x2: np.array([x1[0] - s.value(x2[0])])
+        kwargs["grad2"] = lambda x1, x2: np.array([0.5 * (1.0 - 2.0 * x1[0]) * s.derivative(x2[0])])
+    return pf.CallableModel(
+        dimension=1,
+        domain=pf.interval(-0.5, 1.5),
+        risk=lambda x1, x2: 0.5 * (x1[0] ** 2 + s.value(x2[0]) * (1.0 - 2.0 * x1[0])),
+        **kwargs,
+    )
+
+
+def coupled_planar(explicit):
+    # R(x1, x2) = |x1|^2 / 2 + 0.3 x1.x2 + sin(x2_0) x1_1
+    def risk(x1, x2):
+        return 0.5 * float(x1 @ x1) + 0.3 * float(x1 @ x2) + math.sin(x2[0]) * x1[1]
+
+    kwargs = {}
+    if explicit:
+        kwargs["grad1"] = lambda x1, x2: x1 + 0.3 * x2 + np.array([0.0, math.sin(x2[0])])
+        kwargs["grad2"] = lambda x1, x2: 0.3 * x1 + np.array([math.cos(x2[0]) * x1[1], 0.0])
+    return pf.CallableModel(
+        dimension=2,
+        domain=pf.Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        risk=risk,
+        **kwargs,
+    )
+
+
+class TestCallableModelBatches:
+    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "finite-difference"])
+    @pytest.mark.parametrize("make", [bump_closed_forms, coupled_planar])
+    def test_batch_equals_row_by_row(self, make, explicit, rng):
+        model = make(explicit)
+        m, n = 7, model.dimension
+        x1 = rng.uniform(model.domain.lower, model.domain.upper, size=(m, n))
+        x2 = rng.uniform(model.domain.lower, model.domain.upper, size=(m, n))
+        risk = model.decoupled_risk(x1, x2)
+        assert risk.shape == (m,)
+        assert np.array_equal(risk, [model.decoupled_risk(a, b) for a, b in zip(x1, x2)])
+        for grad in (model.grad_x1, model.grad_x2):
+            batch = grad(x1, x2)
+            assert batch.shape == (m, n)
+            assert np.array_equal(batch, np.stack([grad(a, b) for a, b in zip(x1, x2)]))
+
+    def test_wrapped_closed_forms_match_builtin_model(self, bump_model):
+        wrapped = bump_closed_forms(explicit=True)
+        zero = np.zeros(1)
+        for a, b in [
+            (pf.estimate_curvature_constants(wrapped, zero, 0.4, grid_n=4001),
+             pf.estimate_curvature_constants(bump_model, zero, 0.4, grid_n=4001)),
+            (pf.estimate_perturbation_envelope(wrapped, zero, 0.4),
+             pf.estimate_perturbation_envelope(bump_model, zero, 0.4)),
+        ]:
+            da, db = a.to_dict(), b.to_dict()
+            assert da.keys() == db.keys()
+            for key in da:
+                assert da[key] == pytest.approx(db[key], abs=1e-12, rel=0), key
+
+        ours = pf.alignment_check(wrapped, 0.0, 1.0, 2001)
+        theirs = pf.alignment_check(bump_model, 0.0, 1.0, 2001)
+        np.testing.assert_allclose(ours.lhs, theirs.lhs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ours.rhs, theirs.rhs, rtol=0, atol=1e-12)
+
+        for kind in ("rgd", "prm"):
+            ours = [r.location[0] for r in pf.find_equilibria(wrapped, kind, grid_n=2001)]
+            theirs = [r.location[0] for r in pf.find_equilibria(bump_model, kind, grid_n=2001)]
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
