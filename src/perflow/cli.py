@@ -32,19 +32,27 @@ from .errors import ConfigError, PerflowError
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+_CSV_SPECS = {"f": "%.17g", "i": "%d", "b": "%s"}
+_CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the text held at once
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """Write equal-length columns as CSV, each cell formatted by its column's dtype.
+
+    Floats use ``%.17g``, which spells every value (``inf``, ``nan``, ``-0``
+    included) as ``format(v, ".17g")`` does; integers use ``%d`` and booleans
+    ``true``/``false``.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header) or len({c.shape for c in columns}) != 1:
+        raise ValueError("CSV needs one column of equal length per header name")
+    row_fmt = ",".join(_CSV_SPECS[c.dtype.kind] for c in columns) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunks = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
+            cells = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in chunks]
+            fh.write("".join([row_fmt % row for row in zip(*(c.tolist() for c in cells))]))
 
 
 def _write_json(path: Path, obj):
@@ -78,14 +86,7 @@ def cmd_simulate(cfg) -> int:
         )
     out = _out_dir(cfg)
     header = ["t"] + [f"x_{i}" for i in range(traj.states.shape[1])]
-    _write_csv(
-        out / "trajectory.csv",
-        header,
-        (
-            [t] + list(state)
-            for t, state in zip(traj.times, traj.states)
-        ),
-    )
+    _write_csv(out / "trajectory.csv", header, [traj.times, *traj.states.T])
     _write_json(
         out / "summary.json",
         {
@@ -139,9 +140,7 @@ def cmd_basins(cfg) -> int:
     out = _out_dir(cfg)
     n = basin.grid.shape[1]
     _write_csv(
-        out / "basins.csv",
-        [f"x_{i}" for i in range(n)] + ["label"],
-        (list(point) + [int(label)] for point, label in zip(basin.grid, basin.labels)),
+        out / "basins.csv", [f"x_{i}" for i in range(n)] + ["label"], [*basin.grid.T, basin.labels]
     )
     _write_json(
         out / "equilibria.json",
@@ -181,13 +180,21 @@ def _certificate_pair(cfg, model):
     return cert, env
 
 
-def _sweep_rows(model, x_star, radii, grid_n):
-    for cert in cert_mod.sweep_curvature_constants(model, x_star, radii, grid_n=grid_n):
-        try:
-            feasible = cert_mod.feasible_radius(cert)
-        except PerflowError:
-            feasible = float("nan")
-        yield [cert.radius, cert.c1, cert.c2, cert.c3, cert.c4, feasible, cert.valid]
+_SWEEP_HEADER = ["r", "c1", "c2", "c3", "c4", "feasible_radius", "valid"]
+
+
+def _feasible_or_nan(cert):
+    try:
+        return cert_mod.feasible_radius(cert)
+    except PerflowError:
+        return float("nan")
+
+
+def _sweep_columns(model, x_star, radii, grid_n):
+    certs = cert_mod.sweep_curvature_constants(model, x_star, radii, grid_n=grid_n)
+    rows = [(c.radius, c.c1, c.c2, c.c3, c.c4, _feasible_or_nan(c)) for c in certs]
+    numbers = np.array(rows, dtype=float).reshape(-1, 6)
+    return [*numbers.T, np.array([c.valid for c in certs], dtype=bool)]
 
 
 def cmd_certify(cfg, sweep: bool = False, sweep_step: float = 0.01) -> int:
@@ -200,8 +207,8 @@ def cmd_certify(cfg, sweep: bool = False, sweep_step: float = 0.01) -> int:
         radii = np.arange(sweep_step, cfg.radius + sweep_step / 2.0, sweep_step)
         _write_csv(
             out / "constants_sweep.csv",
-            ["r", "c1", "c2", "c3", "c4", "feasible_radius", "valid"],
-            _sweep_rows(model, np.asarray(cfg.x_star), radii, cfg.grid_n),
+            _SWEEP_HEADER,
+            _sweep_columns(model, np.asarray(cfg.x_star), radii, cfg.grid_n),
         )
     return 0
 
@@ -232,10 +239,7 @@ def cmd_align(cfg) -> int:
     _write_csv(
         out / "alignment.csv",
         ["x", "lhs", "rhs", "holds"],
-        (
-            [x, l, r, bool(h)]
-            for x, l, r, h in zip(report.points, report.lhs, report.rhs, report.holds)
-        ),
+        [report.points, report.lhs, report.rhs, report.holds],
     )
     _write_json(out / "alignment.json", report.to_dict())
     return 0
@@ -256,16 +260,12 @@ def cmd_repro(cfg, target: str) -> int:
         _write_csv(
             out / "fig1.csv",
             ["x", "p", "p_prime", "pr", "pr_grad", "grad_x1"],
-            zip(xs, p, dp, risk, total, g1),
+            [xs, p, dp, risk, total, g1],
         )
         return 0
     if target == "fig2":
         radii = np.arange(0.01, 0.5001, 0.01)
-        _write_csv(
-            out / "fig2.csv",
-            ["r", "c1", "c2", "c3", "c4", "feasible_radius", "valid"],
-            _sweep_rows(model, np.zeros(1), radii, 4001),
-        )
+        _write_csv(out / "fig2.csv", _SWEEP_HEADER, _sweep_columns(model, np.zeros(1), radii, 4001))
         return 0
     # headline numbers: both field crossings plus the r = 0.4 constants
     rgd_reports = eq_mod.find_equilibria(model, flows.RGD_FLOW, grid_n=2001)

@@ -8,6 +8,7 @@ loudly, not silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -70,10 +71,22 @@ def _fail(msg: str):
     raise ConfigError(msg)
 
 
-def _as_float(value, key):
+def _finite(value):
+    """``value`` as a float if it is a finite number (not a bool), else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{key} must be a number, got {value!r}")
-    return float(value)
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _as_float(value, key):
+    number = _finite(value)
+    if number is None:
+        _fail(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, key):
@@ -83,13 +96,11 @@ def _as_int(value, key):
 
 
 def _as_vector(value, key):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),)
-    if isinstance(value, (list, tuple)) and value and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        return tuple(float(v) for v in value)
-    _fail(f"{key} must be a number or a non-empty list of numbers, got {value!r}")
+    items = value if isinstance(value, (list, tuple)) else [value]
+    numbers = tuple(_finite(v) for v in items)
+    if not numbers or None in numbers:
+        _fail(f"{key} must be a finite number or a non-empty list of them, got {value!r}")
+    return numbers
 
 
 def _freeze(value):

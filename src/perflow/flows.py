@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericIntegrationError, OutOfDomainError
-from .model import DecisionDependentModel, _check_domain
+from .model import BernoulliSquaredModel, DecisionDependentModel, _check_domain
 
 PRM_FLOW = "prm-flow"
 RGD_FLOW = "rgd-flow"
@@ -84,6 +84,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.form not in ("constant", "inverse"):
             raise ValueError(f"unknown schedule form {self.form!r}")
+        if not (math.isfinite(self.coefficient) and math.isfinite(self.offset)):
+            raise ValueError("schedule coefficient and offset must be finite")
         if self.coefficient <= 0:
             raise ValueError("schedule coefficient must be positive")
         if self.form == "inverse" and self.offset < 1.0:
@@ -127,8 +129,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in ("none", "gaussian", "bernoulli-sample"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.sigma < 0:
-            raise ValueError("noise sigma must be nonnegative")
+        if not math.isfinite(self.sigma) or self.sigma < 0:
+            raise ValueError("noise sigma must be finite and nonnegative")
         if self.sample_size < 1:
             raise ValueError("sample size must be >= 1")
 
@@ -314,15 +316,24 @@ def discrete_rgd(
 
     With noise mode ``none`` and a constant step equal to ``h`` this is
     forward Euler on the shift-blind flow.  All iterates are recorded; if an
-    iterate exits the domain box the trajectory is truncated there with
-    status ``left-domain``.  Identical seeds give bitwise-identical runs.
+    iterate exits the domain box (or turns NaN) the trajectory is truncated
+    there with status ``left-domain``.  Identical seeds give bitwise-identical
+    runs.
+
+    For a scalar :class:`BernoulliSquaredModel` every noise mode runs one
+    scalar loop on the closed-form gradient ``x - p(x)``, with Gaussian noise
+    drawn up front in one call (the same stream as per-step draws); any other
+    model or dimension takes the generic loop through ``grad_x1``.
+    ``bernoulli-sample`` noise needs the scalar loop, because it replaces
+    ``p(x)`` by a sample mean of the model's 0/1 responses.
     """
     if num_steps < 0:
         raise ValueError("number of steps must be nonnegative")
     x = _check_domain(model, x0).astype(float).copy()
     n = x.size
-    if noise.mode == "bernoulli-sample" and (not hasattr(model, "shift") or n != 1):
-        raise ValueError("bernoulli-sample noise needs a scalar model with a response shift")
+    scalar = n == 1 and isinstance(model, BernoulliSquaredModel)
+    if noise.mode == "bernoulli-sample" and not scalar:
+        raise ValueError("bernoulli-sample noise needs a scalar BernoulliSquaredModel")
     rng = np.random.default_rng(noise.seed) if noise.mode != "none" else None
     alphas = schedule.values(num_steps)
     states = np.empty((num_steps + 1, n))
@@ -330,19 +341,25 @@ def discrete_rgd(
     status = MAX_TIME
     recorded = 1
 
-    lo, hi = model.domain.lower, model.domain.upper
-    if n == 1 and noise.mode == "bernoulli-sample":
-        # scalar fast path: the sampling mode runs for ~1e5 steps routinely
+    if scalar:
+        # the recursion runs for ~1e5 steps routinely; stay on Python scalars
         value = model.shift.value
         xs = float(x[0])
-        lo0, hi0 = lo[0], hi[0]
+        lo, hi = model.domain.lower[0], model.domain.upper[0]
+        sampled = noise.mode == "bernoulli-sample"
         size = noise.sample_size
+        eta = rng.normal(0.0, noise.sigma, size=num_steps) if noise.mode == "gaussian" else None
         for k in range(num_steps):
-            z_mean = rng.binomial(size, value(xs)) / size
-            xs = xs - alphas[k] * (xs - z_mean)
+            if sampled:
+                grad = xs - rng.binomial(size, value(xs)) / size
+            else:
+                grad = xs - value(xs)
+                if eta is not None:
+                    grad = grad + eta[k]
+            xs = xs - alphas[k] * grad
             states[recorded, 0] = xs
             recorded += 1
-            if xs < lo0 or xs > hi0:
+            if not (lo <= xs <= hi):
                 status = LEFT_DOMAIN
                 break
     else:

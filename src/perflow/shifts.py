@@ -134,6 +134,8 @@ def clamped_polynomial_shift(coefficients) -> ShiftFunction:
     coeffs = tuple(float(c) for c in coefficients)
     if not coeffs:
         raise ValueError("need at least one polynomial coefficient")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError("polynomial coefficients must be finite")
     poly = np.polynomial.Polynomial(coeffs)
     dpoly = poly.deriv() if len(coeffs) > 1 else np.polynomial.Polynomial([0.0])
 

@@ -74,6 +74,21 @@ class TestConfigParsing:
             {"shift": {"kind": "logistic", "params": {"midpoint": "x"}}},
             {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [[1]]}}},
             {"shift": {"kind": "tabulated", "params": {"knots_x": {}, "knots_p": [0, 1]}}},
+            {"t_end": float("inf")},
+            {"t_end": float("nan")},
+            {"radius": float("nan")},
+            {"eq_tol": float("nan")},
+            {"h": 10**400},
+            {"x0": [0.1, float("nan")]},
+            {"domain": [float("-inf"), 1.0]},
+            {"epsilon_cap": float("inf")},
+            {"noise": "gaussian:nan"},
+            {"noise": "gaussian:inf"},
+            {"schedule": "inverse:0.5,nan"},
+            {"schedule": "inverse:inf,10"},
+            {"schedule": "constant:nan"},
+            {"shift": {"kind": "logistic", "params": {"rate": float("inf")}}},
+            {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [float("nan")]}}},
         ],
     )
     def test_range_and_grammar_violations(self, doc):
@@ -97,6 +112,38 @@ class TestConfigParsing:
             parse_config({"shift": {"kind": "clamped-polynomial", "params": {}}})
         with pytest.raises(ConfigError):
             parse_config({"shift": {"kind": "logistic", "params": {"rate": -1.0}}})
+
+
+def reference_cell(value):
+    # the per-value rule the column writer must reproduce byte for byte
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+class TestCsvWriter:
+    SPECIAL = [float("inf"), float("-inf"), float("nan"), -0.0, 1e-300, 0.1]
+
+    @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
+    def test_matches_per_value_formatting(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        floats = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, size=rows)
+        floats[: len(self.SPECIAL)] = self.SPECIAL[:rows]
+        ints = rng.integers(-(2**40), 2**40, size=rows)
+        bools = rng.random(rows) < 0.5
+        header = ["x", "special", "label", "holds"]
+        columns = [floats, np.resize(self.SPECIAL, rows), ints, bools]
+        cli._write_csv(tmp_path / "t.csv", header, columns)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(reference_cell(v) for v in row) + "\n" for row in zip(*columns)
+        )
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
 class TestCliCommands:
@@ -260,6 +307,21 @@ class TestCliErrors:
         summary = read_json(out / "summary.json")
         assert summary["final_state"] == [0.0]
         assert summary["config"]["t_end"] == 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basins", "--t-end", "inf"],
+            ["simulate", "--flow", "discrete-rgd", "--schedule", "inverse:0.5,nan"],
+            ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:nan"],
+            ["simulate", "--flow", "discrete-rgd", "--eq-tol", "nan"],
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mistyped_shift_parameter_exits_2(self, tmp_path, capsys):
         code = cli.main(

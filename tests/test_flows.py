@@ -1,5 +1,7 @@
 """Integration, the discrete recursion, and their cross-consistency."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -196,6 +198,55 @@ class TestDiscreteRecursion:
                 pf.NoiseSpec.bernoulli_sample(10, seed=0),
             )
 
+    def test_bernoulli_noise_requires_bernoulli_squared_model(self):
+        # a shift attribute alone does not make the gradient x - p(x)
+        @dataclass(frozen=True, eq=False)
+        class ShiftedCallable(pf.CallableModel):
+            shift: pf.ShiftFunction = None
+
+        model = ShiftedCallable(
+            dimension=1,
+            domain=pf.interval(-0.5, 1.5),
+            risk=lambda x1, x2: float(x1[0] ** 2),
+            grad1=lambda x1, x2: 2.0 * x1,
+            shift=pf.bump_shift(),
+        )
+        with pytest.raises(ValueError):
+            pf.discrete_rgd(
+                model, v(0.1), 10, pf.StepSchedule.constant(0.01),
+                pf.NoiseSpec.bernoulli_sample(10, seed=0),
+            )
+
+    @pytest.mark.parametrize(
+        "noise", [pf.NoiseSpec.none(), pf.NoiseSpec.gaussian(0.1, seed=7)], ids=["none", "gaussian"]
+    )
+    @pytest.mark.parametrize(
+        "schedule",
+        [pf.StepSchedule.inverse(0.5, 10.0), pf.StepSchedule.constant(0.01)],
+        ids=["inverse", "constant"],
+    )
+    def test_scalar_loop_matches_generic_loop_bitwise(self, bump_model, noise, schedule):
+        # the same gradient as a CallableModel runs the generic per-step loop
+        oracle = pf.CallableModel(
+            dimension=1,
+            domain=bump_model.domain,
+            risk=lambda a, b: 0.0,
+            grad1=lambda a, b: a - pf.bump_phi(float(b[0])),
+        )
+        fast = pf.discrete_rgd(bump_model, v(0.8), 20_000, schedule, noise)
+        slow = pf.discrete_rgd(oracle, v(0.8), 20_000, schedule, noise)
+        assert np.array_equal(fast.states, slow.states)
+        assert fast.terminal_status == slow.terminal_status
+
+    def test_nan_iterate_stops_scalar_loop(self):
+        shift = pf.ShiftFunction(kind="nan", value=lambda x: float("nan"), derivative=lambda x: 0.0)
+        model = pf.BernoulliSquaredModel(shift=shift)
+        traj = pf.discrete_rgd(
+            model, v(0.5), 100, pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()
+        )
+        assert traj.terminal_status == "left-domain"
+        assert traj.times.size == 2 and np.isnan(traj.final_state[0])
+
     def test_gaussian_noise_is_zero_mean(self):
         # empirical mean of 1e5 draws within 4 sigma / sqrt(1e5)
         rng = np.random.default_rng(7)
@@ -253,12 +304,19 @@ class TestStepSchedule:
             pf.StepSchedule.inverse(0.5, 0.5)
         with pytest.raises(ValueError):
             pf.StepSchedule("geometric", 1.0)
+        inf, nan = float("inf"), float("nan")
+        for coefficient, offset in ((inf, 1.0), (nan, 1.0), (0.5, nan), (0.5, inf)):
+            with pytest.raises(ValueError):
+                pf.StepSchedule.inverse(coefficient, offset)
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             pf.NoiseSpec("pink")
         with pytest.raises(ValueError):
             pf.NoiseSpec.gaussian(-1.0)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                pf.NoiseSpec.gaussian(sigma)
         with pytest.raises(ValueError):
             pf.NoiseSpec.bernoulli_sample(0)
 
