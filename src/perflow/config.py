@@ -166,6 +166,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         if v <= 0:
             _fail(f"{key} must be positive, got {v}")
         kwargs[key] = v
+    if not math.isfinite(kwargs["t_end"] / kwargs["h"]):
+        _fail(f"t_end / h must give a finite step count, got {kwargs['t_end']} / {kwargs['h']}")
 
     eq_tol = _as_float(doc["eq_tol"], "eq_tol")
     if eq_tol < 0:

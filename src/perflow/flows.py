@@ -30,6 +30,13 @@ MAX_TIME = "max-time"
 LEFT_DOMAIN = "left-domain"
 NUMERIC_ERROR = "numeric-error"  # ensemble-only, recorded per point
 
+# Stopped rows leave an ensemble's batch only once this many have gathered.
+# Compacting at every step keeps reallocating ever smaller arrays; numpy
+# caches freed small buffers and the heap fragments, so a 2001-point basin
+# scan peaked 0.2-0.9 MB higher in RSS, for little or no time saved.  Blocks
+# of 128 rows keep the peak at or below that of no compaction.
+_COMPACT_ROWS = 128
+
 _FLOW_ALIASES = {
     "rgd": RGD_FLOW,
     "prm": PRM_FLOW,
@@ -164,6 +171,17 @@ def _rk4_step(field, x, k1, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_count(t_end: float, h: float) -> int:
+    if not h > 0:
+        raise ValueError("step size must be positive")
+    if not t_end > 0:
+        raise ValueError("horizon must be positive")
+    ratio = t_end / h
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon {t_end} over step {h} gives no finite step count")
+    return max(1, round(ratio))
+
+
 def _record_stride(h: float) -> int:
     # bounds trajectory memory: one sample per ~0.1 time units
     return max(1, math.ceil(1.0 / (10.0 * h)))
@@ -185,13 +203,9 @@ def integrate_flow(
     every ``ceil(1/(10 h))`` steps plus always at the endpoint.
     """
     kind = normalize_flow_kind(kind)
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if t_end <= 0:
-        raise ValueError("horizon must be positive")
+    steps = _step_count(t_end, h)
     x = _check_domain(model, x0).astype(float).copy()
     field = _field_function(model, kind)
-    steps = max(1, int(round(t_end / h)))
     stride = _record_stride(h)
 
     times = [0.0]
@@ -251,53 +265,64 @@ def integrate_ensemble(
 ):
     """Integrate many initial conditions at once.
 
-    The whole ensemble advances through vectorized Runge-Kutta steps;
-    converged or exited points freeze in place while the rest continue.
+    The ensemble advances through vectorized Runge-Kutta steps over a batch
+    of its rows.  A row that stops (converged, exited, or non-finite) freezes
+    in place; once enough rows have frozen they leave the batch together, so
+    later steps evaluate only rows that still move.  Every row's arithmetic
+    is elementwise, so its result does not depend on which other rows share
+    the batch: it equals integrating that row alone.
     Returns ``(final_states, statuses, recording)`` where ``recording`` is
     ``(times, states[k, m, n])`` when requested, else None.  Per-point
     failures are recorded as status ``numeric-error``, not raised.
     """
     kind = normalize_flow_kind(kind)
+    steps = _step_count(t_end, h)
     x = _check_domain(model, np.atleast_2d(np.asarray(x0s, dtype=float))).copy()
     field = _field_function(model, kind)
     m = x.shape[0]
-    active = np.ones(m, dtype=bool)
     statuses = np.full(m, MAX_TIME, dtype=object)
-    steps = max(1, int(round(t_end / h)))
     stride = _record_stride(h)
     rec_times, rec_states = [0.0], [x.copy()]
+    rows = np.arange(m)  # rows of ``x`` in the batch ``xb``
+    xb = x
+    active = np.ones(m, dtype=bool)  # over the batch
 
     for k in range(steps):
         if not active.any():
             break
-        fx = np.asarray(field(x), dtype=float)
-        bad = active & ~np.all(np.isfinite(fx), axis=-1)
+        if active.size - np.count_nonzero(active) >= _COMPACT_ROWS:
+            x[rows] = xb  # frozen rows leave with their final states
+            rows, xb = rows[active], xb[active]
+            active = np.ones(rows.size, dtype=bool)
+        fx = np.asarray(field(xb), dtype=float)
+        bad = active & ~np.isfinite(fx).all(axis=-1)
         if bad.any():
-            statuses[bad] = NUMERIC_ERROR
+            statuses[rows[bad]] = NUMERIC_ERROR
             active &= ~bad
-        norms = np.linalg.norm(np.where(np.isfinite(fx), fx, 0.0), axis=-1)
-        done = active & (norms <= eq_tol)
+        # np.linalg.norm's arithmetic; rows with a non-finite value are inactive
+        done = active & (np.sqrt(np.add.reduce(fx * fx, axis=-1)) <= eq_tol)
         if done.any():
-            statuses[done] = CONVERGED
+            statuses[rows[done]] = CONVERGED
             active &= ~done
         if not active.any():
             break
-        x_new = _rk4_step(field, x, fx, h)
-        bad = active & ~np.all(np.isfinite(x_new), axis=-1)
+        x_new = _rk4_step(field, xb, fx, h)
+        bad = active & ~np.isfinite(x_new).all(axis=-1)
         if bad.any():
-            statuses[bad] = NUMERIC_ERROR
+            statuses[rows[bad]] = NUMERIC_ERROR
             active &= ~bad
+        # an exiting row keeps its exiting state as the final sample
+        np.copyto(xb, x_new, where=active[:, np.newaxis])
         exited = active & ~model.domain.contains_each(x_new)
         if exited.any():
-            # keep the exiting state as the final sample for those points
-            x[exited] = x_new[exited]
-            statuses[exited] = LEFT_DOMAIN
+            statuses[rows[exited]] = LEFT_DOMAIN
             active &= ~exited
-        x[active] = x_new[active]
         if record and (k + 1) % stride == 0:
+            x[rows] = xb
             rec_times.append((k + 1) * h)
             rec_states.append(x.copy())
 
+    x[rows] = xb
     if record and rec_times[-1] != steps * h:
         rec_times.append(steps * h)
         rec_states.append(x.copy())

@@ -36,10 +36,10 @@ def bump_phi(x):
             return 0.0
         return math.exp(1.0 - 1.0 / t)
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    out[x >= 1.0 - _EDGE] = 1.0
+    out = (x >= 1.0 - _EDGE).astype(float)
     inner = (x > 0.0) & (x < 1.0 - _EDGE)
-    t = np.maximum(x[inner] * (2.0 - x[inner]), 1e-300)
+    xi = x[inner]
+    t = np.maximum(xi * (2.0 - xi), 1e-300)
     out[inner] = np.exp(1.0 - 1.0 / t)
     return out
 
@@ -48,8 +48,9 @@ def bump_phi_prime(x):
     """Derivative of :func:`bump_phi`: ``phi(x) * 2(1-x) / (x*(2-x))**2`` on (0, 1), else 0.
 
     Where the value itself underflows to zero (x very close to 0) the
-    derivative underflows even faster, so 0 is returned without evaluating
-    the reciprocal square.
+    derivative underflows even faster: it is exactly 0 wherever
+    ``x*(2-x) < 1e-4``, and the reciprocal square is never taken of a smaller
+    ``x*(2-x)``.
     """
     if np.ndim(x) == 0:
         xf = float(x)
@@ -62,10 +63,11 @@ def bump_phi_prime(x):
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     inner = (x > 0.0) & (x < 1.0 - _EDGE)
-    t = np.where(inner, x * (2.0 - x), 1.0)
-    good = inner & (t >= 1e-4)
-    tg = t[good]
-    out[good] = np.exp(1.0 - 1.0 / tg) * 2.0 * (1.0 - x[good]) / (tg * tg)
+    xi = x[inner]
+    # below the scalar path's t < 1e-4 cut, exp(1 - 1/t) is exactly 0.0, so
+    # clamping t there yields the same +0.0 without a second mask
+    t = np.maximum(xi * (2.0 - xi), 1e-4)
+    out[inner] = np.exp(1.0 - 1.0 / t) * 2.0 * (1.0 - xi) / (t * t)
     return out
 
 

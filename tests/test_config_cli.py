@@ -79,6 +79,7 @@ class TestConfigParsing:
             {"radius": float("nan")},
             {"eq_tol": float("nan")},
             {"h": 10**400},
+            {"t_end": 1e307, "h": 1e-3},
             {"x0": [0.1, float("nan")]},
             {"domain": [float("-inf"), 1.0]},
             {"epsilon_cap": float("inf")},
@@ -315,6 +316,8 @@ class TestCliErrors:
             ["simulate", "--flow", "discrete-rgd", "--schedule", "inverse:0.5,nan"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:nan"],
             ["simulate", "--flow", "discrete-rgd", "--eq-tol", "nan"],
+            ["simulate", "--t-end", "1e307", "--h", "1e-3"],
+            ["basins", "--t-end", "1e307", "--h", "1e-3", "--grid", "11"],
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, argv):

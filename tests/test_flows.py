@@ -1,6 +1,6 @@
 """Integration, the discrete recursion, and their cross-consistency."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -126,6 +126,82 @@ class TestEnsemble:
         m = outward_model()
         finals, statuses, _ = pf.integrate_ensemble(m, "rgd", np.array([[0.2], [-0.2]]), 10.0)
         assert all(s == "left-domain" for s in statuses)
+
+    @pytest.mark.parametrize(
+        "t_end, h",
+        [(5.0, -0.01), (-5.0, 0.01), (5.0, 0.0), (0.0, 0.01), (float("nan"), 0.01),
+         (5.0, float("nan")), (float("inf"), 0.01), (1e307, 1e-3)],
+    )
+    def test_bad_step_or_horizon_rejected(self, bump_model, t_end, h):
+        with pytest.raises(ValueError):
+            pf.integrate_ensemble(bump_model, "rgd", [[0.5]], t_end, h=h)
+        with pytest.raises(ValueError):
+            pf.integrate_flow(bump_model, "rgd", v(0.5), t_end, h=h)
+
+
+def kinked_gradient(x1, x2):
+    # NaN below -0.8 (numeric-error), attracting 0 up to 0.5, repelling
+    # 0.5 above it: rows converge, leave the domain or run out of time
+    x = x1[0]
+    if x < -0.8:
+        return np.array([np.nan])
+    if x <= 0.5:
+        return np.array([2.0 * x])
+    return np.array([0.25 - 0.5 * x])
+
+
+@dataclass(frozen=True, eq=False)
+class BatchLoggingModel(pf.CallableModel):
+    """Logs the row count of every batch the field is evaluated on."""
+
+    batch_rows: list = field(default_factory=list)
+
+    def grad_x1(self, x1, x2):
+        self.batch_rows.append(np.shape(x1)[0])
+        return super().grad_x1(x1, x2)
+
+
+class TestEnsembleCompaction:
+    T_END, H, EQ_TOL = 4.0, 0.4, 1e-3
+
+    def integrate(self, model, x0s, record):
+        return pf.integrate_ensemble(
+            model, "rgd", x0s, self.T_END, h=self.H, eq_tol=self.EQ_TOL, record=record
+        )
+
+    def test_ensemble_equals_rows_integrated_alone(self):
+        model = BatchLoggingModel(
+            dimension=1,
+            domain=pf.interval(-1.0, 1.0),
+            risk=lambda x1, x2: 0.0,
+            grad1=kinked_gradient,
+            grad2=lambda x1, x2: np.zeros(1),
+        )
+        x0s = np.concatenate([
+            np.linspace(-0.99, -0.81, 20),  # numeric-error at the first step
+            [0.0],  # converged at the first step
+            -np.geomspace(1e-4, 0.79, 240),  # converge early to late
+            np.geomspace(1e-4, 0.49, 240),
+            0.5 + np.geomspace(0.02, 0.5, 150),  # leave the domain or hit max-time
+        ])[:, None]
+        x0s = x0s[np.random.default_rng(3).permutation(len(x0s))]
+
+        finals, statuses, (times, states) = self.integrate(model, x0s, record=True)
+        batches = sorted(set(model.batch_rows), reverse=True)
+        unrecorded = self.integrate(model, x0s, record=False)
+
+        assert batches[0] == len(x0s) and len(batches) >= 4  # compacted three times
+        assert set(statuses) == {"converged-to-equilibrium", "left-domain", "numeric-error", "max-time"}
+        assert times.size == round(self.T_END / self.H) + 1  # one sample per step
+        for i, x0 in enumerate(x0s):
+            final, status, (row_times, row_states) = self.integrate(model, x0[None], record=True)
+            assert statuses[i] == unrecorded[1][i] == status[0]
+            assert np.array_equal(finals[i], final[0])
+            assert np.array_equal(unrecorded[0][i], final[0])
+            # alone, a row's recording ends when it stops; in the ensemble it
+            # holds its last state from then on
+            last = np.searchsorted(row_times, times, side="right") - 1
+            assert np.array_equal(states[:, i], row_states[last, 0])
 
 
 class TestDiscreteRecursion:

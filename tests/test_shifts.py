@@ -70,6 +70,60 @@ class TestBump:
             assert ders[i] == pytest.approx(pf.bump_phi_prime(float(x)), rel=1e-15, abs=0.0)
 
 
+def reference_bump_phi(x):
+    # the array path before it was trimmed, kept as the bitwise oracle
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    out[x >= 1.0 - 1e-12] = 1.0
+    inner = (x > 0.0) & (x < 1.0 - 1e-12)
+    t = np.maximum(x[inner] * (2.0 - x[inner]), 1e-300)
+    out[inner] = np.exp(1.0 - 1.0 / t)
+    return out
+
+
+def reference_bump_phi_prime(x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    inner = (x > 0.0) & (x < 1.0 - 1e-12)
+    t = np.where(inner, x * (2.0 - x), 1.0)
+    good = inner & (t >= 1e-4)
+    tg = t[good]
+    out[good] = np.exp(1.0 - 1.0 / tg) * 2.0 * (1.0 - x[good]) / (tg * tg)
+    return out
+
+
+def neighbours(x, count=4):
+    """``x`` and the ``count`` floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[1:] + above
+
+
+class TestBumpArrayPaths:
+    # where x * (2 - x) crosses the 1e-4 cut of bump_phi_prime
+    T_CUT = 1e-4 / (1.0 + math.sqrt(1.0 - 1e-4))
+    SPECIAL = [0.0, -0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf,
+               *neighbours(1.0 - 1e-12), *neighbours(T_CUT, 8)]
+
+    @pytest.mark.parametrize(
+        "fn, reference",
+        [(pf.bump_phi, reference_bump_phi), (pf.bump_phi_prime, reference_bump_phi_prime)],
+    )
+    def test_bitwise_equal_to_reference(self, fn, reference):
+        draw = np.random.default_rng(7).uniform(-0.5, 1.5, 100_000)
+        xs = np.concatenate([self.SPECIAL, draw])
+        for batch in (xs, draw[::-1].reshape(-1, 5), np.array(self.SPECIAL), np.empty(0)):
+            got, want = fn(batch), reference(batch)
+            assert got.shape == want.shape == batch.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cut_neighbourhood_straddles_the_cut(self):
+        ts = [x * (2.0 - x) for x in neighbours(self.T_CUT, 8)]
+        assert min(ts) < 1e-4 <= max(ts)
+
+
 class TestLogistic:
     def test_values_strictly_inside_unit_interval(self):
         s = pf.logistic_shift(rate=4.0, midpoint=0.25)
