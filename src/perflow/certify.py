@@ -31,12 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidCertificateError,
-    MissingConstantsError,
-    NotAMinimizerError,
-    PerflowError,
-)
+from .errors import InvalidCertificateError, MissingConstantsError, NotAMinimizerError
 from .model import DecisionDependentModel, SmoothnessConstants
 
 
@@ -482,12 +477,7 @@ class AlignmentReport:
 
 
 def alignment_check(model: DecisionDependentModel, lo: float, hi: float, grid_n: int) -> AlignmentReport:
-    """Evaluate the alignment condition on ``grid_n`` points of ``[lo, hi]``.
-
-    For models with a response shift the specialized scalar form
-    ``|1/2 - x|^2 p'(x)^2 <= (p(x) - x)(1/2 - x) p'(x)`` is evaluated
-    independently and must agree with the general form to 1e-10.
-    """
+    """Evaluate the alignment condition on ``grid_n`` points of ``[lo, hi]``."""
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")
     if model.dimension != 1:
@@ -498,17 +488,6 @@ def alignment_check(model: DecisionDependentModel, lo: float, hi: float, grid_n:
     g = model.grad_x2(pts, pts)[:, 0]
     lhs = g * g
     rhs = -g1 * g
-
-    if hasattr(model, "shift"):
-        p = np.asarray(model.shift.value(xs), dtype=float)
-        dp = np.asarray(model.shift.derivative(xs), dtype=float)
-        lhs_s = (0.5 - xs) ** 2 * dp**2
-        rhs_s = (p - xs) * (0.5 - xs) * dp
-        gap = max(float(np.max(np.abs(lhs - lhs_s))), float(np.max(np.abs(rhs - rhs_s))))
-        if gap > 1e-10:
-            raise PerflowError(
-                f"specialized alignment form disagrees with the general form by {gap:.3g}"
-            )
 
     holds = lhs <= rhs + HOLDS_SLACK
     intervals = []

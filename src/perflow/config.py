@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
-from .flows import NoiseSpec, StepSchedule, normalize_flow_kind
+from .flows import NoiseSpec, StepSchedule, _step_count, normalize_flow_kind
 from .model import BernoulliSquaredModel
 from .shifts import (
     ShiftFunction,
@@ -166,8 +166,10 @@ def parse_config(document: dict) -> ExperimentConfig:
         if v <= 0:
             _fail(f"{key} must be positive, got {v}")
         kwargs[key] = v
-    if not math.isfinite(kwargs["t_end"] / kwargs["h"]):
-        _fail(f"t_end / h must give a finite step count, got {kwargs['t_end']} / {kwargs['h']}")
+    try:
+        _step_count(kwargs["t_end"], kwargs["h"])
+    except ValueError as exc:
+        _fail(str(exc))
 
     eq_tol = _as_float(doc["eq_tol"], "eq_tol")
     if eq_tol < 0:

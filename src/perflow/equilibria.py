@@ -284,6 +284,43 @@ def find_equilibria(
     ]
 
 
+# Field samples per trap check; an even count leaves out the root itself,
+# where the field is zero up to the refinement residual.
+_TRAP_SAMPLES = 128
+
+
+def _scalar_traps(model, kind, equilibria, radius, h):
+    """Traps ``[x* - radius, x* + radius]`` around the roots a row cannot leave.
+
+    A root gets a trap only when the whole interval lies in the domain, no
+    other root lies within ``2 * radius`` (so ``x*`` is the nearest root to
+    every point of the trap), the field points toward ``x*`` at every one of
+    ``_TRAP_SAMPLES`` samples spanning the interval, ends included, and
+    ``h * max|f'| < 1`` there by finite differences on those samples, so an
+    RK4 step cannot overshoot ``x*``.  Returns ``(centres, radii)`` for
+    :func:`integrate_ensemble`, or None when no root qualifies.
+    """
+    roots = np.array([r.location[0] for r in equilibria], dtype=float)
+    gaps = np.abs(roots[:, None] - roots)
+    np.fill_diagonal(gaps, np.inf)
+    offsets = radius * np.linspace(-1.0, 1.0, _TRAP_SAMPLES)
+    candidates = roots[
+        (roots - radius >= model.domain.lower[0])
+        & (roots + radius <= model.domain.upper[0])
+        & (gaps.min(axis=1, initial=np.inf) > 2.0 * radius)
+    ]
+    if candidates.size == 0:
+        return None
+    samples = candidates[:, None] + offsets
+    fv = np.asarray(_field_function(model, kind)(samples[..., None]), dtype=float)[..., 0]
+    inward = np.all(fv * offsets < 0.0, axis=1)
+    slope = np.max(np.abs(np.diff(fv, axis=1)) / np.diff(samples, axis=1), axis=1)
+    centres = candidates[inward & (h * slope < 1.0)]
+    if centres.size == 0:
+        return None
+    return centres[:, None], np.full(centres.size, radius)
+
+
 def basin_scan(
     model: DecisionDependentModel,
     field_kind: str,
@@ -300,6 +337,19 @@ def basin_scan(
     The final state is matched to the nearest known equilibrium within
     ``match_radius``; anything unmatched, including domain exits, gets the
     divergence label ``-1`` rather than spawning a new equilibrium.
+
+    For a scalar model the scan first builds a trap ``[x* - rho, x* + rho]``,
+    ``rho = match_radius / 2``, around each root that passes the checks of
+    :func:`_scalar_traps`: it lies in the domain, no other root is within
+    ``2 * rho``, the field points toward ``x*`` on a fine grid spanning it,
+    and ``h * max|f'| < 1`` there.  In one dimension such an interval lies in
+    the region of attraction of ``x*``, so a row that enters it has its label
+    decided: it stops there as ``converged-to-equilibrium``, with the state
+    at which it entered as its final state.  A root that fails a check gets
+    no trap and its rows run to ``eq_tol`` or ``t_end``.  Models in more
+    dimensions get no traps: a prm-flow trap from the curvature bracket
+    ``c1``/``c2`` needs proven enclosures of those constants, and grid
+    estimates are not a proof.
     """
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")
@@ -315,7 +365,12 @@ def basin_scan(
         raise ValueError("basin scans are supported in one and two dimensions only")
 
     eq_locs = np.array([r.location for r in equilibria], dtype=float)
-    finals, statuses, _ = integrate_ensemble(model, kind, grid, t_end, h=h, eq_tol=eq_tol)
+    traps = None
+    if model.dimension == 1:
+        traps = _scalar_traps(model, kind, equilibria, 0.5 * match_radius, h)
+    finals, statuses, _ = integrate_ensemble(
+        model, kind, grid, t_end, h=h, eq_tol=eq_tol, traps=traps
+    )
 
     labels = np.full(grid.shape[0], DIVERGENT, dtype=int)
     ok = ~np.isin(statuses, (LEFT_DOMAIN, NUMERIC_ERROR))

@@ -179,7 +179,11 @@ def _step_count(t_end: float, h: float) -> int:
     ratio = t_end / h
     if not math.isfinite(ratio):
         raise ValueError(f"horizon {t_end} over step {h} gives no finite step count")
-    return max(1, round(ratio))
+    steps = round(ratio)
+    # a fractional count would silently move the horizon to steps * h
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"horizon {t_end} is not a whole number (>= 1) of steps {h}")
+    return steps
 
 
 def _record_stride(h: float) -> int:
@@ -262,6 +266,7 @@ def integrate_ensemble(
     h: float = 0.01,
     eq_tol: float = 1e-9,
     record: bool = False,
+    traps=None,
 ):
     """Integrate many initial conditions at once.
 
@@ -271,6 +276,15 @@ def integrate_ensemble(
     later steps evaluate only rows that still move.  Every row's arithmetic
     is elementwise, so its result does not depend on which other rows share
     the batch: it equals integrating that row alone.
+
+    ``traps``, when given, is a pair ``(centres[k, n], radii[k])``; trap
+    ``j`` is the box ``|x - centres[j]| <= radii[j]`` in every coordinate.
+    A row that lies in a trap at the start of a step stops there with status
+    ``converged-to-equilibrium``: the caller vouches that no trajectory
+    leaves the trap and that all of them converge to its centre (see
+    :func:`perflow.basin_scan`).  A trapped row's final state is the state
+    at which it entered the trap, not the equilibrium.
+
     Returns ``(final_states, statuses, recording)`` where ``recording`` is
     ``(times, states[k, m, n])`` when requested, else None.  Per-point
     failures are recorded as status ``numeric-error``, not raised.
@@ -283,11 +297,20 @@ def integrate_ensemble(
     statuses = np.full(m, MAX_TIME, dtype=object)
     stride = _record_stride(h)
     rec_times, rec_states = [0.0], [x.copy()]
+    if traps is not None:
+        centres, radii = traps
+        centres = np.asarray(centres, dtype=float).reshape(-1, 1, x.shape[1])
+        radii = np.asarray(radii, dtype=float).reshape(-1, 1, 1)
     rows = np.arange(m)  # rows of ``x`` in the batch ``xb``
     xb = x
     active = np.ones(m, dtype=bool)  # over the batch
 
     for k in range(steps):
+        if traps is not None:
+            trapped = active & (np.abs(xb - centres) <= radii).all(axis=-1).any(axis=0)
+            if trapped.any():
+                statuses[rows[trapped]] = CONVERGED
+                active &= ~trapped
         if not active.any():
             break
         if active.size - np.count_nonzero(active) >= _COMPACT_ROWS:
@@ -367,13 +390,15 @@ def discrete_rgd(
     recorded = 1
 
     if scalar:
-        # the recursion runs for ~1e5 steps routinely; stay on Python scalars
+        # the recursion runs for ~1e5 steps routinely; stay on Python floats,
+        # since a numpy scalar would send every shift call through np.ndim
         value = model.shift.value
         xs = float(x[0])
-        lo, hi = model.domain.lower[0], model.domain.upper[0]
+        lo, hi = float(model.domain.lower[0]), float(model.domain.upper[0])
         sampled = noise.mode == "bernoulli-sample"
         size = noise.sample_size
-        eta = rng.normal(0.0, noise.sigma, size=num_steps) if noise.mode == "gaussian" else None
+        alphas = alphas.tolist()
+        eta = rng.normal(0.0, noise.sigma, size=num_steps).tolist() if noise.mode == "gaussian" else None
         for k in range(num_steps):
             if sampled:
                 grad = xs - rng.binomial(size, value(xs)) / size

@@ -25,7 +25,7 @@ def bump_phi(x):
     are pinned to 1 so the reciprocal never degrades.  Accepts scalars or
     arrays; returns the matching shape.
     """
-    if np.ndim(x) == 0:
+    if type(x) is float or np.ndim(x) == 0:  # np.ndim alone costs ~2 us a call
         xf = float(x)
         if xf <= 0.0:
             return 0.0
@@ -52,7 +52,7 @@ def bump_phi_prime(x):
     ``x*(2-x) < 1e-4``, and the reciprocal square is never taken of a smaller
     ``x*(2-x)``.
     """
-    if np.ndim(x) == 0:
+    if type(x) is float or np.ndim(x) == 0:  # np.ndim alone costs ~2 us a call
         xf = float(x)
         if xf <= 0.0 or xf >= 1.0 - _EDGE:
             return 0.0

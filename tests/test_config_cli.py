@@ -80,6 +80,8 @@ class TestConfigParsing:
             {"eq_tol": float("nan")},
             {"h": 10**400},
             {"t_end": 1e307, "h": 1e-3},
+            {"t_end": 0.015, "h": 0.01},
+            {"t_end": 0.001, "h": 0.01},
             {"x0": [0.1, float("nan")]},
             {"domain": [float("-inf"), 1.0]},
             {"epsilon_cap": float("inf")},

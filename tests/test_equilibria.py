@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import perflow as pf
+import perflow.equilibria as eq_mod
 from perflow.config import ExperimentConfig
 from perflow.equilibria import INCONCLUSIVE, PERFORMATIVELY_STABLE, PRM_MINIMIZER, UNSTABLE
 from perflow.flows import CONVERGED
@@ -258,3 +259,68 @@ class TestExactBasinOracle:
         assert converged.mean() > 0.99
         assert len(set(expected[converged])) >= 2
         assert np.array_equal(basin.labels[converged], expected[converged])
+
+
+def three_root_model(a, rate=10.0):
+    # rgd field -rate * s(x) with s a sawtooth: roots 0 and 2a attract, a
+    # repels
+    def grad1(x1, x2):
+        x = x1[0]
+        if x <= 0.5 * a:
+            return np.array([rate * x])
+        if x <= 1.5 * a:
+            return np.array([rate * (a - x)])
+        return np.array([rate * (x - 2.0 * a)])
+
+    return pf.CallableModel(
+        dimension=1,
+        domain=pf.interval(-5.0 * a, 5.0 * a),
+        risk=lambda x1, x2: 0.0,
+        grad1=grad1,
+        grad2=lambda x1, x2: np.zeros(1),
+    )
+
+
+class TestBasinTraps:
+    def scan(self, model, reports, monkeypatch=None, traps=None):
+        if monkeypatch is not None:
+            monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: traps)
+        return pf.basin_scan(model, "rgd", reports, grid_n=81)
+
+    # a = 2e-4: all three roots lie inside one trap of radius 5e-4 and the
+    # field test refuses it; a = 7e-4: the field points toward 0 on the whole
+    # trap, but part of it is nearer the root a, which would label it a
+    @pytest.mark.parametrize("a", [2e-4, 7e-4])
+    def test_trap_near_a_second_root_is_refused(self, monkeypatch, a):
+        model = three_root_model(a)
+        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
+        roots = np.array(locations(reports))
+        assert np.allclose(roots, [0.0, a, 2.0 * a], atol=1e-12)
+        assert eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.01) is None
+
+        scanned = self.scan(model, reports).labels
+        untrapped = self.scan(model, reports, monkeypatch, None).labels
+        assert len(set(scanned)) >= 2
+        assert np.array_equal(scanned, untrapped)
+        # the refusal matters: trapping every root would relabel starts
+        # between the roots by the root nearest to them
+        every_root = (roots[:, None], np.full(roots.size, 5e-4))
+        assert not np.array_equal(scanned, self.scan(model, reports, monkeypatch, every_root).labels)
+
+    @pytest.mark.parametrize("kind, unstable", [("rgd", 0.227360), ("prm", 0.398966)])
+    def test_only_the_attracting_roots_get_traps(self, bump_model, kind, unstable):
+        cfg = ExperimentConfig()
+        reports = pf.find_equilibria(bump_model, kind, grid_n=cfg.grid_n)
+        assert any(abs(r.location[0] - unstable) < 1e-6 for r in reports)
+        centres, radii = eq_mod._scalar_traps(bump_model, kind, reports, cfg.match_radius / 2, cfg.h)
+        assert np.allclose(centres[:, 0], [0.0, 1.0], atol=1e-9)
+        assert np.all(radii == cfg.match_radius / 2)
+
+    def test_steep_root_gets_a_trap_only_at_a_small_enough_step(self):
+        # rgd field p(x) - x = 50 - 100 x: slope -100 at the root 0.5
+        model = pf.BernoulliSquaredModel(shift=pf.clamped_polynomial_shift((50.0, -99.0)))
+        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
+        assert locations(reports) == [pytest.approx(0.5, abs=1e-12)]
+        assert eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.011) is None
+        centres, _ = eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.009)
+        assert centres[:, 0] == pytest.approx([0.5], abs=1e-12)

@@ -130,7 +130,7 @@ class TestEnsemble:
     @pytest.mark.parametrize(
         "t_end, h",
         [(5.0, -0.01), (-5.0, 0.01), (5.0, 0.0), (0.0, 0.01), (float("nan"), 0.01),
-         (5.0, float("nan")), (float("inf"), 0.01), (1e307, 1e-3)],
+         (5.0, float("nan")), (float("inf"), 0.01), (1e307, 1e-3), (0.015, 0.01), (0.001, 0.01)],
     )
     def test_bad_step_or_horizon_rejected(self, bump_model, t_end, h):
         with pytest.raises(ValueError):
@@ -161,12 +161,25 @@ class BatchLoggingModel(pf.CallableModel):
         return super().grad_x1(x1, x2)
 
 
+    def test_row_starting_in_a_trap_stops_at_its_start(self, bump_model):
+        traps = ([[0.0], [1.0]], [5e-4, 5e-4])
+        finals, statuses, _ = pf.integrate_ensemble(
+            bump_model, "rgd", [[3e-4], [0.9996], [0.3]], 60.0, traps=traps
+        )
+        assert finals[0, 0] == 3e-4 and finals[1, 0] == 0.9996
+        assert abs(finals[2, 0] - 1.0) <= 5e-4
+        assert all(s == "converged-to-equilibrium" for s in statuses)
+
+
 class TestEnsembleCompaction:
     T_END, H, EQ_TOL = 4.0, 0.4, 1e-3
+    # around the attracting root 0, and across the repelling side
+    TRAPS = ([[0.0], [0.75]], [0.002, 0.02])
 
-    def integrate(self, model, x0s, record):
+    def integrate(self, model, x0s, record, traps):
         return pf.integrate_ensemble(
-            model, "rgd", x0s, self.T_END, h=self.H, eq_tol=self.EQ_TOL, record=record
+            model, "rgd", x0s, self.T_END, h=self.H, eq_tol=self.EQ_TOL, record=record,
+            traps=traps,
         )
 
     def test_ensemble_equals_rows_integrated_alone(self):
@@ -185,16 +198,25 @@ class TestEnsembleCompaction:
             0.5 + np.geomspace(0.02, 0.5, 150),  # leave the domain or hit max-time
         ])[:, None]
         x0s = x0s[np.random.default_rng(3).permutation(len(x0s))]
+        for traps in (None, self.TRAPS):
+            model.batch_rows.clear()
+            self.check_rows_alone(model, x0s, traps)
 
-        finals, statuses, (times, states) = self.integrate(model, x0s, record=True)
+    def check_rows_alone(self, model, x0s, traps):
+        finals, statuses, (times, states) = self.integrate(model, x0s, True, traps)
         batches = sorted(set(model.batch_rows), reverse=True)
-        unrecorded = self.integrate(model, x0s, record=False)
+        unrecorded = self.integrate(model, x0s, False, traps)
 
-        assert batches[0] == len(x0s) and len(batches) >= 4  # compacted three times
+        assert len(batches) >= 4  # compacted three times
+        # rows that start in a trap leave the batch before its first evaluation
+        assert (batches[0] == len(x0s)) == (traps is None)
         assert set(statuses) == {"converged-to-equilibrium", "left-domain", "numeric-error", "max-time"}
         assert times.size == round(self.T_END / self.H) + 1  # one sample per step
+        # rows stopped by a trap while the field norm is still above eq_tol
+        trapped = (statuses == "converged-to-equilibrium") & (2.0 * np.abs(finals[:, 0]) > self.EQ_TOL)
+        assert trapped.any() == (traps is not None)
         for i, x0 in enumerate(x0s):
-            final, status, (row_times, row_states) = self.integrate(model, x0[None], record=True)
+            final, status, (row_times, row_states) = self.integrate(model, x0[None], True, traps)
             assert statuses[i] == unrecorded[1][i] == status[0]
             assert np.array_equal(finals[i], final[0])
             assert np.array_equal(unrecorded[0][i], final[0])

@@ -119,6 +119,12 @@ class TestBumpArrayPaths:
             assert got.shape == want.shape == batch.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("fn", [pf.bump_phi, pf.bump_phi_prime])
+    def test_scalar_input_types_agree_bitwise(self, fn):
+        for x in self.SPECIAL:
+            bits = {np.float64(fn(arg)).view(np.int64) for arg in (float(x), np.float64(x), np.array(x))}
+            assert len(bits) == 1, x
+
     def test_cut_neighbourhood_straddles_the_cut(self):
         ts = [x * (2.0 - x) for x in neighbours(self.T_CUT, 8)]
         assert min(ts) < 1e-4 <= max(ts)
