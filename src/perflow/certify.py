@@ -41,6 +41,8 @@ from .model import DecisionDependentModel, SmoothnessConstants
 def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
     """Lattice covering the ball around x_star clipped to the domain box."""
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+    if x_star.shape != (model.dimension,):
+        raise ValueError(f"x_star must have shape ({model.dimension},), got {x_star.shape}")
     lo = np.maximum(model.domain.lower, x_star - radius)
     hi = np.minimum(model.domain.upper, x_star + radius)
     n = model.dimension
@@ -322,13 +324,16 @@ def ultimate_bounds(
     All fields are computed for any finite certificate; hypothesis failures
     (including a degenerate gradient side, where ``alpha <= 0``) are reported
     through the admissibility flags rather than raised, so sweeps over
-    marginal radii stay total.  Only ``theta`` outside (0, 1) is an error.
+    marginal radii stay total.  Only ``theta`` outside (0, 1) and an ``x0``
+    whose shape is not that of ``cert.x_star`` are errors.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     c1, c2, c3, c4 = cert.c1, cert.c2, cert.c3, cert.c4
     eps, delta = envelope.epsilon, envelope.delta
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != cert.x_star.shape:
+        raise ValueError(f"x0 must have the shape of x_star {cert.x_star.shape}, got {x0.shape}")
     d0 = float(np.linalg.norm(x0 - cert.x_star))
 
     alpha = c3**2 - c4 * eps

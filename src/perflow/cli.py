@@ -6,17 +6,24 @@ Grammar::
             [--config FILE] [--out DIR] [--key value ...]
 
 Flags override values from the configuration file, which overrides built-in
-defaults.  Every command writes fixed filenames under ``--out`` and is
-deterministic given its configuration and seed: floats are emitted with 17
-significant digits (round-trip exact), CSV uses comma separators and LF line
-endings, JSON keys are sorted.  Exit codes: 0 success, 2 configuration
-error, 3 numeric failure.
+defaults.  ``_COMMANDS`` is the one table of commands: handler, help line and
+the configuration keys its flags set.  A flag is spelled after its key
+(``t_end`` -> ``--t-end``; ``grid_n`` is ``--grid``, ``radius`` is ``--r``)
+and typed after the key's default.  A handler computes and returns its
+artifacts, ``{file name: JSON object | (header, columns)}``; ``main`` alone
+builds the model, creates ``--out`` and writes them in the order returned,
+so a command that fails writes nothing.  Output is deterministic given the
+configuration and seed: floats are emitted with 17 significant digits
+(round-trip exact), CSV uses comma separators and LF line endings, JSON keys
+are sorted.  Exit codes: 0 success, 2 configuration error, 3 numeric failure
+(a run that cannot allocate its arrays included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,96 +68,54 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: handler(cfg, model, args) -> {file name: JSON object | (header, columns)}
 
-def cmd_simulate(cfg) -> int:
-    model = config_mod.build_model(cfg)
+def cmd_simulate(cfg, model, args):
     if cfg.flow == flows.DISCRETE_RGD:
-        traj = flows.discrete_rgd(
-            model,
-            np.asarray(cfg.x0),
-            cfg.steps,
-            config_mod.parse_schedule(cfg.schedule),
-            config_mod.parse_noise(cfg.noise, cfg.seed),
-        )
+        schedule = config_mod.parse_schedule(cfg.schedule)
+        noise = config_mod.parse_noise(cfg.noise, cfg.seed)
+        traj = flows.discrete_rgd(model, np.asarray(cfg.x0), cfg.steps, schedule, noise)
     else:
         traj = flows.integrate_flow(
             model, cfg.flow, np.asarray(cfg.x0), cfg.t_end, h=cfg.h, eq_tol=cfg.eq_tol
         )
-    out = _out_dir(cfg)
     header = ["t"] + [f"x_{i}" for i in range(traj.states.shape[1])]
-    _write_csv(out / "trajectory.csv", header, [traj.times, *traj.states.T])
-    _write_json(
-        out / "summary.json",
-        {
-            "kind": traj.kind,
-            "terminal_status": traj.terminal_status,
-            "final_time": float(traj.final_time),
-            "final_state": [float(v) for v in traj.final_state],
-            "num_recorded": int(traj.times.size),
-            "config": config_mod.to_document(cfg),
-        },
-    )
-    return 0
+    summary = {
+        "kind": traj.kind,
+        "terminal_status": traj.terminal_status,
+        "final_time": float(traj.final_time),
+        "final_state": [float(v) for v in traj.final_state],
+        "num_recorded": int(traj.times.size),
+        "config": config_mod.to_document(cfg),
+    }
+    return {"trajectory.csv": (header, [traj.times, *traj.states.T]), "summary.json": summary}
 
 
-def _equilibrium_reports(cfg, model):
+def _equilibria(cfg, model):
+    """The field kind, its equilibrium reports and their ``equilibria.json`` document."""
     kind = cfg.flow if cfg.flow != flows.DISCRETE_RGD else flows.RGD_FLOW
-    return kind, eq_mod.find_equilibria(
-        model, kind, grid_n=cfg.grid_n, refine_tol=cfg.refine_tol
-    )
+    reports = eq_mod.find_equilibria(model, kind, grid_n=cfg.grid_n, refine_tol=cfg.refine_tol)
+    document = {
+        "field_kind": kind,
+        "grid_n": cfg.grid_n,
+        "refine_tol": cfg.refine_tol,
+        "equilibria": [r.to_dict() for r in reports],
+    }
+    return kind, reports, document
 
 
-def cmd_equilibria(cfg) -> int:
-    model = config_mod.build_model(cfg)
-    kind, reports = _equilibrium_reports(cfg, model)
-    out = _out_dir(cfg)
-    _write_json(
-        out / "equilibria.json",
-        {
-            "field_kind": kind,
-            "grid_n": cfg.grid_n,
-            "refine_tol": cfg.refine_tol,
-            "equilibria": [r.to_dict() for r in reports],
-        },
-    )
-    return 0
+def cmd_equilibria(cfg, model, args):
+    return {"equilibria.json": _equilibria(cfg, model)[2]}
 
 
-def cmd_basins(cfg) -> int:
-    model = config_mod.build_model(cfg)
-    kind, reports = _equilibrium_reports(cfg, model)
+def cmd_basins(cfg, model, args):
+    kind, reports, document = _equilibria(cfg, model)
     basin = eq_mod.basin_scan(
-        model,
-        kind,
-        reports,
-        grid_n=cfg.grid_n,
-        t_end=cfg.t_end,
-        match_radius=cfg.match_radius,
-        h=cfg.h,
-        eq_tol=cfg.eq_tol,
+        model, kind, reports, grid_n=cfg.grid_n, t_end=cfg.t_end,
+        match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
     )
-    out = _out_dir(cfg)
     n = basin.grid.shape[1]
-    _write_csv(
-        out / "basins.csv", [f"x_{i}" for i in range(n)] + ["label"], [*basin.grid.T, basin.labels]
-    )
-    _write_json(
-        out / "equilibria.json",
-        {
-            "field_kind": kind,
-            "grid_n": cfg.grid_n,
-            "refine_tol": cfg.refine_tol,
-            "equilibria": [r.to_dict() for r in reports],
-        },
-    )
     labels, counts = np.unique(basin.labels, return_counts=True)
     summary = {
         "field_kind": kind,
@@ -161,26 +126,21 @@ def cmd_basins(cfg) -> int:
     }
     if n == 1:
         summary["boundaries"] = eq_mod.basin_boundaries(basin)
-    _write_json(out / "basins_summary.json", summary)
-    return 0
+    return {
+        "basins.csv": ([f"x_{i}" for i in range(n)] + ["label"], [*basin.grid.T, basin.labels]),
+        "equilibria.json": document,
+        "basins_summary.json": summary,
+    }
 
 
 def _certificate_pair(cfg, model):
-    cert = cert_mod.estimate_curvature_constants(
-        model, np.asarray(cfg.x_star), cfg.radius, grid_n=cfg.grid_n
-    )
+    x_star = np.asarray(cfg.x_star)
+    cert = cert_mod.estimate_curvature_constants(model, x_star, cfg.radius, grid_n=cfg.grid_n)
     env = cert_mod.estimate_perturbation_envelope(
-        model,
-        np.asarray(cfg.x_star),
-        cfg.radius,
-        grid_n=cfg.grid_n,
-        fit_mode=cfg.fit_mode,
+        model, x_star, cfg.radius, grid_n=cfg.grid_n, fit_mode=cfg.fit_mode,
         epsilon_cap=cfg.epsilon_cap,
     )
     return cert, env
-
-
-_SWEEP_HEADER = ["r", "c1", "c2", "c3", "c4", "feasible_radius", "valid"]
 
 
 def _feasible_or_nan(cert):
@@ -190,65 +150,43 @@ def _feasible_or_nan(cert):
         return float("nan")
 
 
-def _sweep_columns(model, x_star, radii, grid_n):
+def _sweep(model, x_star, radii, grid_n):
     certs = cert_mod.sweep_curvature_constants(model, x_star, radii, grid_n=grid_n)
     rows = [(c.radius, c.c1, c.c2, c.c3, c.c4, _feasible_or_nan(c)) for c in certs]
     numbers = np.array(rows, dtype=float).reshape(-1, 6)
-    return [*numbers.T, np.array([c.valid for c in certs], dtype=bool)]
+    header = ["r", "c1", "c2", "c3", "c4", "feasible_radius", "valid"]
+    return header, [*numbers.T, np.array([c.valid for c in certs], dtype=bool)]
 
 
-def cmd_certify(cfg, sweep: bool = False, sweep_step: float = 0.01) -> int:
-    model = config_mod.build_model(cfg)
+def cmd_certify(cfg, model, args):
+    step = args.sweep_step
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"--sweep-step must be a positive finite number, got {step}")
     cert, env = _certificate_pair(cfg, model)
-    out = _out_dir(cfg)
-    _write_json(out / "certificate.json", cert.to_dict())
-    _write_json(out / "envelope.json", env.to_dict())
-    if sweep:
-        radii = np.arange(sweep_step, cfg.radius + sweep_step / 2.0, sweep_step)
-        _write_csv(
-            out / "constants_sweep.csv",
-            _SWEEP_HEADER,
-            _sweep_columns(model, np.asarray(cfg.x_star), radii, cfg.grid_n),
-        )
-    return 0
+    artifacts = {"certificate.json": cert.to_dict(), "envelope.json": env.to_dict()}
+    if args.sweep:
+        radii = np.arange(step, cfg.radius + step / 2.0, step)
+        artifacts["constants_sweep.csv"] = _sweep(model, cert.x_star, radii, cfg.grid_n)
+    return artifacts
 
 
-def cmd_bounds(cfg) -> int:
-    model = config_mod.build_model(cfg)
+def cmd_bounds(cfg, model, args):
     cert, env = _certificate_pair(cfg, model)
     report = cert_mod.ultimate_bounds(cert, env, np.asarray(cfg.x0), cfg.theta)
-    tradeoff = [
-        {
-            "theta": r.theta,
-            "transient_rate": r.transient_rate,
-            "ultimate_radius": r.ultimate_radius,
-            "t_bound": r.t_bound,
-            "admissible": r.admissible,
-        }
-        for r in cert_mod.theta_tradeoff(cert, env, np.asarray(cfg.x0))
-    ]
-    out = _out_dir(cfg)
-    _write_json(out / "bounds.json", {"report": report.to_dict(), "theta_tradeoff": tradeoff})
-    return 0
+    keys = ("theta", "transient_rate", "ultimate_radius", "t_bound", "admissible")
+    tradeoff = cert_mod.theta_tradeoff(cert, env, np.asarray(cfg.x0))
+    curve = [{k: getattr(r, k) for k in keys} for r in tradeoff]
+    return {"bounds.json": {"report": report.to_dict(), "theta_tradeoff": curve}}
 
 
-def cmd_align(cfg) -> int:
-    model = config_mod.build_model(cfg)
+def cmd_align(cfg, model, args):
     report = cert_mod.alignment_check(model, cfg.lo, cfg.hi, cfg.grid_n)
-    out = _out_dir(cfg)
-    _write_csv(
-        out / "alignment.csv",
-        ["x", "lhs", "rhs", "holds"],
-        [report.points, report.lhs, report.rhs, report.holds],
-    )
-    _write_json(out / "alignment.json", report.to_dict())
-    return 0
+    table = (["x", "lhs", "rhs", "holds"], [report.points, report.lhs, report.rhs, report.holds])
+    return {"alignment.csv": table, "alignment.json": report.to_dict()}
 
 
-def cmd_repro(cfg, target: str) -> int:
-    model = config_mod.build_model(cfg)
-    out = _out_dir(cfg)
-    if target == "fig1":
+def cmd_repro(cfg, model, args):
+    if args.target == "fig1":
         lo, hi = cfg.domain
         xs = np.linspace(lo, hi, int(round((hi - lo) / 1e-3)) + 1)
         p = np.asarray(model.shift.value(xs), dtype=float)
@@ -257,16 +195,10 @@ def cmd_repro(cfg, target: str) -> int:
         risk = np.asarray(model.decoupled_risk(pts, pts), dtype=float)
         g1 = np.asarray(model.grad_x1(pts, pts), dtype=float)[:, 0]
         total = g1 + np.asarray(model.grad_x2(pts, pts), dtype=float)[:, 0]
-        _write_csv(
-            out / "fig1.csv",
-            ["x", "p", "p_prime", "pr", "pr_grad", "grad_x1"],
-            [xs, p, dp, risk, total, g1],
-        )
-        return 0
-    if target == "fig2":
-        radii = np.arange(0.01, 0.5001, 0.01)
-        _write_csv(out / "fig2.csv", _SWEEP_HEADER, _sweep_columns(model, np.zeros(1), radii, 4001))
-        return 0
+        header = ["x", "p", "p_prime", "pr", "pr_grad", "grad_x1"]
+        return {"fig1.csv": (header, [xs, p, dp, risk, total, g1])}
+    if args.target == "fig2":
+        return {"fig2.csv": _sweep(model, np.zeros(1), np.arange(0.01, 0.5001, 0.01), 4001)}
     # headline numbers: both field crossings plus the r = 0.4 constants
     rgd_reports = eq_mod.find_equilibria(model, flows.RGD_FLOW, grid_n=2001)
     prm_reports = eq_mod.find_equilibria(model, flows.PRM_FLOW, grid_n=2001)
@@ -276,32 +208,73 @@ def cmd_repro(cfg, target: str) -> int:
         return float(unstable[0].location[0]) if unstable else float("nan")
 
     cert = cert_mod.estimate_curvature_constants(model, np.zeros(1), 0.4, grid_n=4001)
-    _write_json(
-        out / "constants.json",
-        {
-            "rgd_crossing": crossing(rgd_reports),
-            "prm_crossing": crossing(prm_reports),
-            "c1": cert.c1,
-            "c2": cert.c2,
-            "feasible_radius": cert_mod.feasible_radius(cert),
-            "radius": cert.radius,
-        },
-    )
-    return 0
+    constants = {
+        "rgd_crossing": crossing(rgd_reports),
+        "prm_crossing": crossing(prm_reports),
+        "c1": cert.c1,
+        "c2": cert.c2,
+        "feasible_radius": cert_mod.feasible_radius(cert),
+        "radius": cert.radius,
+    }
+    return {"constants.json": constants}
+
+
+# name -> (handler, help, configuration keys its flags set)
+_COMMANDS = {
+    "simulate": (
+        cmd_simulate,
+        "integrate one trajectory (continuous or discrete)",
+        ("flow", "x0", "t_end", "h", "eq_tol", "steps", "schedule", "noise", "seed"),
+    ),
+    "basins": (
+        cmd_basins,
+        "label a grid of initial conditions by limit equilibrium",
+        ("flow", "grid_n", "t_end", "h", "eq_tol", "match_radius", "refine_tol"),
+    ),
+    "equilibria": (
+        cmd_equilibria, "locate and classify field zeros", ("flow", "grid_n", "refine_tol")
+    ),
+    "certify": (
+        cmd_certify,
+        "estimate curvature constants and the perturbation envelope",
+        ("x_star", "radius", "grid_n", "fit_mode", "epsilon_cap"),
+    ),
+    "bounds": (
+        cmd_bounds,
+        "evaluate transient/ultimate convergence bounds",
+        ("x_star", "radius", "grid_n", "x0", "theta", "fit_mode", "epsilon_cap"),
+    ),
+    "align": (
+        cmd_align,
+        "check the perturbation-alignment condition on an interval",
+        ("lo", "hi", "grid_n"),
+    ),
+    "repro": (cmd_repro, "emit the headline data files for the built-in example", ()),
+}
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _common_flags(parser):
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--out", help="output directory (fixed filenames per command)")
-    parser.add_argument("--model", help="model kind, e.g. bernoulli-squared or bernoulli-phi")
-    parser.add_argument("--shift-kind", dest="shift_kind", help="response shift kind")
-    parser.add_argument(
-        "--shift-params", dest="shift_params", help="response shift parameters as JSON"
-    )
-    parser.add_argument("--domain", nargs=2, type=float, metavar=("LO", "HI"))
+_FLAG_NAMES = {"grid_n": "--grid", "radius": "--r"}
+_FLAG_HELP = {
+    "flow": "rgd | prm | discrete-rgd (simulate only)",
+    "schedule": "constant:A | inverse:A,B",
+    "noise": "none | gaussian:SIGMA | bernoulli:N",
+    "radius": "certification ball radius",
+    "fit_mode": "delta-zero | epsilon-capped",
+}
+
+
+def _config_flag(parser, key):
+    """Add the flag that sets configuration key ``key``, typed after its default."""
+    default = getattr(config_mod.ExperimentConfig, key)  # the class holds each field's default
+    kwargs = {"dest": key, "help": _FLAG_HELP.get(key)}
+    if isinstance(default, tuple):
+        kwargs.update(nargs="+", type=float)
+    elif not isinstance(default, str):  # int or float; epsilon_cap's None default is a float
+        kwargs["type"] = int if isinstance(default, int) else float
+    parser.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,65 +283,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate decision-dependent risk flows and certify their convergence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate one trajectory (continuous or discrete)")
-    _common_flags(p)
-    p.add_argument("--flow", help="rgd | prm | discrete-rgd")
-    p.add_argument("--x0", nargs="+", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--eq-tol", dest="eq_tol", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--schedule", help="constant:A | inverse:A,B")
-    p.add_argument("--noise", help="none | gaussian:SIGMA | bernoulli:N")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("basins", help="label a grid of initial conditions by limit equilibrium")
-    _common_flags(p)
-    p.add_argument("--flow", help="rgd | prm")
-    p.add_argument("--grid", dest="grid_n", type=int)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--eq-tol", dest="eq_tol", type=float)
-    p.add_argument("--match-radius", dest="match_radius", type=float)
-    p.add_argument("--refine-tol", dest="refine_tol", type=float)
-
-    p = sub.add_parser("equilibria", help="locate and classify field zeros")
-    _common_flags(p)
-    p.add_argument("--flow", help="rgd | prm")
-    p.add_argument("--grid", dest="grid_n", type=int)
-    p.add_argument("--refine-tol", dest="refine_tol", type=float)
-
-    p = sub.add_parser("certify", help="estimate curvature constants and the perturbation envelope")
-    _common_flags(p)
-    p.add_argument("--x-star", dest="x_star", nargs="+", type=float)
-    p.add_argument("--r", dest="radius", type=float, help="certification ball radius")
-    p.add_argument("--grid", dest="grid_n", type=int)
-    p.add_argument("--fit-mode", dest="fit_mode", help="delta-zero | epsilon-capped")
-    p.add_argument("--epsilon-cap", dest="epsilon_cap", type=float)
-    p.add_argument("--sweep", action="store_true", help="also emit the constants-vs-radius CSV")
-    p.add_argument("--sweep-step", dest="sweep_step", type=float, default=0.01)
-
-    p = sub.add_parser("bounds", help="evaluate transient/ultimate convergence bounds")
-    _common_flags(p)
-    p.add_argument("--x-star", dest="x_star", nargs="+", type=float)
-    p.add_argument("--r", dest="radius", type=float)
-    p.add_argument("--grid", dest="grid_n", type=int)
-    p.add_argument("--x0", nargs="+", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--fit-mode", dest="fit_mode")
-    p.add_argument("--epsilon-cap", dest="epsilon_cap", type=float)
-
-    p = sub.add_parser("align", help="check the perturbation-alignment condition on an interval")
-    _common_flags(p)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.add_argument("--grid", dest="grid_n", type=int)
-
-    p = sub.add_parser("repro", help="emit the headline data files for the built-in example")
-    _common_flags(p)
-    p.add_argument("target", choices=["fig1", "fig2", "constants"])
-
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON configuration file")
+        p.add_argument("--out", help="output directory (fixed filenames per command)")
+        p.add_argument("--model", help="model kind, e.g. bernoulli-squared or bernoulli-phi")
+        p.add_argument("--shift-kind", dest="shift_kind", help="response shift kind")
+        p.add_argument(
+            "--shift-params", dest="shift_params", help="response shift parameters as JSON"
+        )
+        p.add_argument("--domain", nargs=2, type=float, metavar=("LO", "HI"))
+        for key in keys:
+            _config_flag(p, key)
+    certify = sub.choices["certify"]
+    certify.add_argument(
+        "--sweep", action="store_true", help="also emit the constants-vs-radius CSV"
+    )
+    certify.add_argument("--sweep-step", dest="sweep_step", type=float, default=0.01)
+    sub.choices["repro"].add_argument("target", choices=["fig1", "fig2", "constants"])
     return parser
 
 
@@ -390,15 +322,13 @@ def _load_config(args) -> dict:
         if value is not None:
             doc[key] = list(value) if isinstance(value, (list, tuple)) else value
 
-    shift_kind = getattr(args, "shift_kind", None)
-    shift_params = getattr(args, "shift_params", None)
-    if shift_kind is not None or shift_params is not None:
+    if args.shift_kind is not None or args.shift_params is not None:
         shift = dict(doc.get("shift", {}))
-        if shift_kind is not None:
-            shift["kind"] = shift_kind
-        if shift_params is not None:
+        if args.shift_kind is not None:
+            shift["kind"] = args.shift_kind
+        if args.shift_params is not None:
             try:
-                shift["params"] = json.loads(shift_params)
+                shift["params"] = json.loads(args.shift_params)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--shift-params is not valid JSON: {exc}") from exc
         doc["shift"] = shift
@@ -406,28 +336,27 @@ def _load_config(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][0]
     try:
         cfg = config_mod.parse_config(_load_config(args))
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "basins":
-            return cmd_basins(cfg)
-        if args.command == "equilibria":
-            return cmd_equilibria(cfg)
-        if args.command == "certify":
-            return cmd_certify(cfg, sweep=args.sweep, sweep_step=args.sweep_step)
-        if args.command == "bounds":
-            return cmd_bounds(cfg)
-        if args.command == "align":
-            return cmd_align(cfg)
-        return cmd_repro(cfg, args.target)
+        artifacts = handler(cfg, config_mod.build_model(cfg), args)
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, artifact in artifacts.items():
+            if isinstance(artifact, tuple):
+                _write_csv(out / name, *artifact)
+            else:
+                _write_json(out / name, artifact)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (PerflowError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -95,11 +95,12 @@ def _as_int(value, key):
     return int(value)
 
 
-def _as_vector(value, key):
+def _as_point(value, key):
+    """A point of the scalar models: one finite number, bare or in a one-entry list."""
     items = value if isinstance(value, (list, tuple)) else [value]
     numbers = tuple(_finite(v) for v in items)
-    if not numbers or None in numbers:
-        _fail(f"{key} must be a finite number or a non-empty list of them, got {value!r}")
+    if len(numbers) != 1 or None in numbers:
+        _fail(f"{key} must be one finite number, got {value!r}")
     return numbers
 
 
@@ -158,8 +159,8 @@ def parse_config(document: dict) -> ExperimentConfig:
     except ValueError as exc:
         _fail(str(exc))
 
-    kwargs["x0"] = _as_vector(doc["x0"], "x0")
-    kwargs["x_star"] = _as_vector(doc["x_star"], "x_star")
+    kwargs["x0"] = _as_point(doc["x0"], "x0")
+    kwargs["x_star"] = _as_point(doc["x_star"], "x_star")
 
     for key in ("t_end", "h", "match_radius", "refine_tol", "radius"):
         v = _as_float(doc[key], key)

@@ -106,11 +106,6 @@ class StepSchedule:
     def inverse(cls, coefficient: float, offset: float) -> "StepSchedule":
         return cls("inverse", coefficient, offset)
 
-    def step(self, k: int) -> float:
-        if self.form == "constant":
-            return self.coefficient
-        return self.coefficient / (k + self.offset)
-
     def values(self, num_steps: int) -> np.ndarray:
         if self.form == "constant":
             return np.full(num_steps, self.coefficient)

@@ -34,6 +34,14 @@ class TestCurvatureConstants:
         assert bump_cert_04.c1 == pytest.approx(0.50, abs=0.02)
         assert bump_cert_04.c2 == pytest.approx(1.78, abs=0.03)
 
+    @pytest.mark.parametrize("x_star", [np.zeros(2), np.zeros((1, 1))])
+    def test_x_star_that_is_not_a_point_of_the_model_rejected(self, bump_model, x_star):
+        # a (2,) centre once broadcast against the 1-D grid: c1 0.25, c2 0.887 at r = 0.4
+        with pytest.raises(ValueError, match="x_star"):
+            pf.estimate_curvature_constants(bump_model, x_star, 0.4, grid_n=401)
+        with pytest.raises(ValueError, match="x_star"):
+            pf.estimate_perturbation_envelope(bump_model, x_star, 0.4, grid_n=401)
+
     def test_gradient_side_fails_once_ball_swallows_the_crossing(self, bump_model):
         cert = pf.estimate_curvature_constants(bump_model, v(0.0), 0.5, grid_n=4001)
         assert not cert.gradient_side_valid
@@ -239,6 +247,12 @@ class TestUltimateBounds:
         # entry time solves prefactor * exp(-rate T) * d0 = mu
         lhs = report.transient_prefactor * np.exp(-report.transient_rate * report.t_bound) * 0.25
         assert lhs == pytest.approx(report.mu_theta, rel=1e-9)
+
+    def test_x0_of_another_shape_than_x_star_rejected(self, bump_cert_04, bump_env_04):
+        # a (2,) x0 once gave initial_distance = |(0.1, 0.2)| = 0.2236
+        with pytest.raises(ValueError, match="x0"):
+            pf.ultimate_bounds(bump_cert_04, bump_env_04, np.array([0.1, 0.2]), 0.5)
+        assert pf.ultimate_bounds(bump_cert_04, bump_env_04, 0.1, 0.5).initial_distance == 0.1
 
     def test_theta_tradeoff_is_antagonistic(self, quadratic_model):
         cert = pf.estimate_curvature_constants(quadratic_model, v(0.0), 0.3, grid_n=1001)

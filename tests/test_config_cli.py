@@ -1,5 +1,6 @@
 """Configuration parsing, the command-line surface, and its file artifacts."""
 
+import argparse
 import json
 
 import numpy as np
@@ -92,6 +93,8 @@ class TestConfigParsing:
             {"schedule": "constant:nan"},
             {"shift": {"kind": "logistic", "params": {"rate": float("inf")}}},
             {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [float("nan")]}}},
+            {"x0": [0.1, 0.2]},
+            {"x_star": [0.0, 0.0]},
         ],
     )
     def test_range_and_grammar_violations(self, doc):
@@ -147,6 +150,101 @@ class TestCsvWriter:
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli._write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+_COMMON_FLAGS = {
+    "config": (("--config",), None, None, None),
+    "out": (("--out",), None, None, None),
+    "model": (("--model",), None, None, None),
+    "shift_kind": (("--shift-kind",), None, None, None),
+    "shift_params": (("--shift-params",), None, None, None),
+    "domain": (("--domain",), 2, float, None),
+}
+
+# dest -> (option strings, nargs, type, default) of each subcommand; help text is not pinned
+CLI_SURFACE = {
+    "simulate": {
+        "flow": (("--flow",), None, None, None),
+        "x0": (("--x0",), "+", float, None),
+        "t_end": (("--t-end",), None, float, None),
+        "h": (("--h",), None, float, None),
+        "eq_tol": (("--eq-tol",), None, float, None),
+        "steps": (("--steps",), None, int, None),
+        "schedule": (("--schedule",), None, None, None),
+        "noise": (("--noise",), None, None, None),
+        "seed": (("--seed",), None, int, None),
+    },
+    "basins": {
+        "flow": (("--flow",), None, None, None),
+        "grid_n": (("--grid",), None, int, None),
+        "t_end": (("--t-end",), None, float, None),
+        "h": (("--h",), None, float, None),
+        "eq_tol": (("--eq-tol",), None, float, None),
+        "match_radius": (("--match-radius",), None, float, None),
+        "refine_tol": (("--refine-tol",), None, float, None),
+    },
+    "equilibria": {
+        "flow": (("--flow",), None, None, None),
+        "grid_n": (("--grid",), None, int, None),
+        "refine_tol": (("--refine-tol",), None, float, None),
+    },
+    "certify": {
+        "x_star": (("--x-star",), "+", float, None),
+        "radius": (("--r",), None, float, None),
+        "grid_n": (("--grid",), None, int, None),
+        "fit_mode": (("--fit-mode",), None, None, None),
+        "epsilon_cap": (("--epsilon-cap",), None, float, None),
+        "sweep": (("--sweep",), 0, None, False),
+        "sweep_step": (("--sweep-step",), None, float, 0.01),
+    },
+    "bounds": {
+        "x_star": (("--x-star",), "+", float, None),
+        "radius": (("--r",), None, float, None),
+        "grid_n": (("--grid",), None, int, None),
+        "x0": (("--x0",), "+", float, None),
+        "theta": (("--theta",), None, float, None),
+        "fit_mode": (("--fit-mode",), None, None, None),
+        "epsilon_cap": (("--epsilon-cap",), None, float, None),
+    },
+    "align": {
+        "lo": (("--lo",), None, float, None),
+        "hi": (("--hi",), None, float, None),
+        "grid_n": (("--grid",), None, int, None),
+    },
+    "repro": {},
+}
+
+
+class TestCliSurface:
+    """Every subcommand keeps its flags: spelling, destination, arity, type, default."""
+
+    @staticmethod
+    def subparsers():
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_subcommands(self):
+        assert list(self.subparsers()) == list(CLI_SURFACE)
+
+    @pytest.mark.parametrize("command", list(CLI_SURFACE))
+    def test_options(self, command):
+        actions = [
+            a for a in self.subparsers()[command]._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ]
+        found = {a.dest: (tuple(a.option_strings), a.nargs, a.type, a.default) for a in actions}
+        assert len(found) == len(actions)
+        assert found == {**_COMMON_FLAGS, **CLI_SURFACE[command]}
+
+    @pytest.mark.parametrize("command", list(CLI_SURFACE))
+    def test_positionals(self, command):
+        positionals = [
+            (a.dest, a.nargs, a.type, a.choices)
+            for a in self.subparsers()[command]._actions if not a.option_strings
+        ]
+        expected = [("target", None, None, ["fig1", "fig2", "constants"])] if command == "repro" else []
+        assert positionals == expected
 
 
 class TestCliCommands:
@@ -289,8 +387,22 @@ class TestCliErrors:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_out_of_range_flag_exits_2(self, tmp_path):
-        assert cli.main(["simulate", "--h", "0", "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--h", "0"],
+            ["certify", "--sweep", "--sweep-step", "0"],
+            ["certify", "--sweep", "--sweep-step", "-0.01"],
+            ["certify", "--x-star", "0", "0"],
+            ["bounds", "--x0", "0.1", "0.2"],
+        ],
+        ids=["h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two"],
+    )
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -298,6 +410,17 @@ class TestCliErrors:
 
         monkeypatch.setattr(cli.flows, "integrate_flow", boom)
         assert cli.main(["simulate", "--x0", "0.1", "--out", str(tmp_path / "o")]) == 3
+
+    def test_allocation_failure_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setattr(cli.eq_mod, "find_equilibria", no_memory)
+        out = tmp_path / "o"
+        assert cli.main(["repro", "constants", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -320,6 +443,7 @@ class TestCliErrors:
             ["simulate", "--flow", "discrete-rgd", "--eq-tol", "nan"],
             ["simulate", "--t-end", "1e307", "--h", "1e-3"],
             ["basins", "--t-end", "1e307", "--h", "1e-3", "--grid", "11"],
+            ["certify", "--sweep", "--sweep-step", "nan"],
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, argv):

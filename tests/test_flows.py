@@ -377,13 +377,13 @@ class TestDiscreteRecursion:
 class TestStepSchedule:
     def test_constant_values(self):
         s = pf.StepSchedule.constant(0.05)
-        assert s.step(0) == s.step(99) == 0.05
+        assert np.all(s.values(100) == 0.05)
 
     def test_inverse_values(self):
         s = pf.StepSchedule.inverse(0.5, 10.0)
-        assert s.step(0) == 0.05
-        assert s.step(90) == pytest.approx(0.005)
         vals = s.values(1000)
+        assert vals[0] == 0.05
+        assert vals[90] == pytest.approx(0.005)
         assert np.all(np.diff(vals) < 0)
 
     @given(
@@ -392,8 +392,8 @@ class TestStepSchedule:
         st.integers(min_value=0, max_value=10_000),
     )
     def test_steps_always_positive(self, a, b, k):
-        assert pf.StepSchedule.inverse(a, b).step(k) > 0.0
-        assert pf.StepSchedule.constant(a).step(k) > 0.0
+        assert pf.StepSchedule.inverse(a, b).values(k + 1)[k] > 0.0
+        assert pf.StepSchedule.constant(a).values(k + 1)[k] > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
