@@ -158,10 +158,16 @@ def _sweep(model, x_star, radii, grid_n):
     return header, [*numbers.T, np.array([c.valid for c in certs], dtype=bool)]
 
 
+_MAX_SWEEP_RADII = 10_000
+
+
 def cmd_certify(cfg, model, args):
     step = args.sweep_step
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"--sweep-step must be a positive finite number, got {step}")
+    count = math.ceil((cfg.radius + step / 2.0 - step) / step)  # np.arange's length below
+    if args.sweep and count > _MAX_SWEEP_RADII:
+        raise ConfigError(f"--sweep-step {step} asks for {count} radii, more than {_MAX_SWEEP_RADII}")
     cert, env = _certificate_pair(cfg, model)
     artifacts = {"certificate.json": cert.to_dict(), "envelope.json": env.to_dict()}
     if args.sweep:
@@ -270,9 +276,7 @@ def _config_flag(parser, key):
     """Add the flag that sets configuration key ``key``, typed after its default."""
     default = getattr(config_mod.ExperimentConfig, key)  # the class holds each field's default
     kwargs = {"dest": key, "help": _FLAG_HELP.get(key)}
-    if isinstance(default, tuple):
-        kwargs.update(nargs="+", type=float)
-    elif not isinstance(default, str):  # int or float; epsilon_cap's None default is a float
+    if not isinstance(default, str):  # int or float; a point (x0, x_star) and None are floats
         kwargs["type"] = int if isinstance(default, int) else float
     parser.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), **kwargs)
 
@@ -336,9 +340,11 @@ def _load_config(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
+        if extra:  # e.g. a second number after --x0: points take one number
+            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
         cfg = config_mod.parse_config(_load_config(args))
         artifacts = handler(cfg, config_mod.build_model(cfg), args)
         out = Path(cfg.out)

@@ -31,9 +31,12 @@ import numpy as np
 
 from .errors import NotAnEquilibriumError
 from .flows import (
+    CONVERGED,
     LEFT_DOMAIN,
     NUMERIC_ERROR,
     _field_function,
+    _rk4_step,
+    _step_count,
     integrate_ensemble,
     normalize_flow_kind,
 )
@@ -321,6 +324,53 @@ def _scalar_traps(model, kind, equilibria, radius, h):
     return centres[:, None], np.full(centres.size, radius)
 
 
+def _outer_traps(model, kind, centres, roots, rho, match_radius, h, eq_tol, steps):
+    """Outer traps ``[x* - R, x* + R]`` around inner-trap centres, with deadlines.
+
+    ``R`` is the smaller of half the distance from ``x*`` to the nearest
+    other of ``roots`` and the distance to the domain edges; a centre with
+    ``R <= rho`` gets none.  On ``_TRAP_SAMPLES`` distances per side spaced
+    logarithmically from ``rho`` to ``R``, the trap needs the field to point
+    toward ``x*``, ``h * max|f'| < 1``, one RK4 step to contract toward
+    ``x*`` by ``q = max |step(y) - x*| / |y - x*| < 1``, ``|f| > eq_tol``
+    beyond ``match_radius``, and ``n = ceil(log(rho / R) / log q) <= steps``.
+    A row in the trap then reaches the inner trap within ``n`` steps, so the
+    trap may take rows up to step ``steps - n``.  Returns ``(centres, radii,
+    last steps)`` for :func:`integrate_ensemble`, or None.
+    """
+    gaps = np.abs(centres[:, None] - roots)
+    radii = np.minimum.reduce([
+        0.5 * np.where(gaps > 0, gaps, np.inf).min(axis=1),
+        centres - model.domain.lower[0],
+        model.domain.upper[0] - centres,
+    ])
+    centres, radii = centres[radii > rho], radii[radii > rho]
+    if centres.size == 0:
+        return None
+    side = np.geomspace(rho, radii, _TRAP_SAMPLES, axis=-1)
+    offsets = np.concatenate([-side[:, ::-1], side], axis=1)
+    samples = (centres[:, None] + offsets)[..., None]
+    field = _field_function(model, kind)
+    fv = np.asarray(field(samples), dtype=float)
+    stepped = _rk4_step(field, samples, fv, h)[..., 0]
+    fv, samples = fv[..., 0], samples[..., 0]
+    dist = np.abs(offsets)
+    slope = np.max(np.abs(np.diff(fv, axis=1)) / np.diff(samples, axis=1), axis=1)
+    q = np.max(np.abs(stepped - centres[:, None]) / dist, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.ceil(np.log(rho / radii) / np.log(q))
+    ok = (
+        np.all(fv * offsets < 0.0, axis=1)
+        & (h * slope < 1.0)
+        & (q < 1.0)
+        & np.all((np.abs(fv) > eq_tol) | (dist <= match_radius), axis=1)
+        & (n <= steps)
+    )
+    if not ok.any():
+        return None
+    return centres[ok, None], radii[ok], (steps - n[ok]).astype(int)
+
+
 def basin_scan(
     model: DecisionDependentModel,
     field_kind: str,
@@ -338,15 +388,24 @@ def basin_scan(
     ``match_radius``; anything unmatched, including domain exits, gets the
     divergence label ``-1`` rather than spawning a new equilibrium.
 
-    For a scalar model the scan first builds a trap ``[x* - rho, x* + rho]``,
-    ``rho = match_radius / 2``, around each root that passes the checks of
-    :func:`_scalar_traps`: it lies in the domain, no other root is within
-    ``2 * rho``, the field points toward ``x*`` on a fine grid spanning it,
-    and ``h * max|f'| < 1`` there.  In one dimension such an interval lies in
-    the region of attraction of ``x*``, so a row that enters it has its label
-    decided: it stops there as ``converged-to-equilibrium``, with the state
-    at which it entered as its final state.  A root that fails a check gets
-    no trap and its rows run to ``eq_tol`` or ``t_end``.  Models in more
+    For a scalar model the scan first builds an inner trap
+    ``[x* - rho, x* + rho]``, ``rho = match_radius / 2``, around each root
+    that passes the checks of :func:`_scalar_traps`: it lies in the domain,
+    no other root is within ``2 * rho``, the field points toward ``x*`` on a
+    fine grid spanning it, and ``h * max|f'| < 1`` there.  In one dimension
+    such an interval lies in the region of attraction of ``x*``, so a row
+    that enters it has its label decided: it stops there as
+    ``converged-to-equilibrium``, with the state at which it entered as its
+    final state.  Such a root may also get an outer trap
+    ``[x* - R, x* + R]`` from :func:`_outer_traps`: ``R`` is half the
+    distance to the nearest other root or less, and on the annulus the field
+    points inward, ``h * max|f'| < 1``, one RK4 step contracts toward ``x*``
+    by ``q < 1``, and ``|f| > eq_tol`` beyond ``match_radius``.  A row in it
+    reaches the inner trap within ``n = ceil(log(rho / R) / log q)`` steps,
+    so the outer trap takes rows only up to step ``steps - n`` and a
+    converged row whose final state lies in it is labelled ``x*``: the
+    labels are those of running every row to ``eq_tol`` or ``t_end``.  A
+    root that fails a check gets no trap of that level.  Models in more
     dimensions get no traps: a prm-flow trap from the curvature bracket
     ``c1``/``c2`` needs proven enclosures of those constants, and grid
     estimates are not a proof.
@@ -365,9 +424,17 @@ def basin_scan(
         raise ValueError("basin scans are supported in one and two dimensions only")
 
     eq_locs = np.array([r.location for r in equilibria], dtype=float)
-    traps = None
+    traps = outer = None
     if model.dimension == 1:
-        traps = _scalar_traps(model, kind, equilibria, 0.5 * match_radius, h)
+        rho, steps = 0.5 * match_radius, _step_count(t_end, h)
+        traps = _scalar_traps(model, kind, equilibria, rho, h)
+        if traps is not None:
+            outer = _outer_traps(
+                model, kind, traps[0][:, 0], eq_locs[:, 0], rho, match_radius, h, eq_tol, steps
+            )
+        if outer is not None:
+            last = np.append(np.full(traps[1].size, steps), outer[2])
+            traps = (np.vstack([traps[0], outer[0]]), np.append(traps[1], outer[1]), last)
     finals, statuses, _ = integrate_ensemble(
         model, kind, grid, t_end, h=h, eq_tol=eq_tol, traps=traps
     )
@@ -380,6 +447,12 @@ def basin_scan(
         matched = dists[np.arange(nearest.size), nearest] <= match_radius
         idx = np.nonzero(ok)[0]
         labels[idx[matched]] = nearest[matched]
+    if outer is not None:
+        # a trapped row's final state is its entry state, possibly far from x*
+        owner = np.argmin(np.abs(outer[0] - eq_locs[:, 0]), axis=1)
+        inside = np.abs(finals - outer[0][:, 0]) <= outer[1]
+        rows, trap = np.nonzero(inside & (statuses == CONVERGED)[:, None])
+        labels[rows] = owner[trap]
 
     return BasinMap(
         grid=grid,

@@ -165,7 +165,7 @@ _COMMON_FLAGS = {
 CLI_SURFACE = {
     "simulate": {
         "flow": (("--flow",), None, None, None),
-        "x0": (("--x0",), "+", float, None),
+        "x0": (("--x0",), None, float, None),
         "t_end": (("--t-end",), None, float, None),
         "h": (("--h",), None, float, None),
         "eq_tol": (("--eq-tol",), None, float, None),
@@ -189,7 +189,7 @@ CLI_SURFACE = {
         "refine_tol": (("--refine-tol",), None, float, None),
     },
     "certify": {
-        "x_star": (("--x-star",), "+", float, None),
+        "x_star": (("--x-star",), None, float, None),
         "radius": (("--r",), None, float, None),
         "grid_n": (("--grid",), None, int, None),
         "fit_mode": (("--fit-mode",), None, None, None),
@@ -198,10 +198,10 @@ CLI_SURFACE = {
         "sweep_step": (("--sweep-step",), None, float, 0.01),
     },
     "bounds": {
-        "x_star": (("--x-star",), "+", float, None),
+        "x_star": (("--x-star",), None, float, None),
         "radius": (("--r",), None, float, None),
         "grid_n": (("--grid",), None, int, None),
-        "x0": (("--x0",), "+", float, None),
+        "x0": (("--x0",), None, float, None),
         "theta": (("--theta",), None, float, None),
         "fit_mode": (("--fit-mode",), None, None, None),
         "epsilon_cap": (("--epsilon-cap",), None, float, None),
@@ -395,8 +395,13 @@ class TestCliErrors:
             ["certify", "--sweep", "--sweep-step", "-0.01"],
             ["certify", "--x-star", "0", "0"],
             ["bounds", "--x0", "0.1", "0.2"],
+            ["certify", "--sweep", "--sweep-step", "1e-5"],
+            ["certify", "--sweep", "--sweep-step", "1e-9"],
         ],
-        ids=["h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two"],
+        ids=[
+            "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
+            "sweep-step-1e-5", "sweep-step-1e-9",
+        ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o"

@@ -7,7 +7,7 @@ import perflow as pf
 import perflow.equilibria as eq_mod
 from perflow.config import ExperimentConfig
 from perflow.equilibria import INCONCLUSIVE, PERFORMATIVELY_STABLE, PRM_MINIMIZER, UNSTABLE
-from perflow.flows import CONVERGED
+from perflow.flows import CONVERGED, _rk4_step
 
 
 def v(x):
@@ -324,3 +324,93 @@ class TestBasinTraps:
         assert eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.011) is None
         centres, _ = eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.009)
         assert centres[:, 0] == pytest.approx([0.5], abs=1e-12)
+
+def spiked_model(centre, half_width=1e-4):
+    # rgd field -x on [-1, 1], except +1 (outward) within half_width of
+    # centre: narrower than one RK4 stage moves, so the step taken from the
+    # centre itself still contracts toward 0
+    def grad1(x1, x2):
+        x = x1[0]
+        return np.array([-1.0 if abs(x - centre) <= half_width else x])
+
+    return pf.CallableModel(
+        dimension=1,
+        domain=pf.interval(-1.0, 1.0),
+        risk=lambda x1, x2: 0.0,
+        grad1=grad1,
+        grad2=lambda x1, x2: np.zeros(1),
+    )
+
+
+class TestOuterTraps:
+    RHO, MATCH, H, EQ_TOL, STEPS = 5e-4, 1e-3, 0.01, 1e-9, 6000
+
+    def outer(self, model, h=H, eq_tol=EQ_TOL, steps=STEPS):
+        # the one root 0 with its inner trap; no other root
+        zero = np.zeros(1)
+        return eq_mod._outer_traps(model, "rgd", zero, zero, self.RHO, self.MATCH, h, eq_tol, steps)
+
+    def test_linear_field_gets_the_whole_half_domain(self, quadratic_model):
+        centres, radii, last = self.outer(quadratic_model)
+        assert centres[:, 0].tolist() == [0.0] and radii.tolist() == [0.5]
+        # one RK4 step of x' = -x contracts by exp(-h) to within 1e-10
+        n = np.ceil(np.log(self.RHO / 0.5) / np.log(np.exp(-self.H)))
+        assert last.tolist() == [self.STEPS - n]
+
+    def test_outward_stretch_in_the_annulus_is_refused(self):
+        samples = np.geomspace(self.RHO, 1.0, eq_mod._TRAP_SAMPLES)
+        assert self.outer(spiked_model(centre=2.0)) is not None
+        assert self.outer(spiked_model(centre=samples[115])) is None
+
+    def test_step_with_q_of_one_is_refused(self, quadratic_model):
+        # a step this small leaves every sample where it is: q == 1
+        x = np.array([[0.25]])
+        assert _rk4_step(lambda y: -y, x, -x, 1e-17)[0, 0] == 0.25
+        assert self.outer(quadratic_model, h=1e-17) is None
+        assert self.outer(quadratic_model, h=1e-3, steps=60000) is not None
+
+    def test_eq_tol_above_the_sampled_field_is_refused(self, quadratic_model):
+        # |f| = |y| on the samples beyond match_radius: at least 1e-3
+        assert self.outer(quadratic_model, eq_tol=9e-4) is not None
+        assert self.outer(quadratic_model, eq_tol=2e-3) is None
+
+    def test_horizon_shorter_than_n_steps_gives_no_outer_trap(self, quadratic_model):
+        n = self.STEPS - self.outer(quadratic_model)[2][0]
+        assert self.outer(quadratic_model, steps=n)[2].tolist() == [0]
+        assert self.outer(quadratic_model, steps=n - 1) is None
+
+    @pytest.mark.parametrize(
+        "case, short_t_end",
+        [("bump-rgd", 12.0), ("bump-prm", 12.0), ("logistic-rgd", 12.0), ("three-root", 0.5)],
+    )
+    @pytest.mark.parametrize("horizon", ["readme", "short"])
+    def test_labels_equal_those_without_outer_traps(self, monkeypatch, case, short_t_end, horizon):
+        cfg = ExperimentConfig()
+        if case == "three-root":
+            model, kind, grid_n = three_root_model(0.1), "rgd", 81
+        else:
+            shift = pf.logistic_shift(8.0, 0.5) if case == "logistic-rgd" else pf.bump_shift()
+            model, kind, grid_n = pf.BernoulliSquaredModel(shift=shift), case[-3:], cfg.grid_n
+        t_end = cfg.t_end if horizon == "readme" else short_t_end
+        reports = pf.find_equilibria(model, kind, grid_n=2001)
+
+        def scan():
+            return pf.basin_scan(
+                model, kind, reports, grid_n=grid_n, t_end=t_end,
+                match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
+            )
+
+        built, real = [], eq_mod._outer_traps
+        monkeypatch.setattr(eq_mod, "_outer_traps", lambda *args: built.append(real(*args)) or built[-1])
+        with_outer = scan()
+        centres, radii, last = built[0]
+        assert len(centres) == 2 and np.all(radii > 0.04)
+        steps = round(t_end / cfg.h)
+        # at the short horizon the deadline is near: some trap stops taking
+        # rows before half the horizon
+        assert (last.min() < steps // 2) == (horizon == "short")
+        monkeypatch.setattr(eq_mod, "_outer_traps", lambda *args: None)
+        without = scan()
+        assert len(set(with_outer.labels)) >= 2
+        assert np.array_equal(with_outer.labels, without.labels)
+

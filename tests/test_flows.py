@@ -138,6 +138,32 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             pf.integrate_flow(bump_model, "rgd", v(0.5), t_end, h=h)
 
+    def test_row_starting_in_a_trap_stops_at_its_start(self, bump_model):
+        traps = ([[0.0], [1.0]], [5e-4, 5e-4])
+        finals, statuses, _ = pf.integrate_ensemble(
+            bump_model, "rgd", [[3e-4], [0.9996], [0.3]], 60.0, traps=traps
+        )
+        assert finals[0, 0] == 3e-4 and finals[1, 0] == 0.9996
+        assert abs(finals[2, 0] - 1.0) <= 5e-4
+        assert all(s == "converged-to-equilibrium" for s in statuses)
+
+    def test_trap_takes_rows_only_up_to_its_last_step(self, quadratic_model):
+        # field -x with h = 0.1: the rows enter [-0.5, 0.5] at steps 0, 1 and 6
+        def run(traps, record=False):
+            return pf.integrate_ensemble(
+                quadratic_model, "rgd", [[0.4], [0.52], [0.9]], 2.0, h=0.1, record=record,
+                traps=traps,
+            )
+
+        free_finals, free_statuses, (_, states) = run(None, record=True)
+        finals, statuses, _ = run(([[0.0]], [0.5], [2]))
+        assert finals[0, 0] == 0.4 and finals[1, 0] == states[1, 1, 0] < 0.5
+        assert list(statuses[:2]) == ["converged-to-equilibrium"] * 2
+        # entering after the trap's last step, the row runs on as without it
+        assert np.array_equal(finals[2], free_finals[2])
+        assert statuses[2] == free_statuses[2] == "max-time"
+        assert np.array_equal(run(([[0.0]], [0.5], [6]))[0][2], states[6, 2])
+
 
 def kinked_gradient(x1, x2):
     # NaN below -0.8 (numeric-error), attracting 0 up to 0.5, repelling
@@ -159,16 +185,6 @@ class BatchLoggingModel(pf.CallableModel):
     def grad_x1(self, x1, x2):
         self.batch_rows.append(np.shape(x1)[0])
         return super().grad_x1(x1, x2)
-
-
-    def test_row_starting_in_a_trap_stops_at_its_start(self, bump_model):
-        traps = ([[0.0], [1.0]], [5e-4, 5e-4])
-        finals, statuses, _ = pf.integrate_ensemble(
-            bump_model, "rgd", [[3e-4], [0.9996], [0.3]], 60.0, traps=traps
-        )
-        assert finals[0, 0] == 3e-4 and finals[1, 0] == 0.9996
-        assert abs(finals[2, 0] - 1.0) <= 5e-4
-        assert all(s == "converged-to-equilibrium" for s in statuses)
 
 
 class TestEnsembleCompaction:
