@@ -32,17 +32,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidCertificateError, MissingConstantsError, NotAMinimizerError
-from .model import DecisionDependentModel, SmoothnessConstants
+from .model import DecisionDependentModel, SmoothnessConstants, _check_domain
 
 
 # ---------------------------------------------------------------------------
 # grid helpers
 
 def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
-    """Lattice covering the ball around x_star clipped to the domain box."""
+    """Lattice covering the ball around x_star (in the domain box) clipped to the box."""
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     if x_star.shape != (model.dimension,):
         raise ValueError(f"x_star must have shape ({model.dimension},), got {x_star.shape}")
+    _check_domain(model, x_star)
     lo = np.maximum(model.domain.lower, x_star - radius)
     hi = np.minimum(model.domain.upper, x_star + radius)
     n = model.dimension
@@ -61,6 +62,9 @@ def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
 
 # ---------------------------------------------------------------------------
 # curvature certificates
+
+MIN_CONSTANTS_GRID = 100  # the fewest grid points a constant estimate accepts
+
 
 @dataclass(frozen=True, eq=False)
 class CurvatureCertificate:
@@ -121,8 +125,8 @@ def estimate_curvature_constants(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if grid_n < 100:
-        raise ValueError("constant estimation needs at least 100 grid points")
+    if grid_n < MIN_CONSTANTS_GRID:
+        raise ValueError(f"constant estimation needs at least {MIN_CONSTANTS_GRID} grid points")
     x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, exclusion_cells)
 
     center = x_star[None, :]  # a one-row batch, evaluated like the grid points
@@ -482,13 +486,13 @@ class AlignmentReport:
 
 
 def alignment_check(model: DecisionDependentModel, lo: float, hi: float, grid_n: int) -> AlignmentReport:
-    """Evaluate the alignment condition on ``grid_n`` points of ``[lo, hi]``."""
+    """Evaluate the alignment condition on ``grid_n`` points of ``[lo, hi]`` in the domain."""
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")
     if model.dimension != 1:
         raise ValueError("the alignment check is defined for scalar models")
     xs = np.linspace(float(lo), float(hi), int(grid_n))
-    pts = xs[:, None]
+    pts = _check_domain(model, xs[:, None])
     g1 = model.grad_x1(pts, pts)[:, 0]
     g = model.grad_x2(pts, pts)[:, 0]
     lhs = g * g

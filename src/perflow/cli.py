@@ -94,6 +94,8 @@ def cmd_simulate(cfg, model, args):
 
 def _equilibria(cfg, model):
     """The field kind, its equilibrium reports and their ``equilibria.json`` document."""
+    if cfg.grid_n < eq_mod.MIN_ROOT_GRID:  # refused before computing, not as a numeric error
+        raise ConfigError(f"grid_n must be at least {eq_mod.MIN_ROOT_GRID}, got {cfg.grid_n}")
     kind = cfg.flow if cfg.flow != flows.DISCRETE_RGD else flows.RGD_FLOW
     reports = eq_mod.find_equilibria(model, kind, grid_n=cfg.grid_n, refine_tol=cfg.refine_tol)
     document = {
@@ -134,6 +136,8 @@ def cmd_basins(cfg, model, args):
 
 
 def _certificate_pair(cfg, model):
+    if cfg.grid_n < cert_mod.MIN_CONSTANTS_GRID:
+        raise ConfigError(f"grid_n must be at least {cert_mod.MIN_CONSTANTS_GRID}, got {cfg.grid_n}")
     x_star = np.asarray(cfg.x_star)
     cert = cert_mod.estimate_curvature_constants(model, x_star, cfg.radius, grid_n=cfg.grid_n)
     env = cert_mod.estimate_perturbation_envelope(
@@ -166,8 +170,8 @@ def cmd_certify(cfg, model, args):
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"--sweep-step must be a positive finite number, got {step}")
     count = math.ceil((cfg.radius + step / 2.0 - step) / step)  # np.arange's length below
-    if args.sweep and count > _MAX_SWEEP_RADII:
-        raise ConfigError(f"--sweep-step {step} asks for {count} radii, more than {_MAX_SWEEP_RADII}")
+    if args.sweep and not 1 <= count <= _MAX_SWEEP_RADII:
+        raise ConfigError(f"--sweep-step {step} gives {max(count, 0)} radii, not 1 to {_MAX_SWEEP_RADII}")
     cert, env = _certificate_pair(cfg, model)
     artifacts = {"certificate.json": cert.to_dict(), "envelope.json": env.to_dict()}
     if args.sweep:

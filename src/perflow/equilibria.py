@@ -49,6 +49,7 @@ UNSTABLE = "unstable"
 INCONCLUSIVE = "inconclusive"
 
 DIVERGENT = -1  # basin label for points that match no equilibrium
+MIN_ROOT_GRID = 3  # the fewest grid points find_equilibria accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +248,8 @@ def find_equilibria(
     every lattice seed.  Roots closer than ``10 * refine_tol`` are merged.
     An empty list simply means no zero was resolved.
     """
-    if grid_n < 3:
-        raise ValueError("grid must have at least 3 points")
+    if grid_n < MIN_ROOT_GRID:
+        raise ValueError(f"grid must have at least {MIN_ROOT_GRID} points")
     kind = normalize_flow_kind(field_kind)
     field = _field_function(model, kind)
     lo, hi = model.domain.lower, model.domain.upper
@@ -292,83 +293,68 @@ def find_equilibria(
 _TRAP_SAMPLES = 128
 
 
-def _scalar_traps(model, kind, equilibria, radius, h):
-    """Traps ``[x* - radius, x* + radius]`` around the roots a row cannot leave.
+def _scalar_traps(model, kind, roots, match_radius, h, eq_tol, steps):
+    """The traps of a scalar basin scan: ``(owner, radii, last)``, or None.
 
-    A root gets a trap only when the whole interval lies in the domain, no
-    other root lies within ``2 * radius`` (so ``x*`` is the nearest root to
-    every point of the trap), the field points toward ``x*`` at every one of
-    ``_TRAP_SAMPLES`` samples spanning the interval, ends included, and
-    ``h * max|f'| < 1`` there by finite differences on those samples, so an
-    RK4 step cannot overshoot ``x*``.  Returns ``(centres, radii)`` for
-    :func:`integrate_ensemble`, or None when no root qualifies.
+    Trap ``j`` is ``[x* - radii[j], x* + radii[j]]``, ``x* = roots[owner[j]]``,
+    and takes rows at steps ``0 .. last[j]``.  A row that stops in it gets
+    the label ``owner[j]`` that running on to ``eq_tol`` would give it, at
+    any horizon, as far as the samples below resolve the field.
+
+    *Inner* traps: radius ``rho = match_radius / 2``, last step ``steps``.
+    The interval lies in the domain, no other root is within ``2 * rho`` (so
+    ``x*`` is the nearest root to all of it), and on ``_TRAP_SAMPLES``
+    samples spanning it, ends included, the field points toward ``x*`` and
+    ``h * max|f'| < 1`` by finite differences, so an RK4 step cannot
+    overshoot ``x*``.  In one dimension no row leaves it.
+
+    *Outer* traps, around roots with an inner trap: radius ``R > rho``, the
+    smaller of half the distance to the nearest other root and the distance
+    to the domain edges.  On ``_TRAP_SAMPLES`` distances per side spaced
+    logarithmically from ``rho`` to ``R``: (1) the field points toward
+    ``x*``, (2) ``h * max|f'| < 1``, (3) one RK4 step contracts toward ``x*``
+    by ``q = max |step(y) - x*| / |y - x*| < 1``, (4) ``|f| > eq_tol``
+    beyond ``match_radius``, so no row stops by ``eq_tol`` unmatched, and
+    (5) ``n = ceil(log(rho / R) / log q) <= steps``.  By (3) a row in it
+    reaches the inner trap within ``n`` steps: its last step is ``steps - n``.
     """
-    roots = np.array([r.location[0] for r in equilibria], dtype=float)
+    lo, hi = model.domain.lower[0], model.domain.upper[0]
+    rho = 0.5 * match_radius
     gaps = np.abs(roots[:, None] - roots)
     np.fill_diagonal(gaps, np.inf)
-    offsets = radius * np.linspace(-1.0, 1.0, _TRAP_SAMPLES)
-    candidates = roots[
-        (roots - radius >= model.domain.lower[0])
-        & (roots + radius <= model.domain.upper[0])
-        & (gaps.min(axis=1, initial=np.inf) > 2.0 * radius)
-    ]
-    if candidates.size == 0:
-        return None
-    samples = candidates[:, None] + offsets
-    fv = np.asarray(_field_function(model, kind)(samples[..., None]), dtype=float)[..., 0]
-    inward = np.all(fv * offsets < 0.0, axis=1)
-    slope = np.max(np.abs(np.diff(fv, axis=1)) / np.diff(samples, axis=1), axis=1)
-    centres = candidates[inward & (h * slope < 1.0)]
-    if centres.size == 0:
-        return None
-    return centres[:, None], np.full(centres.size, radius)
+    nearest = gaps.min(axis=1, initial=np.inf)
+    field = _field_function(model, kind)
 
+    def sampled(owner, offsets):
+        # field samples around roots[owner]; True where f points inward and h * max|f'| < 1
+        x = (roots[owner, None] + offsets)[..., None]
+        fv = np.asarray(field(x), dtype=float)
+        slope = np.max(np.abs(np.diff(fv, axis=1)) / np.diff(x, axis=1), axis=1)[:, 0]
+        return x, fv, np.all(fv[..., 0] * offsets < 0.0, axis=1) & (h * slope < 1.0)
 
-def _outer_traps(model, kind, centres, roots, rho, match_radius, h, eq_tol, steps):
-    """Outer traps ``[x* - R, x* + R]`` around inner-trap centres, with deadlines.
-
-    ``R`` is the smaller of half the distance from ``x*`` to the nearest
-    other of ``roots`` and the distance to the domain edges; a centre with
-    ``R <= rho`` gets none.  On ``_TRAP_SAMPLES`` distances per side spaced
-    logarithmically from ``rho`` to ``R``, the trap needs the field to point
-    toward ``x*``, ``h * max|f'| < 1``, one RK4 step to contract toward
-    ``x*`` by ``q = max |step(y) - x*| / |y - x*| < 1``, ``|f| > eq_tol``
-    beyond ``match_radius``, and ``n = ceil(log(rho / R) / log q) <= steps``.
-    A row in the trap then reaches the inner trap within ``n`` steps, so the
-    trap may take rows up to step ``steps - n``.  Returns ``(centres, radii,
-    last steps)`` for :func:`integrate_ensemble`, or None.
-    """
-    gaps = np.abs(centres[:, None] - roots)
-    radii = np.minimum.reduce([
-        0.5 * np.where(gaps > 0, gaps, np.inf).min(axis=1),
-        centres - model.domain.lower[0],
-        model.domain.upper[0] - centres,
-    ])
-    centres, radii = centres[radii > rho], radii[radii > rho]
-    if centres.size == 0:
+    owner = np.nonzero((roots - rho >= lo) & (roots + rho <= hi) & (nearest > 2.0 * rho))[0]
+    if owner.size == 0:
         return None
+    owner = owner[sampled(owner, rho * np.linspace(-1.0, 1.0, _TRAP_SAMPLES))[2]]
+    if owner.size == 0:
+        return None
+    inner = (owner, np.full(owner.size, rho), np.full(owner.size, steps))
+
+    radii = np.minimum.reduce([0.5 * nearest[owner], roots[owner] - lo, hi - roots[owner]])
+    owner, radii = owner[radii > rho], radii[radii > rho]
+    if owner.size == 0:
+        return inner
     side = np.geomspace(rho, radii, _TRAP_SAMPLES, axis=-1)
     offsets = np.concatenate([-side[:, ::-1], side], axis=1)
-    samples = (centres[:, None] + offsets)[..., None]
-    field = _field_function(model, kind)
-    fv = np.asarray(field(samples), dtype=float)
-    stepped = _rk4_step(field, samples, fv, h)[..., 0]
-    fv, samples = fv[..., 0], samples[..., 0]
+    x, fv, ok = sampled(owner, offsets)
     dist = np.abs(offsets)
-    slope = np.max(np.abs(np.diff(fv, axis=1)) / np.diff(samples, axis=1), axis=1)
-    q = np.max(np.abs(stepped - centres[:, None]) / dist, axis=1)
+    q = np.max(np.abs(_rk4_step(field, x, fv, h)[..., 0] - roots[owner, None]) / dist, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.ceil(np.log(rho / radii) / np.log(q))
-    ok = (
-        np.all(fv * offsets < 0.0, axis=1)
-        & (h * slope < 1.0)
-        & (q < 1.0)
-        & np.all((np.abs(fv) > eq_tol) | (dist <= match_radius), axis=1)
-        & (n <= steps)
-    )
-    if not ok.any():
-        return None
-    return centres[ok, None], radii[ok], (steps - n[ok]).astype(int)
+    ok &= (q < 1.0) & (n <= steps)
+    ok &= np.all((np.abs(fv[..., 0]) > eq_tol) | (dist <= match_radius), axis=1)
+    outer = (owner[ok], radii[ok], (steps - n[ok]).astype(int))
+    return tuple(np.concatenate(level) for level in zip(inner, outer))
 
 
 def basin_scan(
@@ -388,27 +374,14 @@ def basin_scan(
     ``match_radius``; anything unmatched, including domain exits, gets the
     divergence label ``-1`` rather than spawning a new equilibrium.
 
-    For a scalar model the scan first builds an inner trap
-    ``[x* - rho, x* + rho]``, ``rho = match_radius / 2``, around each root
-    that passes the checks of :func:`_scalar_traps`: it lies in the domain,
-    no other root is within ``2 * rho``, the field points toward ``x*`` on a
-    fine grid spanning it, and ``h * max|f'| < 1`` there.  In one dimension
-    such an interval lies in the region of attraction of ``x*``, so a row
-    that enters it has its label decided: it stops there as
-    ``converged-to-equilibrium``, with the state at which it entered as its
-    final state.  Such a root may also get an outer trap
-    ``[x* - R, x* + R]`` from :func:`_outer_traps`: ``R`` is half the
-    distance to the nearest other root or less, and on the annulus the field
-    points inward, ``h * max|f'| < 1``, one RK4 step contracts toward ``x*``
-    by ``q < 1``, and ``|f| > eq_tol`` beyond ``match_radius``.  A row in it
-    reaches the inner trap within ``n = ceil(log(rho / R) / log q)`` steps,
-    so the outer trap takes rows only up to step ``steps - n`` and a
-    converged row whose final state lies in it is labelled ``x*``: the
-    labels are those of running every row to ``eq_tol`` or ``t_end``.  A
-    root that fails a check gets no trap of that level.  Models in more
-    dimensions get no traps: a prm-flow trap from the curvature bracket
-    ``c1``/``c2`` needs proven enclosures of those constants, and grid
-    estimates are not a proof.
+    For a scalar model the scan first builds the trap table of
+    :func:`_scalar_traps`, which describes its checks: a row that enters
+    trap ``j`` stops there as ``converged-to-equilibrium``, with the state
+    at which it entered as its final state, and a converged row whose final
+    state lies in trap ``j`` is labelled by the trap's root ``owner[j]``.
+    Models in more dimensions get no traps: a prm-flow trap from the
+    curvature bracket ``c1``/``c2`` needs proven enclosures of those
+    constants, and grid estimates are not a proof.
     """
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")
@@ -424,20 +397,12 @@ def basin_scan(
         raise ValueError("basin scans are supported in one and two dimensions only")
 
     eq_locs = np.array([r.location for r in equilibria], dtype=float)
-    traps = outer = None
+    table = None
     if model.dimension == 1:
-        rho, steps = 0.5 * match_radius, _step_count(t_end, h)
-        traps = _scalar_traps(model, kind, equilibria, rho, h)
-        if traps is not None:
-            outer = _outer_traps(
-                model, kind, traps[0][:, 0], eq_locs[:, 0], rho, match_radius, h, eq_tol, steps
-            )
-        if outer is not None:
-            last = np.append(np.full(traps[1].size, steps), outer[2])
-            traps = (np.vstack([traps[0], outer[0]]), np.append(traps[1], outer[1]), last)
-    finals, statuses, _ = integrate_ensemble(
-        model, kind, grid, t_end, h=h, eq_tol=eq_tol, traps=traps
-    )
+        steps = _step_count(t_end, h)
+        table = _scalar_traps(model, kind, eq_locs.reshape(-1), match_radius, h, eq_tol, steps)
+    traps = None if table is None else (eq_locs[table[0]], *table[1:])
+    finals, statuses, _ = integrate_ensemble(model, kind, grid, t_end, h=h, eq_tol=eq_tol, traps=traps)
 
     labels = np.full(grid.shape[0], DIVERGENT, dtype=int)
     ok = ~np.isin(statuses, (LEFT_DOMAIN, NUMERIC_ERROR))
@@ -447,10 +412,10 @@ def basin_scan(
         matched = dists[np.arange(nearest.size), nearest] <= match_radius
         idx = np.nonzero(ok)[0]
         labels[idx[matched]] = nearest[matched]
-    if outer is not None:
+    if table is not None:
         # a trapped row's final state is its entry state, possibly far from x*
-        owner = np.argmin(np.abs(outer[0] - eq_locs[:, 0]), axis=1)
-        inside = np.abs(finals - outer[0][:, 0]) <= outer[1]
+        owner, radii, _ = table
+        inside = np.abs(finals - eq_locs[owner, 0]) <= radii
         rows, trap = np.nonzero(inside & (statuses == CONVERGED)[:, None])
         labels[rows] = owner[trap]
 

@@ -272,17 +272,15 @@ def integrate_ensemble(
     is elementwise, so its result does not depend on which other rows share
     the batch: it equals integrating that row alone.
 
-    ``traps``, when given, is ``(centres[k, n], radii[k])`` or
-    ``(centres[k, n], radii[k], last[k])``; trap ``j`` is the box
-    ``|x - centres[j]| <= radii[j]`` in every coordinate, and it takes rows
-    at steps ``0 .. last[j]`` only (every step when ``last`` is absent).  A
-    row that lies in a trap at the start of such a step stops there with
-    status ``converged-to-equilibrium``: the caller vouches that its label
-    is decided there, whatever the rest of the horizon.
-    :func:`perflow.basin_scan` passes inner traps that no row leaves and
-    outer traps whose last step leaves every row in them time to contract
-    into an inner trap.  A trapped row's final state is the state at which
-    it entered the trap, not the equilibrium.
+    ``traps``, when given, is ``(centres[k, n], radii[k], last[k])``: trap
+    ``j`` is the box ``|x - centres[j]| <= radii[j]`` in every coordinate,
+    and it takes rows at steps ``0 .. last[j]`` only.  A row that lies in a
+    trap at the start of such a step stops there with status
+    ``converged-to-equilibrium``: the caller vouches that its label is
+    decided there, whatever the rest of the horizon.
+    :func:`perflow.basin_scan` passes the table of
+    ``equilibria._scalar_traps``.  A trapped row's final state is the state
+    at which it entered the trap, not the equilibrium.
 
     Returns ``(final_states, statuses, recording)`` where ``recording`` is
     ``(times, states[k, m, n])`` when requested, else None.  Per-point
@@ -297,10 +295,10 @@ def integrate_ensemble(
     stride = _record_stride(h)
     rec_times, rec_states = [0.0], [x.copy()]
     if traps is not None:
-        centres, radii, *last = traps
+        centres, radii, last = traps
         centres = np.asarray(centres, dtype=float).reshape(-1, 1, x.shape[1])
         radii = np.asarray(radii, dtype=float).reshape(-1, 1, 1)
-        last = np.asarray(last[0] if last else steps).reshape(-1, 1)
+        last = np.asarray(last).reshape(-1, 1)
     rows = np.arange(m)  # rows of ``x`` in the batch ``xb``
     xb = x
     active = np.ones(m, dtype=bool)  # over the batch

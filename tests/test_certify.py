@@ -42,6 +42,13 @@ class TestCurvatureConstants:
         with pytest.raises(ValueError, match="x_star"):
             pf.estimate_perturbation_envelope(bump_model, x_star, 0.4, grid_n=401)
 
+    def test_x_star_outside_the_domain_rejected(self, bump_model):
+        # the ball around 5 once clipped to the reversed interval [4.6, 1.5]
+        with pytest.raises(pf.OutOfDomainError):
+            pf.estimate_curvature_constants(bump_model, v(5.0), 0.4, grid_n=401)
+        with pytest.raises(pf.OutOfDomainError):
+            pf.estimate_perturbation_envelope(bump_model, v(5.0), 0.4, grid_n=401)
+
     def test_gradient_side_fails_once_ball_swallows_the_crossing(self, bump_model):
         cert = pf.estimate_curvature_constants(bump_model, v(0.0), 0.5, grid_n=4001)
         assert not cert.gradient_side_valid
@@ -345,6 +352,11 @@ class TestAlignment:
         report = pf.alignment_check(half_model, 0.0, 1.0, 101)
         assert report.hold_intervals == ((0.0, 1.0),)
         assert report.to_dict()["fraction_holding"] == 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(-5.0, 5.0), (0.0, 1.6), (-0.6, 1.0)])
+    def test_interval_outside_the_domain_rejected(self, bump_model, lo, hi):
+        with pytest.raises(pf.OutOfDomainError):
+            pf.alignment_check(bump_model, lo, hi, 101)
 
     def test_grid_validation(self, bump_model):
         with pytest.raises(ValueError):

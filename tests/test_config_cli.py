@@ -397,16 +397,40 @@ class TestCliErrors:
             ["bounds", "--x0", "0.1", "0.2"],
             ["certify", "--sweep", "--sweep-step", "1e-5"],
             ["certify", "--sweep", "--sweep-step", "1e-9"],
+            ["certify", "--grid", "50"],
+            ["bounds", "--grid", "50"],
+            ["equilibria", "--grid", "2"],
+            ["basins", "--grid", "2"],
+            ["certify", "--r", "0.001", "--sweep", "--sweep-step", "0.01"],
         ],
         ids=[
             "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
-            "sweep-step-1e-5", "sweep-step-1e-9",
+            "sweep-step-1e-5", "sweep-step-1e-9", "certify-grid-50", "bounds-grid-50",
+            "equilibria-grid-2", "basins-grid-2", "empty-sweep",
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--x0", "9"],
+            ["align", "--lo", "-5", "--hi", "5"],
+            ["certify", "--x-star", "5"],
+            ["bounds", "--x-star", "5"],
+        ],
+        ids=["simulate-x0", "align-interval", "certify-x-star", "bounds-x-star"],
+    )
+    def test_point_outside_the_domain_exits_3(self, tmp_path, capsys, argv):
+        # the built-in domain is [-0.5, 1.5]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error") and "outside domain" in err
         assert not out.exists()
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):

@@ -281,6 +281,12 @@ def three_root_model(a, rate=10.0):
     )
 
 
+def trap_table(model, kind, reports, h, match_radius=1e-3, eq_tol=1e-9, steps=6000):
+    # the traps basin_scan builds for these reports: (owner, radii, last)
+    roots = np.array([r.location[0] for r in reports])
+    return eq_mod._scalar_traps(model, kind, roots, match_radius, h, eq_tol, steps)
+
+
 class TestBasinTraps:
     def scan(self, model, reports, monkeypatch=None, traps=None):
         if monkeypatch is not None:
@@ -296,7 +302,7 @@ class TestBasinTraps:
         reports = pf.find_equilibria(model, "rgd", grid_n=2001)
         roots = np.array(locations(reports))
         assert np.allclose(roots, [0.0, a, 2.0 * a], atol=1e-12)
-        assert eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.01) is None
+        assert trap_table(model, "rgd", reports, 0.01) is None
 
         scanned = self.scan(model, reports).labels
         untrapped = self.scan(model, reports, monkeypatch, None).labels
@@ -304,7 +310,7 @@ class TestBasinTraps:
         assert np.array_equal(scanned, untrapped)
         # the refusal matters: trapping every root would relabel starts
         # between the roots by the root nearest to them
-        every_root = (roots[:, None], np.full(roots.size, 5e-4))
+        every_root = (np.arange(3), np.full(3, 5e-4), np.full(3, 6000))
         assert not np.array_equal(scanned, self.scan(model, reports, monkeypatch, every_root).labels)
 
     @pytest.mark.parametrize("kind, unstable", [("rgd", 0.227360), ("prm", 0.398966)])
@@ -312,18 +318,51 @@ class TestBasinTraps:
         cfg = ExperimentConfig()
         reports = pf.find_equilibria(bump_model, kind, grid_n=cfg.grid_n)
         assert any(abs(r.location[0] - unstable) < 1e-6 for r in reports)
-        centres, radii = eq_mod._scalar_traps(bump_model, kind, reports, cfg.match_radius / 2, cfg.h)
-        assert np.allclose(centres[:, 0], [0.0, 1.0], atol=1e-9)
-        assert np.all(radii == cfg.match_radius / 2)
+        steps = round(cfg.t_end / cfg.h)
+        owner, radii, last = trap_table(bump_model, kind, reports, cfg.h, cfg.match_radius, cfg.eq_tol, steps)
+        assert owner.tolist() == [0, 2, 0, 2]  # inner traps, then outer ones
+        inner = radii == cfg.match_radius / 2
+        assert inner.tolist() == [True, True, False, False]
+        centres = [reports[i].location[0] for i in owner[inner]]
+        assert np.allclose(centres, [0.0, 1.0], atol=1e-9)
+        assert np.all(radii[inner] == cfg.match_radius / 2)
+        assert np.all(last[inner] == steps)
 
     def test_steep_root_gets_a_trap_only_at_a_small_enough_step(self):
         # rgd field p(x) - x = 50 - 100 x: slope -100 at the root 0.5
         model = pf.BernoulliSquaredModel(shift=pf.clamped_polynomial_shift((50.0, -99.0)))
         reports = pf.find_equilibria(model, "rgd", grid_n=2001)
         assert locations(reports) == [pytest.approx(0.5, abs=1e-12)]
-        assert eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.011) is None
-        centres, _ = eq_mod._scalar_traps(model, "rgd", reports, 5e-4, 0.009)
-        assert centres[:, 0] == pytest.approx([0.5], abs=1e-12)
+        assert trap_table(model, "rgd", reports, 0.011) is None
+        owner, radii, _ = trap_table(model, "rgd", reports, 0.009)
+        centres = [reports[i].location[0] for i in owner[radii == 5e-4]]
+        assert centres == pytest.approx([0.5], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, outer_radii, outer_last",
+        [("rgd", [0.11368001, 0.38631999], [4301, 3863]),
+         ("prm", [0.19948297, 0.30051703], [4401, 4360])],
+    )
+    def test_readme_trap_table_of_both_bump_flows(self, monkeypatch, bump_model, kind, outer_radii, outer_last):
+        # the traps basin_scan hands to integrate_ensemble: inner ones at the
+        # stable roots 0 and 1, then the outer ones around the same roots
+        cfg = ExperimentConfig()
+        assert (cfg.t_end, cfg.h, round(cfg.t_end / cfg.h)) == (50.0, 0.01, 5000)
+        reports = pf.find_equilibria(bump_model, kind, grid_n=cfg.grid_n)
+        passed, real = [], eq_mod.integrate_ensemble
+        monkeypatch.setattr(
+            eq_mod, "integrate_ensemble", lambda *a, **k: passed.append(k["traps"]) or real(*a, **k)
+        )
+        pf.basin_scan(
+            bump_model, kind, reports, grid_n=cfg.grid_n, t_end=cfg.t_end,
+            match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
+        )
+        centres, radii, last = passed[0]
+        assert centres[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert radii[:2].tolist() == [5e-4, 5e-4]
+        assert radii[2:] == pytest.approx(outer_radii, abs=5e-9)
+        assert last.tolist() == [5000, 5000, *outer_last]
+
 
 def spiked_model(centre, half_width=1e-4):
     # rgd field -x on [-1, 1], except +1 (outward) within half_width of
@@ -346,13 +385,16 @@ class TestOuterTraps:
     RHO, MATCH, H, EQ_TOL, STEPS = 5e-4, 1e-3, 0.01, 1e-9, 6000
 
     def outer(self, model, h=H, eq_tol=EQ_TOL, steps=STEPS):
-        # the one root 0 with its inner trap; no other root
-        zero = np.zeros(1)
-        return eq_mod._outer_traps(model, "rgd", zero, zero, self.RHO, self.MATCH, h, eq_tol, steps)
+        # the one root 0, which gets its inner trap; no other root.  Returns
+        # the rows of the table with a radius above rho, or None
+        owner, radii, last = eq_mod._scalar_traps(model, "rgd", np.zeros(1), self.MATCH, h, eq_tol, steps)
+        assert (owner[0], radii[0], last[0]) == (0, self.RHO, steps)
+        wide = radii > self.RHO
+        return (owner[wide], radii[wide], last[wide]) if wide.any() else None
 
     def test_linear_field_gets_the_whole_half_domain(self, quadratic_model):
-        centres, radii, last = self.outer(quadratic_model)
-        assert centres[:, 0].tolist() == [0.0] and radii.tolist() == [0.5]
+        owner, radii, last = self.outer(quadratic_model)
+        assert owner.tolist() == [0] and radii.tolist() == [0.5]
         # one RK4 step of x' = -x contracts by exp(-h) to within 1e-10
         n = np.ceil(np.log(self.RHO / 0.5) / np.log(np.exp(-self.H)))
         assert last.tolist() == [self.STEPS - n]
@@ -400,16 +442,19 @@ class TestOuterTraps:
                 match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
             )
 
-        built, real = [], eq_mod._outer_traps
-        monkeypatch.setattr(eq_mod, "_outer_traps", lambda *args: built.append(real(*args)) or built[-1])
+        built, real = [], eq_mod._scalar_traps
+        monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: built.append(real(*args)) or built[-1])
         with_outer = scan()
-        centres, radii, last = built[0]
-        assert len(centres) == 2 and np.all(radii > 0.04)
+        owner, radii, last = built[0]
+        outer = radii > cfg.match_radius / 2
+        assert outer.sum() == 2 and np.all(radii[outer] > 0.04)
         steps = round(t_end / cfg.h)
         # at the short horizon the deadline is near: some trap stops taking
         # rows before half the horizon
-        assert (last.min() < steps // 2) == (horizon == "short")
-        monkeypatch.setattr(eq_mod, "_outer_traps", lambda *args: None)
+        assert (last[outer].min() < steps // 2) == (horizon == "short")
+        # the same table without the outer traps
+        inner = ~outer
+        monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: (owner[inner], radii[inner], last[inner]))
         without = scan()
         assert len(set(with_outer.labels)) >= 2
         assert np.array_equal(with_outer.labels, without.labels)

@@ -139,7 +139,7 @@ class TestEnsemble:
             pf.integrate_flow(bump_model, "rgd", v(0.5), t_end, h=h)
 
     def test_row_starting_in_a_trap_stops_at_its_start(self, bump_model):
-        traps = ([[0.0], [1.0]], [5e-4, 5e-4])
+        traps = ([[0.0], [1.0]], [5e-4, 5e-4], [6000, 6000])
         finals, statuses, _ = pf.integrate_ensemble(
             bump_model, "rgd", [[3e-4], [0.9996], [0.3]], 60.0, traps=traps
         )
@@ -190,7 +190,7 @@ class BatchLoggingModel(pf.CallableModel):
 class TestEnsembleCompaction:
     T_END, H, EQ_TOL = 4.0, 0.4, 1e-3
     # around the attracting root 0, and across the repelling side
-    TRAPS = ([[0.0], [0.75]], [0.002, 0.02])
+    TRAPS = ([[0.0], [0.75]], [0.002, 0.02], [10, 10])
 
     def integrate(self, model, x0s, record, traps):
         return pf.integrate_ensemble(
