@@ -32,7 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidCertificateError, MissingConstantsError, NotAMinimizerError
-from .model import DecisionDependentModel, SmoothnessConstants, _check_domain
+from .model import (
+    DecisionDependentModel, SmoothnessConstants, _check_domain, _lattice, _record_document,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -40,21 +42,17 @@ from .model import DecisionDependentModel, SmoothnessConstants, _check_domain
 
 def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
     """Lattice covering the ball around x_star (in the domain box) clipped to the box."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     if x_star.shape != (model.dimension,):
         raise ValueError(f"x_star must have shape ({model.dimension},), got {x_star.shape}")
     _check_domain(model, x_star)
     lo = np.maximum(model.domain.lower, x_star - radius)
     hi = np.minimum(model.domain.upper, x_star + radius)
-    n = model.dimension
-    if n == 1:
-        pts = np.linspace(lo[0], hi[0], int(grid_n))[:, None]
-        cell = float(pts[1, 0] - pts[0, 0])
-    else:
-        per_axis = max(5, int(round(grid_n ** (1.0 / n))))
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(n)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        cell = float(max(ax[1] - ax[0] for ax in axes))
+    pts = _lattice(lo, hi, grid_n, 5)
+    cell = float(max(np.min(a[a > a[0]]) - a[0] for a in pts.T))  # widest lattice step
+    if model.dimension > 1:  # a 1-D box lies in the ball; no filter to round endpoints away
         pts = pts[np.linalg.norm(pts - x_star, axis=-1) <= radius]
     dist = np.linalg.norm(pts - x_star, axis=-1)
     return x_star, pts, dist, exclusion_cells * cell
@@ -94,19 +92,7 @@ class CurvatureCertificate:
         return self.value_side_valid and self.gradient_side_valid
 
     def to_dict(self) -> dict:
-        return {
-            "x_star": [float(v) for v in self.x_star],
-            "radius": float(self.radius),
-            "c1": float(self.c1),
-            "c2": float(self.c2),
-            "c3": float(self.c3),
-            "c4": float(self.c4),
-            "grid_n": int(self.grid_n),
-            "exclusion_radius": float(self.exclusion_radius),
-            "value_side_valid": bool(self.value_side_valid),
-            "gradient_side_valid": bool(self.gradient_side_valid),
-            "valid": bool(self.valid),
-        }
+        return {**_record_document(self), "valid": self.valid}
 
 
 def estimate_curvature_constants(
@@ -123,8 +109,6 @@ def estimate_curvature_constants(
     :class:`NotAMinimizerError`.  ``grid_n`` of a few thousand resolves the
     constants of smooth scalar models to three digits in well under a second.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     if grid_n < MIN_CONSTANTS_GRID:
         raise ValueError(f"constant estimation needs at least {MIN_CONSTANTS_GRID} grid points")
     x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, exclusion_cells)
@@ -210,14 +194,7 @@ class PerturbationEnvelope:
         return self.epsilon * np.asarray(dist, dtype=float) + self.delta
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "delta": float(self.delta),
-            "radius": float(self.radius),
-            "x_star": [float(v) for v in self.x_star],
-            "fit_mode": self.fit_mode,
-            "grid_n": int(self.grid_n),
-        }
+        return _record_document(self)
 
 
 def estimate_perturbation_envelope(
@@ -235,8 +212,6 @@ def estimate_perturbation_envelope(
     epsilon at the supplied cap and absorbs the excess into
     ``delta = sup max(0, |g| - cap * d)`` over the whole ball.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     if fit_mode not in ("delta-zero", "epsilon-capped"):
         raise ValueError(f"unknown fit mode {fit_mode!r}")
     x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, 2)
@@ -298,23 +273,7 @@ class UltimateBoundReport:
         return self.transient_prefactor * np.exp(-self.transient_rate * t) * self.initial_distance
 
     def to_dict(self) -> dict:
-        return {
-            "theta": float(self.theta),
-            "alpha": float(self.alpha),
-            "mu_theta": float(self.mu_theta),
-            "transient_rate": float(self.transient_rate),
-            "transient_prefactor": float(self.transient_prefactor),
-            "ultimate_radius": float(self.ultimate_radius),
-            "t_bound": float(self.t_bound),
-            "epsilon_admissible": bool(self.epsilon_admissible),
-            "initial_condition_admissible": bool(self.initial_condition_admissible),
-            "theta_admissible": bool(self.theta_admissible),
-            "theta_admissible_variant": bool(self.theta_admissible_variant),
-            "admissible": bool(self.admissible),
-            "initial_distance": float(self.initial_distance),
-            "certificate": self.certificate.to_dict(),
-            "envelope": self.envelope.to_dict(),
-        }
+        return _record_document(self)
 
 
 def ultimate_bounds(

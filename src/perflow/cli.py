@@ -34,6 +34,7 @@ from . import config as config_mod
 from . import equilibria as eq_mod
 from . import flows
 from .errors import ConfigError, PerflowError
+from .model import _check_domain
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +85,11 @@ def cmd_simulate(cfg, model, args):
     summary = {
         "kind": traj.kind,
         "terminal_status": traj.terminal_status,
-        "final_time": float(traj.final_time),
+        "final_time": traj.final_time,
         "final_state": [float(v) for v in traj.final_state],
-        "num_recorded": int(traj.times.size),
-        "config": config_mod.to_document(cfg),
+        "num_recorded": traj.times.size,
+        # where the run writes is not what it computed: the same bytes in every --out
+        "config": {k: v for k, v in config_mod.to_document(cfg).items() if k != "out"},
     }
     return {"trajectory.csv": (header, [traj.times, *traj.states.T]), "summary.json": summary}
 
@@ -182,9 +184,10 @@ def cmd_certify(cfg, model, args):
 
 def cmd_bounds(cfg, model, args):
     cert, env = _certificate_pair(cfg, model)
-    report = cert_mod.ultimate_bounds(cert, env, np.asarray(cfg.x0), cfg.theta)
+    x0 = _check_domain(model, cfg.x0)
+    report = cert_mod.ultimate_bounds(cert, env, x0, cfg.theta)
     keys = ("theta", "transient_rate", "ultimate_radius", "t_bound", "admissible")
-    tradeoff = cert_mod.theta_tradeoff(cert, env, np.asarray(cfg.x0))
+    tradeoff = cert_mod.theta_tradeoff(cert, env, x0)
     curve = [{k: getattr(r, k) for k in keys} for r in tradeoff]
     return {"bounds.json": {"report": report.to_dict(), "theta_tradeoff": curve}}
 

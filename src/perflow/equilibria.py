@@ -40,7 +40,7 @@ from .flows import (
     integrate_ensemble,
     normalize_flow_kind,
 )
-from .model import DecisionDependentModel, _check_domain
+from .model import DecisionDependentModel, _check_domain, _lattice, _record_document
 from .numerics import finite_diff_hessian, finite_diff_jacobian
 
 PRM_MINIMIZER = "prm-minimizer"
@@ -71,18 +71,7 @@ class EquilibriumReport:
     rgd_jacobian_eigenvalues: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else [float(v) for v in np.atleast_1d(a)]
-
-        return {
-            "location": [float(v) for v in self.location],
-            "field_kind": self.field_kind,
-            "residual": float(self.residual),
-            "labels": sorted(self.labels),
-            "pr_hessian_eigenvalues": arr(self.pr_hessian_eigenvalues),
-            "stability_hessian_eigenvalues": arr(self.stability_hessian_eigenvalues),
-            "rgd_jacobian_eigenvalues": arr(self.rgd_jacobian_eigenvalues),
-        }
+        return _record_document(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,11 +261,8 @@ def find_equilibria(
             points.append(np.array([root]))
             residuals.append(float(res))
     else:
-        per_axis = max(3, int(round(grid_n ** (1.0 / model.dimension))))
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(model.dimension)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dimension)
-        for seed in mesh:
-            hit = _newton_root(field, seed.astype(float), refine_tol, model.domain)
+        for seed in _lattice(lo, hi, grid_n, 3):
+            hit = _newton_root(field, seed, refine_tol, model.domain)
             if hit is not None:
                 points.append(hit[0])
                 residuals.append(hit[1])
@@ -386,15 +372,9 @@ def basin_scan(
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")
     kind = normalize_flow_kind(field_kind)
-    lo, hi = model.domain.lower, model.domain.upper
-    if model.dimension == 1:
-        grid = np.linspace(lo[0], hi[0], int(grid_n))[:, None]
-    elif model.dimension == 2:
-        per_axis = max(2, int(round(grid_n ** 0.5)))
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(2)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    else:
+    if model.dimension > 2:
         raise ValueError("basin scans are supported in one and two dimensions only")
+    grid = _lattice(model.domain.lower, model.domain.upper, grid_n, 2)
 
     eq_locs = np.array([r.location for r in equilibria], dtype=float)
     table = None
@@ -440,13 +420,8 @@ def basin_boundaries(basin_map: BasinMap) -> list[dict]:
         raise ValueError("boundary extraction is defined for one-dimensional maps")
     xs = basin_map.grid[:, 0]
     lab = basin_map.labels
-    out = []
-    for i in np.nonzero(lab[:-1] != lab[1:])[0]:
-        out.append(
-            {
-                "boundary": float(0.5 * (xs[i] + xs[i + 1])),
-                "left_label": int(lab[i]),
-                "right_label": int(lab[i + 1]),
-            }
-        )
-    return out
+    return [
+        {"boundary": float(0.5 * (xs[i] + xs[i + 1])),
+         "left_label": int(lab[i]), "right_label": int(lab[i + 1])}
+        for i in np.nonzero(lab[:-1] != lab[1:])[0]
+    ]

@@ -20,7 +20,7 @@ the last axis, so grid scans evaluate the model once per batch.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -209,6 +209,34 @@ class SmoothnessConstants:
         if self.strong_convexity is not None and self.smoothness is not None:
             if self.strong_convexity > self.smoothness:
                 raise ValueError("strong convexity cannot exceed smoothness")
+
+
+def _record_document(record) -> dict:
+    """JSON document of a result record: one key per dataclass field, by name.
+
+    Arrays become lists, numpy scalars Python numbers, label frozensets
+    sorted lists, and a nested record its own ``to_dict()``.
+    """
+    def value(v):
+        if isinstance(v, (np.ndarray, np.generic)):
+            return v.tolist()
+        if isinstance(v, frozenset):
+            return sorted(v)
+        return v.to_dict() if is_dataclass(v) else v
+
+    return {f.name: value(getattr(record, f.name)) for f in fields(record)}
+
+
+def _lattice(lo, hi, grid_n: int, min_per_axis: int) -> np.ndarray:
+    """Points of the box ``[lo, hi]`` as an ``(m, n)`` lattice, axes in ``ij`` order.
+
+    One axis is exactly ``linspace(lo, hi, grid_n)``; in ``n`` dimensions each
+    axis gets ``max(min_per_axis, round(grid_n ** (1 / n)))`` points.
+    """
+    n = len(lo)
+    per_axis = int(grid_n) if n == 1 else max(min_per_axis, int(round(grid_n ** (1.0 / n))))
+    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(n)]
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, n)
 
 
 def _check_domain(model: DecisionDependentModel, x) -> np.ndarray:

@@ -282,6 +282,16 @@ class TestCliCommands:
         assert (out / "trajectory.csv").read_bytes() == first_csv
         assert (out / "summary.json").read_bytes() == first_json
 
+    def test_artifacts_do_not_depend_on_the_output_directory(self, tmp_path):
+        argv = ["simulate", "--flow", "prm", "--x0", "0.39", "--t-end", "5"]
+        short, long = tmp_path / "a", tmp_path / "a_much_longer_directory_name"
+        assert cli.main(argv + ["--out", str(short)]) == 0
+        assert cli.main(argv + ["--out", str(long)]) == 0
+        names = sorted(p.name for p in short.iterdir())
+        assert names == sorted(p.name for p in long.iterdir()) == ["summary.json", "trajectory.csv"]
+        for name in names:
+            assert (short / name).read_bytes() == (long / name).read_bytes(), name
+
     def test_basins_boundary_near_crossing(self, tmp_path):
         out = tmp_path / "bas"
         assert cli.main(["basins", "--flow", "rgd", "--grid", "401", "--out", str(out)]) == 0
@@ -422,8 +432,9 @@ class TestCliErrors:
             ["align", "--lo", "-5", "--hi", "5"],
             ["certify", "--x-star", "5"],
             ["bounds", "--x-star", "5"],
+            ["bounds", "--x0", "9"],
         ],
-        ids=["simulate-x0", "align-interval", "certify-x-star", "bounds-x-star"],
+        ids=["simulate-x0", "align-interval", "certify-x-star", "bounds-x-star", "bounds-x0"],
     )
     def test_point_outside_the_domain_exits_3(self, tmp_path, capsys, argv):
         # the built-in domain is [-0.5, 1.5]

@@ -1,11 +1,13 @@
 """Golden digests: the bytes of every CLI artifact at fixed configurations.
 
-Each configuration runs through ``perflow.cli.main`` with a fixed relative
-``--out`` (``summary.json`` embeds it), and the SHA-256 of every file it
-writes is compared with ``golden_digests.json``.  A refactor that keeps the
-numbers keeps these bytes; one that moves them must say which and why.
+Each configuration runs through ``perflow.cli.main``, and the SHA-256 of
+every file it writes is compared with ``golden_digests.json``.  No artifact
+depends on ``--out`` (``summary.json`` holds the configuration without it).
+A refactor that keeps the numbers keeps these bytes; one that moves them
+must say which and why.
 
-Regenerate the digest file only on purpose::
+Regenerate the digest file only on purpose; it prints every digest that
+changed, was added or was dropped, so the change can name them::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -87,6 +89,12 @@ if __name__ == "__main__":
             digests = artifact_digests(Path(tmp))
         finally:
             os.chdir(here)
+    pinned = json.loads(DIGEST_FILE.read_text())["artifacts"] if DIGEST_FILE.exists() else {}
+    for key in sorted(set(pinned) | set(digests)):
+        if key not in digests:
+            print(f"dropped {key}")
+        elif pinned.get(key) != digests[key]:
+            print(f"{'changed' if key in pinned else 'added'} {key}")
     DIGEST_FILE.write_text(
         json.dumps({"numpy": np.__version__, "artifacts": digests}, indent=2, sort_keys=True) + "\n"
     )
