@@ -40,8 +40,14 @@ from .model import (
 # ---------------------------------------------------------------------------
 # grid helpers
 
+MIN_CONSTANTS_GRID = 100  # the fewest grid points a constant or envelope estimate accepts
+
+
 def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
     """Lattice covering the ball around x_star (in the domain box) clipped to the box."""
+    # fewer points leave nothing or next to nothing outside the exclusion ball
+    if grid_n < MIN_CONSTANTS_GRID:
+        raise ValueError(f"grid estimates need at least {MIN_CONSTANTS_GRID} grid points, got {grid_n}")
     if radius <= 0:
         raise ValueError("radius must be positive")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
@@ -60,8 +66,6 @@ def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
 
 # ---------------------------------------------------------------------------
 # curvature certificates
-
-MIN_CONSTANTS_GRID = 100  # the fewest grid points a constant estimate accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +113,6 @@ def estimate_curvature_constants(
     :class:`NotAMinimizerError`.  ``grid_n`` of a few thousand resolves the
     constants of smooth scalar models to three digits in well under a second.
     """
-    if grid_n < MIN_CONSTANTS_GRID:
-        raise ValueError(f"constant estimation needs at least {MIN_CONSTANTS_GRID} grid points")
     x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, exclusion_cells)
 
     center = x_star[None, :]  # a one-row batch, evaluated like the grid points

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,9 @@ def _write_csv(path: Path, header, columns):
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             chunks = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
-            cells = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in chunks]
-            fh.write("".join([row_fmt % row for row in zip(*(c.tolist() for c in cells))]))
+            cells = [(np.where(c, "true", "false") if c.dtype.kind == "b" else c).tolist() for c in chunks]
+            # one % for the whole chunk: the row format once per row, the cells row by row
+            fh.write((row_fmt * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _write_json(path: Path, obj):

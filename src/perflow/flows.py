@@ -9,12 +9,22 @@ generator.
 
 Fixed stepping keeps trajectories bit-reproducible; the fields handled here
 are cheap, smooth, and low-dimensional, so adaptivity buys nothing.
+
+For a scalar :class:`BernoulliSquaredModel` both single-state loops, the
+RK4 loop of :func:`integrate_flow` and the recursion of
+:func:`discrete_rgd`, run on Python floats with the closed-form field of
+``_scalar_field``: numpy's cost per call on a one-element array would be
+most of their time.  The float arithmetic is the array path's, operation
+for operation, so the numbers are the same bit for bit.  Other models, and
+the ensemble, run on arrays through the model's gradients.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -158,11 +168,45 @@ def _field_function(model: DecisionDependentModel, kind: str):
     raise ValueError(f"{kind!r} is not a continuous flow")
 
 
+def _scalar_field(model: BernoulliSquaredModel, kind: str):
+    """The flow's field of a scalar :class:`BernoulliSquaredModel` on Python floats.
+
+    The closed forms of ``grad_x1`` and ``grad_x2`` in their order of
+    operations, so each value equals the array path's bit for bit: rgd
+    ``-(x - p(x))``, prm ``-((x - p(x)) + 0.5 * (1 - 2x) * p'(x))``.
+    """
+    kind = normalize_flow_kind(kind)
+    p, dp = model.shift.value, model.shift.derivative
+    if kind == RGD_FLOW:
+        return lambda x: -(x - p(x))
+    if kind == PRM_FLOW:
+        return lambda x: -((x - p(x)) + 0.5 * (1.0 - 2.0 * x) * dp(x))
+    raise ValueError(f"{kind!r} is not a continuous flow")
+
+
+def _on_floats(model: DecisionDependentModel, x: np.ndarray) -> bool:
+    """Whether the loops run the state ``x`` of ``model`` on Python floats."""
+    return x.shape == (1,) and isinstance(model, BernoulliSquaredModel)
+
+
+def _float_norm(f: float) -> float:
+    """``np.linalg.norm([f])`` on a float: ``sqrt(f * f)``, not ``abs(f)``.
+
+    The two differ only where ``f * f`` underflows or overflows, but there
+    they decide convergence differently: at ``eq_tol = 0`` a field of 1e-170
+    has norm 0.
+    """
+    return math.sqrt(f * f)
+
+
 def _rk4_step(field, x, k1, h):
-    """One classical Runge-Kutta step from ``x``, given ``k1 = field(x)``."""
-    k2 = np.asarray(field(x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(field(x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(field(x + h * k3), dtype=float)
+    """One classical Runge-Kutta step from ``x``, given ``k1 = field(x)``.
+
+    ``x`` is a float or an array; the arithmetic is the same for both.
+    """
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -200,57 +244,76 @@ def integrate_flow(
     drops to ``eq_tol``, or with ``left-domain`` when a step exits the domain
     box (the exiting state is kept as the final sample).  States are recorded
     every ``ceil(1/(10 h))`` steps plus always at the endpoint.
+
+    For a scalar :class:`BernoulliSquaredModel` the loop runs on Python
+    floats with the closed-form field; any other model runs the same loop on
+    arrays through ``grad_x1`` and ``grad_x2``.  Both paths do the same
+    arithmetic in the same order, so they give the same trajectory bit for
+    bit.
     """
     kind = normalize_flow_kind(kind)
     steps = _step_count(t_end, h)
-    x = _check_domain(model, x0).astype(float).copy()
-    field = _field_function(model, kind)
+    x = _check_domain(model, x0).astype(float)
+    if _on_floats(model, x):
+        # numpy's per-call cost on one-element arrays was nearly all the time
+        field = _scalar_field(model, kind)
+        lo, hi = float(model.domain.lower[0]), float(model.domain.upper[0])
+        x = float(x[0])
+        finite, norm = math.isfinite, _float_norm
+        inside = lambda y: lo <= y <= hi
+    else:
+        field = _field_function(model, kind)
+        finite = lambda v: np.isfinite(v).all()
+        norm = np.linalg.norm
+        inside = model.domain.contains
     stride = _record_stride(h)
 
+    # x is never changed in place, so a recorded state needs no copy
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     last_recorded = 0
     status = MAX_TIME
 
     for k in range(steps):
-        fx = np.asarray(field(x), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            raise NumericIntegrationError(
-                f"non-finite field value at state {x.tolist()}", state=x.copy()
-            )
-        if float(np.linalg.norm(fx)) <= eq_tol:
+        fx = field(x)
+        if not finite(fx):
+            raise _numeric_error("non-finite field value at state", x)
+        if norm(fx) <= eq_tol:
             status = CONVERGED
             if k > last_recorded:
                 times.append(k * h)
-                states.append(x.copy())
+                states.append(x)
             break
         x_new = _rk4_step(field, x, fx, h)
-        if not np.all(np.isfinite(x_new)):
-            raise NumericIntegrationError(
-                f"non-finite state after step from {x.tolist()}", state=x.copy()
-            )
-        if not model.domain.contains(x_new):
+        if not finite(x_new):
+            raise _numeric_error("non-finite state after step from", x)
+        if not inside(x_new):
             times.append((k + 1) * h)
-            states.append(x_new.copy())
+            states.append(x_new)
             last_recorded = k + 1
             status = LEFT_DOMAIN
             break
         x = x_new
         if (k + 1) % stride == 0:
             times.append((k + 1) * h)
-            states.append(x.copy())
+            states.append(x)
             last_recorded = k + 1
     else:
         if steps > last_recorded:
             times.append(steps * h)
-            states.append(x.copy())
+            states.append(x)
 
     return Trajectory(
         kind=kind,
         times=np.asarray(times),
-        states=np.stack(states),
+        states=np.array(states, dtype=float).reshape(len(states), -1),
         terminal_status=status,
     )
+
+
+def _numeric_error(what: str, x) -> NumericIntegrationError:
+    state = np.array(x, dtype=float).reshape(-1)
+    return NumericIntegrationError(f"{what} {state.tolist()}", state=state)
 
 
 def integrate_ensemble(
@@ -368,65 +431,64 @@ def discrete_rgd(
     runs.
 
     For a scalar :class:`BernoulliSquaredModel` every noise mode runs one
-    scalar loop on the closed-form gradient ``x - p(x)``, with Gaussian noise
-    drawn up front in one call (the same stream as per-step draws); any other
-    model or dimension takes the generic loop through ``grad_x1``.
+    loop on Python floats.  Its ``none`` and ``gaussian`` steps are
+    ``x + alpha * (f(x) - eta)`` with the closed-form rgd field ``f`` that
+    :func:`integrate_flow` uses, and Gaussian noise is drawn up front in one
+    call (the same stream as per-step draws); any other model or dimension
+    takes the generic loop through ``grad_x1``.
     ``bernoulli-sample`` noise needs the scalar loop, because it replaces
     ``p(x)`` by a sample mean of the model's 0/1 responses.
     """
     if num_steps < 0:
         raise ValueError("number of steps must be nonnegative")
-    x = _check_domain(model, x0).astype(float).copy()
-    n = x.size
-    scalar = n == 1 and isinstance(model, BernoulliSquaredModel)
+    x = _check_domain(model, x0).astype(float)
+    scalar = _on_floats(model, x)
     if noise.mode == "bernoulli-sample" and not scalar:
         raise ValueError("bernoulli-sample noise needs a scalar BernoulliSquaredModel")
     rng = np.random.default_rng(noise.seed) if noise.mode != "none" else None
-    alphas = schedule.values(num_steps)
-    states = np.empty((num_steps + 1, n))
-    states[0] = x
+    n = x.size
+    # packed doubles: a list of 1e5 float objects would hold 3.2 MB more
+    states = array("d", x.tolist())
     status = MAX_TIME
-    recorded = 1
 
     if scalar:
         # the recursion runs for ~1e5 steps routinely; stay on Python floats,
         # since a numpy scalar would send every shift call through np.ndim
-        value = model.shift.value
-        xs = float(x[0])
+        value, field = model.shift.value, _scalar_field(model, RGD_FLOW)
         lo, hi = float(model.domain.lower[0]), float(model.domain.upper[0])
         sampled = noise.mode == "bernoulli-sample"
         size = noise.sample_size
-        alphas = alphas.tolist()
-        eta = rng.normal(0.0, noise.sigma, size=num_steps).tolist() if noise.mode == "gaussian" else None
-        for k in range(num_steps):
+        if noise.mode == "gaussian":
+            eta = rng.normal(0.0, noise.sigma, size=num_steps).tolist()
+        else:
+            eta = repeat(0.0)
+        x = float(x[0])
+        for alpha, e in zip(schedule.values(num_steps).tolist(), eta):
             if sampled:
-                grad = xs - rng.binomial(size, value(xs)) / size
+                x = x - alpha * (x - rng.binomial(size, value(x)) / size)
             else:
-                grad = xs - value(xs)
-                if eta is not None:
-                    grad = grad + eta[k]
-            xs = xs - alphas[k] * grad
-            states[recorded, 0] = xs
-            recorded += 1
-            if not (lo <= xs <= hi):
+                # x - alpha * ((x - p) + eta) bit for bit: IEEE negation is exact
+                x = x + alpha * (field(x) - e)
+            states.append(x)
+            if not (lo <= x <= hi):
                 status = LEFT_DOMAIN
                 break
     else:
-        for k in range(num_steps):
+        for alpha in schedule.values(num_steps):
             grad = np.asarray(model.grad_x1(x, x), dtype=float)
             if noise.mode == "gaussian":
                 grad = grad + rng.normal(0.0, noise.sigma, size=n)
-            x = x - alphas[k] * grad
-            states[recorded] = x
-            recorded += 1
+            x = x - alpha * grad
+            states.extend(x.tolist())
             if not model.domain.contains(x):
                 status = LEFT_DOMAIN
                 break
 
+    states = np.frombuffer(states, dtype=float).reshape(-1, n)
     return Trajectory(
         kind=DISCRETE_RGD,
-        times=np.arange(recorded, dtype=float),
-        states=states[:recorded],
+        times=np.arange(len(states), dtype=float),
+        states=states,
         terminal_status=status,
     )
 

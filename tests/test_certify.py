@@ -190,6 +190,13 @@ class TestPerturbationEnvelope:
                 bump_model, v(0.0), 0.4, fit_mode="epsilon-capped"
             )
 
+    @pytest.mark.parametrize("grid_n", [0, 1, 2])
+    def test_grid_below_minimum_rejected(self, bump_model, grid_n):
+        # 2 points once gave a silent zero envelope (both in the exclusion
+        # ball); 0 and 1 ended in bare numpy errors
+        with pytest.raises(ValueError, match="grid points"):
+            pf.estimate_perturbation_envelope(bump_model, v(0.0), 0.4, grid_n=grid_n)
+
 
 class TestUltimateBounds:
     def test_zero_offset_means_exponential_convergence(self, bump_model):

@@ -132,7 +132,8 @@ def reference_cell(value):
 class TestCsvWriter:
     SPECIAL = [float("inf"), float("-inf"), float("nan"), -0.0, 1e-300, 0.1]
 
-    @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
+    # 3 * 1024 + 7: several whole chunks, then a ragged one
+    @pytest.mark.parametrize("rows", [0, 1, 1024, 1025, 3 * 1024 + 7])
     def test_matches_per_value_formatting(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         floats = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, size=rows)
@@ -145,6 +146,12 @@ class TestCsvWriter:
         expected = ",".join(header) + "\n" + "".join(
             ",".join(reference_cell(v) for v in row) + "\n" for row in zip(*columns)
         )
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    def test_single_column(self, tmp_path):
+        floats = np.random.default_rng(5).normal(size=2 * 1024 + 3)
+        cli._write_csv(tmp_path / "t.csv", ["x"], [floats])
+        expected = "x\n" + "".join(reference_cell(v) + "\n" for v in floats)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
     def test_unequal_columns_rejected(self, tmp_path):

@@ -1,5 +1,6 @@
 """Integration, the discrete recursion, and their cross-consistency."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,135 @@ class TestIntegrateFlow:
         traj = pf.integrate_flow(bump_model, "prm", v(x0), 50.0, h=0.01, eq_tol=0.0)
         risks = pf.performative_risk(bump_model, traj.states)
         assert np.max(risks) <= level + 1e-6
+
+
+def reference_integrate_flow(model, kind, x0, t_end, h, eq_tol):
+    """The array loop that ran every model before the float path, kept as its oracle."""
+    grad = (lambda x: model.grad_x1(x, x)) if kind == "rgd" else (
+        lambda x: model.grad_x1(x, x) + model.grad_x2(x, x))
+
+    def field(x):
+        return -grad(x)
+
+    steps = round(t_end / h)
+    stride = max(1, math.ceil(1.0 / (10.0 * h)))
+    x = np.asarray(x0, dtype=float).copy()
+    times, states, last_recorded, status = [0.0], [x.copy()], 0, "max-time"
+    for k in range(steps):
+        fx = np.asarray(field(x), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            raise pf.NumericIntegrationError("field", state=x.copy())
+        if float(np.linalg.norm(fx)) <= eq_tol:
+            status = "converged-to-equilibrium"
+            if k > last_recorded:
+                times.append(k * h)
+                states.append(x.copy())
+            break
+        k2 = np.asarray(field(x + 0.5 * h * fx), dtype=float)
+        k3 = np.asarray(field(x + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(field(x + h * k3), dtype=float)
+        x_new = x + (h / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x_new)):
+            raise pf.NumericIntegrationError("state", state=x.copy())
+        if not model.domain.contains(x_new):
+            times.append((k + 1) * h)
+            states.append(x_new.copy())
+            status = "left-domain"
+            break
+        x = x_new
+        if (k + 1) % stride == 0:
+            times.append((k + 1) * h)
+            states.append(x.copy())
+            last_recorded = k + 1
+    else:
+        if steps > last_recorded:
+            times.append(steps * h)
+            states.append(x.copy())
+    return np.asarray(times), np.stack(states), status
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def nan_above(cut):
+    # NaN once a state or an RK4 stage passes the cut: raises mid-trajectory
+    def value(x):
+        return math.nan if x > cut else pf.bump_phi(x)
+
+    return pf.ShiftFunction(kind="nan-above", value=value, derivative=pf.bump_phi_prime)
+
+
+ORACLE_SHIFTS = {
+    "bump": pf.bump_shift(),
+    "logistic": pf.logistic_shift(rate=8.0, midpoint=0.5),
+    "clamped-polynomial": pf.clamped_polynomial_shift((-0.1, 0.4, 0.9)),
+    "tabulated": pf.tabulated_shift([-0.5, 0.0, 0.4, 0.8, 1.5], [0.0, 0.05, 0.5, 0.9, 1.0]),
+}
+
+
+class TestFloatPathOracle:
+    """``integrate_flow`` on Python floats against the array loop, bit for bit."""
+
+    # (t_end, h, eq_tol): to convergence, out of time, and never converging
+    RUNS = [(30.0, 0.1, 1e-6), (0.5, 0.05, 1e-9), (3.0, 0.1, 0.0)]
+    # the narrow box is left by rows heading for the roots near 0 and 1
+    DOMAINS = [(-0.5, 1.5), (0.1, 0.9)]
+
+    def assert_same(self, model, kind, x0, t_end, h, eq_tol):
+        times, states, status = reference_integrate_flow(model, kind, v(x0), t_end, h, eq_tol)
+        traj = pf.integrate_flow(model, kind, v(x0), t_end, h=h, eq_tol=eq_tol)
+        assert traj.terminal_status == status
+        assert np.array_equal(bits(traj.times), bits(times))
+        assert traj.states.shape == states.shape
+        assert np.array_equal(bits(traj.states), bits(states))
+        return status
+
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    @pytest.mark.parametrize("shift", list(ORACLE_SHIFTS))
+    def test_bitwise_equal_to_array_loop(self, kind, shift):
+        statuses = set()
+        for lo, hi in self.DOMAINS:
+            model = pf.BernoulliSquaredModel(shift=ORACLE_SHIFTS[shift], domain=(lo, hi))
+            for x0 in np.linspace(lo, hi, 5):
+                for run in self.RUNS:
+                    statuses.add(self.assert_same(model, kind, x0, *run))
+        assert statuses == {"converged-to-equilibrium", "max-time", "left-domain"}
+
+    def test_underflowing_field_converges_at_zero_tolerance(self, quadratic_model):
+        # field -x decays below 1.6e-162, where x * x underflows to 0: the
+        # norm then reads 0 <= eq_tol = 0, while |x| never would
+        status = self.assert_same(quadratic_model, "rgd", 0.1, 400.0, 0.5, 0.0)
+        assert status == "converged-to-equilibrium"
+
+    def test_state_landing_on_the_domain_edge_stays_inside(self):
+        # field 1 - x rounds onto 1.0 after some steps: the closed box keeps it
+        model = pf.BernoulliSquaredModel(shift=pf.constant_shift(1.0), domain=(-0.5, 1.0))
+        status = self.assert_same(model, "rgd", 0.5, 60.0, 1.0, 0.0)
+        assert status == "converged-to-equilibrium"
+
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    @pytest.mark.parametrize("x0", [0.9, 0.7])  # NaN at the start, NaN in a step
+    def test_nan_raises_the_same_error(self, kind, x0):
+        model = pf.BernoulliSquaredModel(shift=nan_above(0.8))
+        with pytest.raises(pf.NumericIntegrationError) as want:
+            reference_integrate_flow(model, kind, v(x0), 20.0, 0.05, 1e-9)
+        with pytest.raises(pf.NumericIntegrationError) as got:
+            pf.integrate_flow(model, kind, v(x0), 20.0, h=0.05)
+        assert np.array_equal(bits(got.value.state), bits(want.value.state))
+        assert got.value.state.shape == (1,)
+
+    @pytest.mark.parametrize("eq_tol", [1e-9, 1e-3, 1.0, 1e-150, 1e-300, 5e-324, 0.0])
+    def test_float_norm_agrees_with_linalg_norm(self, eq_tol):
+        near = [eq_tol, *np.nextafter(eq_tol, [0.0, np.inf])]
+        near += [np.nextafter(near[1], 0.0), np.nextafter(near[2], np.inf), 1e-170, 1e-320]
+        for f in near:
+            for signed in (f, -f):
+                want = np.linalg.norm(np.array([signed]))
+                assert pf.flows._float_norm(float(signed)) == want
+                assert (pf.flows._float_norm(float(signed)) <= eq_tol) == (want <= eq_tol)
+                if eq_tol >= 1e-150:  # where f * f does not underflow, the norm is |f|
+                    assert (abs(signed) <= eq_tol) == (want <= eq_tol)
 
 
 class TestEnsemble:
