@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidCertificateError, MissingConstantsError, NotAMinimizerError
 from .model import (
-    DecisionDependentModel, SmoothnessConstants, _check_domain, _lattice, _record_document,
+    DecisionDependentModel, SmoothnessConstants, _check_domain, _check_state, _lattice, _record_document,
 )
 
 
@@ -41,19 +41,22 @@ from .model import (
 # grid helpers
 
 MIN_CONSTANTS_GRID = 100  # the fewest grid points a constant or envelope estimate accepts
+_EXCLUSION_CELLS = 2  # lattice steps around x_star left out, where the ratios are 0/0
 
 
-def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
-    """Lattice covering the ball around x_star (in the domain box) clipped to the box."""
+def _ball_grid(model, x_star, radius, grid_n):
+    """Lattice covering the ball around x_star (in the domain box) clipped to the box.
+
+    Returns ``(x_star, points, distances, exclusion_radius)``; the exclusion
+    ball is ``_EXCLUSION_CELLS`` of the widest lattice step, for certificates
+    and envelopes alike.
+    """
     # fewer points leave nothing or next to nothing outside the exclusion ball
     if grid_n < MIN_CONSTANTS_GRID:
         raise ValueError(f"grid estimates need at least {MIN_CONSTANTS_GRID} grid points, got {grid_n}")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    if x_star.shape != (model.dimension,):
-        raise ValueError(f"x_star must have shape ({model.dimension},), got {x_star.shape}")
-    _check_domain(model, x_star)
+    x_star = _check_state(model, x_star, "x_star")
     lo = np.maximum(model.domain.lower, x_star - radius)
     hi = np.minimum(model.domain.upper, x_star + radius)
     pts = _lattice(lo, hi, grid_n, 5)
@@ -61,7 +64,7 @@ def _ball_grid(model, x_star, radius, grid_n, exclusion_cells):
     if model.dimension > 1:  # a 1-D box lies in the ball; no filter to round endpoints away
         pts = pts[np.linalg.norm(pts - x_star, axis=-1) <= radius]
     dist = np.linalg.norm(pts - x_star, axis=-1)
-    return x_star, pts, dist, exclusion_cells * cell
+    return x_star, pts, dist, _EXCLUSION_CELLS * cell
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +107,6 @@ def estimate_curvature_constants(
     x_star,
     radius: float,
     grid_n: int = 4001,
-    exclusion_cells: int = 2,
 ) -> CurvatureCertificate:
     """Estimate the tightest bracketing constants at the given radius.
 
@@ -113,7 +115,7 @@ def estimate_curvature_constants(
     :class:`NotAMinimizerError`.  ``grid_n`` of a few thousand resolves the
     constants of smooth scalar models to three digits in well under a second.
     """
-    x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, exclusion_cells)
+    x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n)
 
     center = x_star[None, :]  # a one-row batch, evaluated like the grid points
     risk_center = float(model.decoupled_risk(center, center)[0])
@@ -169,13 +171,9 @@ def sweep_curvature_constants(
     x_star,
     radii: Sequence[float],
     grid_n: int = 4001,
-    exclusion_cells: int = 2,
 ) -> list[CurvatureCertificate]:
     """Certificates for each radius, e.g. to trace constants as the ball grows."""
-    return [
-        estimate_curvature_constants(model, x_star, float(r), grid_n, exclusion_cells)
-        for r in radii
-    ]
+    return [estimate_curvature_constants(model, x_star, float(r), grid_n) for r in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +214,7 @@ def estimate_perturbation_envelope(
     """
     if fit_mode not in ("delta-zero", "epsilon-capped"):
         raise ValueError(f"unknown fit mode {fit_mode!r}")
-    x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n, 2)
+    x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n)
     g_norm = np.linalg.norm(model.grad_x2(pts, pts), axis=-1)
 
     if fit_mode == "delta-zero":
@@ -452,6 +450,8 @@ def alignment_check(model: DecisionDependentModel, lo: float, hi: float, grid_n:
         raise ValueError("grid must have at least 2 points")
     if model.dimension != 1:
         raise ValueError("the alignment check is defined for scalar models")
+    if not float(lo) < float(hi):
+        raise ValueError(f"the alignment interval needs lo < hi, got [{lo}, {hi}]")
     xs = np.linspace(float(lo), float(hi), int(grid_n))
     pts = _check_domain(model, xs[:, None])
     g1 = model.grad_x1(pts, pts)[:, 0]

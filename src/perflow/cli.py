@@ -35,7 +35,7 @@ from . import config as config_mod
 from . import equilibria as eq_mod
 from . import flows
 from .errors import ConfigError, PerflowError
-from .model import _check_domain
+from .model import _check_state
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +78,9 @@ def cmd_simulate(cfg, model, args):
     if cfg.flow == flows.DISCRETE_RGD:
         schedule = config_mod.parse_schedule(cfg.schedule)
         noise = config_mod.parse_noise(cfg.noise, cfg.seed)
-        traj = flows.discrete_rgd(model, np.asarray(cfg.x0), cfg.steps, schedule, noise)
+        traj = flows.discrete_rgd(model, cfg.x0, cfg.steps, schedule, noise)
     else:
-        traj = flows.integrate_flow(
-            model, cfg.flow, np.asarray(cfg.x0), cfg.t_end, h=cfg.h, eq_tol=cfg.eq_tol
-        )
+        traj = flows.integrate_flow(model, cfg.flow, cfg.x0, cfg.t_end, h=cfg.h, eq_tol=cfg.eq_tol)
     header = ["t"] + [f"x_{i}" for i in range(traj.states.shape[1])]
     summary = {
         "kind": traj.kind,
@@ -186,7 +184,7 @@ def cmd_certify(cfg, model, args):
 
 def cmd_bounds(cfg, model, args):
     cert, env = _certificate_pair(cfg, model)
-    x0 = _check_domain(model, cfg.x0)
+    x0 = _check_state(model, cfg.x0, "x0")
     report = cert_mod.ultimate_bounds(cert, env, x0, cfg.theta)
     keys = ("theta", "transient_rate", "ultimate_radius", "t_bound", "admissible")
     tradeoff = cert_mod.theta_tradeoff(cert, env, x0)

@@ -40,7 +40,7 @@ from .flows import (
     integrate_ensemble,
     normalize_flow_kind,
 )
-from .model import DecisionDependentModel, _check_domain, _lattice, _record_document
+from .model import DecisionDependentModel, _check_state, _lattice, _record_document
 from .numerics import finite_diff_hessian, finite_diff_jacobian
 
 PRM_MINIMIZER = "prm-minimizer"
@@ -109,7 +109,7 @@ def classify_equilibrium(
     within ``tol``.  Degenerate checks (eigenvalues within ``hessian_tol`` of
     zero) yield the ``inconclusive`` label rather than a guess.
     """
-    x = _check_domain(model, x)
+    x = _check_state(model, x, "x")
     g1 = np.asarray(model.grad_x1(x, x), dtype=float)
     total = g1 + np.asarray(model.grad_x2(x, x), dtype=float)
     prm_residual = float(np.linalg.norm(total))

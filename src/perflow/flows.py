@@ -10,13 +10,17 @@ generator.
 Fixed stepping keeps trajectories bit-reproducible; the fields handled here
 are cheap, smooth, and low-dimensional, so adaptivity buys nothing.
 
-For a scalar :class:`BernoulliSquaredModel` both single-state loops, the
-RK4 loop of :func:`integrate_flow` and the recursion of
-:func:`discrete_rgd`, run on Python floats with the closed-form field of
-``_scalar_field``: numpy's cost per call on a one-element array would be
-most of their time.  The float arithmetic is the array path's, operation
-for operation, so the numbers are the same bit for bit.  Other models, and
-the ensemble, run on arrays through the model's gradients.
+The single-state runs, :func:`integrate_flow`, :func:`discrete_rgd` and
+:func:`lyapunov_derivative`, take one state as ``model._check_state``
+defines it: an ``(n,)`` vector in the domain, or a bare number when
+``n = 1``; a batch raises :class:`ValueError`.  Every run takes its field
+from ``_field_function``.  For a scalar :class:`BernoulliSquaredModel`
+``_one_state`` turns the start into a Python float, and the RK4 loop and
+the recursion run on floats with the field's closed form: numpy's cost per
+call on a one-element array would be most of their time.  The float
+arithmetic is the array path's, operation for operation, so the numbers
+are the same bit for bit.  Other models, and the ensemble, run on arrays
+through the model's gradients.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import NumericIntegrationError, OutOfDomainError
-from .model import BernoulliSquaredModel, DecisionDependentModel, _check_domain
+from .model import BernoulliSquaredModel, DecisionDependentModel, _check_domain, _check_state
 
 PRM_FLOW = "prm-flow"
 RGD_FLOW = "rgd-flow"
@@ -159,34 +163,37 @@ class NoiseSpec:
         return cls("bernoulli-sample", sample_size=sample_size, seed=seed)
 
 
-def _field_function(model: DecisionDependentModel, kind: str):
-    kind = normalize_flow_kind(kind)
-    if kind == RGD_FLOW:
-        return lambda x: -model.grad_x1(x, x)
-    if kind == PRM_FLOW:
-        return lambda x: -(model.grad_x1(x, x) + model.grad_x2(x, x))
-    raise ValueError(f"{kind!r} is not a continuous flow")
+def _field_function(model: DecisionDependentModel, kind: str, floats: bool = False):
+    """The field of the continuous flow ``kind``: rgd ``-grad_x1``, prm ``-(grad_x1 + grad_x2)``.
 
-
-def _scalar_field(model: BernoulliSquaredModel, kind: str):
-    """The flow's field of a scalar :class:`BernoulliSquaredModel` on Python floats.
-
-    The closed forms of ``grad_x1`` and ``grad_x2`` in their order of
-    operations, so each value equals the array path's bit for bit: rgd
+    ``floats``, set when ``_one_state`` made the state a float, gives the
+    field of a scalar :class:`BernoulliSquaredModel` on Python floats: the
+    closed forms of ``grad_x1`` and ``grad_x2`` in their order of
+    operations, so each value equals the array field's bit for bit: rgd
     ``-(x - p(x))``, prm ``-((x - p(x)) + 0.5 * (1 - 2x) * p'(x))``.
     """
     kind = normalize_flow_kind(kind)
-    p, dp = model.shift.value, model.shift.derivative
-    if kind == RGD_FLOW:
-        return lambda x: -(x - p(x))
-    if kind == PRM_FLOW:
+    if kind not in (RGD_FLOW, PRM_FLOW):
+        raise ValueError(f"{kind!r} is not a continuous flow")
+    if floats:
+        p, dp = model.shift.value, model.shift.derivative
+        if kind == RGD_FLOW:
+            return lambda x: -(x - p(x))
         return lambda x: -((x - p(x)) + 0.5 * (1.0 - 2.0 * x) * dp(x))
-    raise ValueError(f"{kind!r} is not a continuous flow")
+    if kind == RGD_FLOW:
+        return lambda x: -model.grad_x1(x, x)
+    return lambda x: -(model.grad_x1(x, x) + model.grad_x2(x, x))
 
 
-def _on_floats(model: DecisionDependentModel, x: np.ndarray) -> bool:
-    """Whether the loops run the state ``x`` of ``model`` on Python floats."""
-    return x.shape == (1,) and isinstance(model, BernoulliSquaredModel)
+def _one_state(model: DecisionDependentModel, x0):
+    """``x0`` as the start of a single-state run.
+
+    A Python float for a :class:`BernoulliSquaredModel` (always scalar):
+    numpy's cost per call on a one-element array would be nearly all of the
+    loops' time.  An ``(n,)`` array for any other model.
+    """
+    x = _check_state(model, x0, "x0")
+    return float(x[0]) if isinstance(model, BernoulliSquaredModel) else x
 
 
 def _float_norm(f: float) -> float:
@@ -245,24 +252,22 @@ def integrate_flow(
     box (the exiting state is kept as the final sample).  States are recorded
     every ``ceil(1/(10 h))`` steps plus always at the endpoint.
 
-    For a scalar :class:`BernoulliSquaredModel` the loop runs on Python
-    floats with the closed-form field; any other model runs the same loop on
-    arrays through ``grad_x1`` and ``grad_x2``.  Both paths do the same
-    arithmetic in the same order, so they give the same trajectory bit for
-    bit.
+    ``x0`` is one state (``model._check_state``).  For a scalar
+    :class:`BernoulliSquaredModel` the loop runs on Python floats with the
+    closed-form field; any other model runs the same loop on arrays through
+    ``grad_x1`` and ``grad_x2``.  Both paths do the same arithmetic in the
+    same order, so they give the same trajectory bit for bit.
     """
     kind = normalize_flow_kind(kind)
     steps = _step_count(t_end, h)
-    x = _check_domain(model, x0).astype(float)
-    if _on_floats(model, x):
-        # numpy's per-call cost on one-element arrays was nearly all the time
-        field = _scalar_field(model, kind)
+    x = _one_state(model, x0)
+    floats = isinstance(x, float)
+    field = _field_function(model, kind, floats)
+    if floats:
         lo, hi = float(model.domain.lower[0]), float(model.domain.upper[0])
-        x = float(x[0])
         finite, norm = math.isfinite, _float_norm
         inside = lambda y: lo <= y <= hi
     else:
-        field = _field_function(model, kind)
         finite = lambda v: np.isfinite(v).all()
         norm = np.linalg.norm
         inside = model.domain.contains
@@ -430,40 +435,44 @@ def discrete_rgd(
     there with status ``left-domain``.  Identical seeds give bitwise-identical
     runs.
 
-    For a scalar :class:`BernoulliSquaredModel` every noise mode runs one
-    loop on Python floats.  Its ``none`` and ``gaussian`` steps are
-    ``x + alpha * (f(x) - eta)`` with the closed-form rgd field ``f`` that
-    :func:`integrate_flow` uses, and Gaussian noise is drawn up front in one
-    call (the same stream as per-step draws); any other model or dimension
-    takes the generic loop through ``grad_x1``.
-    ``bernoulli-sample`` noise needs the scalar loop, because it replaces
-    ``p(x)`` by a sample mean of the model's 0/1 responses.
+    ``x0`` is one state (``model._check_state``).  For a scalar
+    :class:`BernoulliSquaredModel` every noise mode runs one loop on Python
+    floats; any other model runs the ``none`` and ``gaussian`` steps on
+    arrays.  Both loops step ``x + alpha * (f(x) - eta)`` with the rgd field
+    ``f`` that :func:`integrate_flow` uses, bit for bit the recursion above
+    because IEEE negation is exact, and draw Gaussian noise up front in one
+    call, the same stream as per-step draws.  ``bernoulli-sample`` noise
+    needs the scalar loop, because it replaces ``p(x)`` by a sample mean of
+    the model's 0/1 responses.
     """
     if num_steps < 0:
         raise ValueError("number of steps must be nonnegative")
-    x = _check_domain(model, x0).astype(float)
-    scalar = _on_floats(model, x)
-    if noise.mode == "bernoulli-sample" and not scalar:
+    x = _one_state(model, x0)
+    floats = isinstance(x, float)
+    if noise.mode == "bernoulli-sample" and not floats:
         raise ValueError("bernoulli-sample noise needs a scalar BernoulliSquaredModel")
     rng = np.random.default_rng(noise.seed) if noise.mode != "none" else None
-    n = x.size
+    n = model.dimension
+    field = _field_function(model, RGD_FLOW, floats)
+    alphas = schedule.values(num_steps).tolist()
+    if noise.mode == "gaussian":
+        # one draw up front is the same stream as one draw of n per step
+        eta = rng.normal(0.0, noise.sigma, size=(num_steps, n))
+        eta = eta.ravel().tolist() if floats else eta
+    else:
+        eta = repeat(0.0)
     # packed doubles: a list of 1e5 float objects would hold 3.2 MB more
-    states = array("d", x.tolist())
+    states = array("d", [x] if floats else x.tolist())
     status = MAX_TIME
 
-    if scalar:
+    if floats:
         # the recursion runs for ~1e5 steps routinely; stay on Python floats,
         # since a numpy scalar would send every shift call through np.ndim
-        value, field = model.shift.value, _scalar_field(model, RGD_FLOW)
+        value = model.shift.value
         lo, hi = float(model.domain.lower[0]), float(model.domain.upper[0])
         sampled = noise.mode == "bernoulli-sample"
         size = noise.sample_size
-        if noise.mode == "gaussian":
-            eta = rng.normal(0.0, noise.sigma, size=num_steps).tolist()
-        else:
-            eta = repeat(0.0)
-        x = float(x[0])
-        for alpha, e in zip(schedule.values(num_steps).tolist(), eta):
+        for alpha, e in zip(alphas, eta):
             if sampled:
                 x = x - alpha * (x - rng.binomial(size, value(x)) / size)
             else:
@@ -474,11 +483,8 @@ def discrete_rgd(
                 status = LEFT_DOMAIN
                 break
     else:
-        for alpha in schedule.values(num_steps):
-            grad = np.asarray(model.grad_x1(x, x), dtype=float)
-            if noise.mode == "gaussian":
-                grad = grad + rng.normal(0.0, noise.sigma, size=n)
-            x = x - alpha * grad
+        for alpha, e in zip(alphas, eta):
+            x = x + alpha * (field(x) - e)
             states.extend(x.tolist())
             if not model.domain.contains(x):
                 status = LEFT_DOMAIN
@@ -496,16 +502,10 @@ def discrete_rgd(
 def lyapunov_derivative(model: DecisionDependentModel, x, kind: str) -> float:
     """Derivative of the diagonal risk along the chosen flow at ``x``.
 
-    This is the inner product of the total risk gradient with the field; for
-    the full descent flow it equals minus the squared gradient norm, hence is
-    never positive.
+    This is the inner product of the total risk gradient with the field,
+    ``-<prm field, flow field>``; for the full descent flow it equals minus
+    the squared gradient norm, hence is never positive.  ``x`` is one state.
     """
-    kind = normalize_flow_kind(kind)
-    x = _check_domain(model, x)
-    g1 = np.asarray(model.grad_x1(x, x), dtype=float)
-    total = g1 + np.asarray(model.grad_x2(x, x), dtype=float)
-    if kind == PRM_FLOW:
-        return -float(np.dot(total, total))
-    if kind == RGD_FLOW:
-        return float(np.dot(total, -g1))
-    raise ValueError(f"{kind!r} is not a continuous flow")
+    x = _check_state(model, x, "x")
+    flow = _field_function(model, kind)(x)
+    return -float(np.dot(_field_function(model, PRM_FLOW)(x), flow))

@@ -42,7 +42,7 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-D arrays of equal length")
-        if np.any(lo >= hi):
+        if not np.all(lo < hi):  # NaN bounds compare False both ways
             raise ValueError("box lower bounds must be strictly below upper bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -248,6 +248,18 @@ def _check_domain(model: DecisionDependentModel, x) -> np.ndarray:
         # name the first offending state, not a whole batch
         raise OutOfDomainError(x[outside][0] if x.ndim > 1 else x, model.domain)
     return x
+
+
+def _check_state(model: DecisionDependentModel, x, name: str) -> np.ndarray:
+    """``x`` as one state of ``model``: a float vector of shape ``(n,)`` in the domain.
+
+    A bare number is one state when ``n = 1``.  Any other shape, a batch
+    included, raises :class:`ValueError` naming the argument ``name``.
+    """
+    x = np.atleast_1d(np.array(x, dtype=float))
+    if x.shape != (model.dimension,):
+        raise ValueError(f"{name} must be one state of shape ({model.dimension},), got shape {x.shape}")
+    return _check_domain(model, x)
 
 
 def performative_risk(model: DecisionDependentModel, x):

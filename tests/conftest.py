@@ -24,3 +24,29 @@ def half_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def bump_pair_model():
+    """Two uncoupled copies of the built-in bump model on [-0.5, 1.5]^2.
+
+    The risk is the sum of the two coordinates' bump risks, with the closed
+    forms of ``grad_x1`` and ``grad_x2`` taken one coordinate at a time on
+    Python floats, as the scalar model's float path takes them.  So every
+    root, run and basin of this model is the product of the scalar ones: an
+    exact oracle for the n-dimensional paths.
+    """
+    p, dp = pf.bump_phi, pf.bump_phi_prime
+
+    def each(f):
+        return lambda x1, x2: np.array([f(a, b) for a, b in zip(x1.tolist(), x2.tolist())])
+
+    return pf.CallableModel(
+        dimension=2,
+        domain=pf.Box(np.full(2, -0.5), np.full(2, 1.5)),
+        risk=lambda x1, x2: sum(
+            0.5 * (a * a + p(b) * (1.0 - 2.0 * a)) for a, b in zip(x1.tolist(), x2.tolist())
+        ),
+        grad1=each(lambda a, b: a - p(b)),
+        grad2=each(lambda a, b: 0.5 * (1.0 - 2.0 * a) * dp(b)),
+    )

@@ -368,3 +368,9 @@ class TestAlignment:
     def test_grid_validation(self, bump_model):
         with pytest.raises(ValueError):
             pf.alignment_check(bump_model, 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("lo, hi", [(0.9, 0.1), (0.5, 0.5), (float("nan"), 1.0)])
+    def test_empty_or_reversed_interval_rejected(self, bump_model, lo, hi):
+        # a reversed grid once ran and reported hold_intervals ((0.5, 0.5),)
+        with pytest.raises(ValueError, match="lo < hi"):
+            pf.alignment_check(bump_model, lo, hi, 5)

@@ -1,7 +1,9 @@
 """Configuration parsing, the command-line surface, and its file artifacts."""
 
 import argparse
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +508,33 @@ class TestCliErrors:
         )
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScripts:
+    """The scripts under ``scripts/`` run end to end on their default settings."""
+
+    def test_reproduce_headline_numbers(self, tmp_path, capsys):
+        load_script("reproduce_headline_numbers").run(str(tmp_path))
+        assert {p.name for p in tmp_path.iterdir()} >= {"fig1.csv", "fig2.csv", "constants.json"}
+        printed = capsys.readouterr().out
+        assert "rgd_crossing = 0.227360" in printed
+        assert "feasible_radius = 0.21" in printed
+
+    def test_scan_basins(self, tmp_path, capsys):
+        load_script("scan_basins").run(2001, 60.0, str(tmp_path))
+        for flow in ("rgd", "prm"):
+            assert (tmp_path / flow / "basins_summary.json").is_file()
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        for line, flow, root in zip(printed, ("rgd", "prm"), (0.227360, 0.398966)):
+            assert line.startswith(f"{flow}: ") and line.endswith(f"unstable root at {root:.6f}")
+            (boundary,) = json.loads(line[line.index("["):line.index("]") + 1])
+            assert abs(boundary - root) <= 0.001  # one cell of the 2001-point grid

@@ -261,6 +261,58 @@ class TestExactBasinOracle:
         assert np.array_equal(basin.labels[converged], expected[converged])
 
 
+class TestSeparableOracle:
+    """The planar bump pair: its roots, runs and basins are products of the scalar ones."""
+
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    def test_roots_and_labels_are_products(self, bump_model, bump_pair_model, kind):
+        scalar = pf.find_equilibria(bump_model, kind, grid_n=2001)
+        planar = pf.find_equilibria(bump_pair_model, kind, grid_n=100)
+        roots = np.array(locations(scalar))
+        assert len(planar) == roots.size ** 2 == 9
+        # each planar root's coordinates are scalar roots; together all 9 pairs
+        gaps = np.abs(np.array([r.location for r in planar])[:, :, None] - roots)
+        assert np.max(gaps.min(axis=2)) <= 1e-9
+        pairs = [tuple(p) for p in gaps.argmin(axis=2).tolist()]
+        assert set(pairs) == {(i, j) for i in range(3) for j in range(3)}
+        corners = {PRM_MINIMIZER, PERFORMATIVELY_STABLE}
+        for report, (i, j) in zip(planar, pairs):
+            # the corners of {0, 1}^2 attract; a coordinate at the middle root repels
+            assert report.labels == (corners if 1 not in (i, j) else {UNSTABLE})
+
+    def test_runs_are_the_scalar_runs_coordinate_by_coordinate(self, bump_model, bump_pair_model):
+        starts = [-0.4, 0.1, 0.3, 0.6, 1.3]
+        schedule, noise = pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()
+        for a, b in zip(starts, starts[::-1]):
+            for kind in ("rgd", "prm"):
+                pair = pf.integrate_flow(bump_pair_model, kind, [a, b], 8.0, eq_tol=0.0)
+                for axis, x in enumerate((a, b)):
+                    one = pf.integrate_flow(bump_model, kind, x, 8.0, eq_tol=0.0)
+                    assert np.array_equal(pair.times, one.times)
+                    assert np.array_equal(pair.states[:, axis], one.states[:, 0])
+            pair = pf.discrete_rgd(bump_pair_model, [a, b], 3000, schedule, noise)
+            for axis, x in enumerate((a, b)):
+                one = pf.discrete_rgd(bump_model, x, 3000, schedule, noise)
+                assert np.array_equal(pair.states[:, axis], one.states[:, 0])
+
+    def test_basin_scan_is_the_product_of_scalar_scans(self, bump_model, bump_pair_model):
+        scalar_roots = pf.find_equilibria(bump_model, "rgd", grid_n=2001)
+        planar_roots = pf.find_equilibria(bump_pair_model, "rgd", grid_n=100)
+        scalar = pf.basin_scan(bump_model, "rgd", scalar_roots, grid_n=5, t_end=10.0)
+        planar = pf.basin_scan(bump_pair_model, "rgd", planar_roots, grid_n=25, t_end=10.0)
+
+        def product(a):
+            return np.stack(np.meshgrid(a, a, indexing="ij"), axis=-1).reshape(-1, 2)
+
+        assert np.array_equal(planar.grid, product(scalar.grid[:, 0]))
+        assert np.all(planar.labels >= 0) and np.all(scalar.labels >= 0)
+        assert len(set(scalar.labels.tolist())) == 2  # both attracting roots own starts
+        # each planar root as the pair of scalar roots (label indices) it is made of
+        roots = scalar.equilibrium_locations[:, 0]
+        owner = np.abs(planar.equilibrium_locations[:, :, None] - roots).argmin(axis=2)
+        assert np.array_equal(owner[planar.labels], product(scalar.labels))
+
+
 def three_root_model(a, rate=10.0):
     # rgd field -rate * s(x) with s a sawtooth: roots 0 and 2a attract, a
     # repels

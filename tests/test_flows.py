@@ -372,6 +372,16 @@ class TestEnsembleCompaction:
             assert np.array_equal(states[:, i], row_states[last, 0])
 
 
+def bump_callable_model():
+    # the bump model's gradient through the generic loop
+    return pf.CallableModel(
+        dimension=1,
+        domain=pf.interval(-0.5, 1.5),
+        risk=lambda a, b: 0.0,
+        grad1=lambda a, b: a - pf.bump_phi(float(b[0])),
+    )
+
+
 class TestDiscreteRecursion:
     def test_zero_start_stays_exactly_zero(self, bump_model):
         traj = pf.discrete_rgd(
@@ -470,15 +480,9 @@ class TestDiscreteRecursion:
         ids=["inverse", "constant"],
     )
     def test_scalar_loop_matches_generic_loop_bitwise(self, bump_model, noise, schedule):
-        # the same gradient as a CallableModel runs the generic per-step loop
-        oracle = pf.CallableModel(
-            dimension=1,
-            domain=bump_model.domain,
-            risk=lambda a, b: 0.0,
-            grad1=lambda a, b: a - pf.bump_phi(float(b[0])),
-        )
+        # the same gradient as a CallableModel runs the generic array loop
         fast = pf.discrete_rgd(bump_model, v(0.8), 20_000, schedule, noise)
-        slow = pf.discrete_rgd(oracle, v(0.8), 20_000, schedule, noise)
+        slow = pf.discrete_rgd(bump_callable_model(), v(0.8), 20_000, schedule, noise)
         assert np.array_equal(fast.states, slow.states)
         assert fast.terminal_status == slow.terminal_status
 
@@ -518,6 +522,109 @@ class TestDiscreteRecursion:
         expected = x0 - alpha * float(bump_model.grad_x1(v(x0), v(x0))[0])
         tol = 6.0 * alpha * 0.5 / np.sqrt(n * 2000)
         assert abs(np.mean(finals) - expected) <= tol
+
+
+def reference_discrete_rgd(model, x0, num_steps, schedule, noise):
+    """The per-step generic recursion that ran every array model before, kept as its oracle."""
+    rng = np.random.default_rng(noise.seed) if noise.mode != "none" else None
+    x = np.asarray(x0, dtype=float)
+    states, status = [x], "max-time"
+    for alpha in schedule.values(num_steps):
+        grad = np.asarray(model.grad_x1(x, x), dtype=float)
+        if noise.mode == "gaussian":
+            grad = grad + rng.normal(0.0, noise.sigma, size=x.size)
+        x = x - alpha * grad
+        states.append(x)
+        if not model.domain.contains(x):
+            status = "left-domain"
+            break
+    return np.stack(states), status
+
+
+def outward_pair_model():
+    # field +x in two coordinates: every start but the origin leaves the box
+    return pf.CallableModel(
+        dimension=2,
+        domain=pf.Box(np.full(2, -1.0), np.full(2, 1.0)),
+        risk=lambda x1, x2: -0.5 * float(x1 @ x1),
+        grad1=lambda x1, x2: -x1,
+        grad2=lambda x1, x2: np.zeros(2),
+    )
+
+
+class TestGenericRecursionOracle:
+    """The array recursion ``x + alpha * (f(x) - eta)`` against the per-step loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "noise", [pf.NoiseSpec.none(), pf.NoiseSpec.gaussian(0.1, seed=7)], ids=["none", "gaussian"]
+    )
+    @pytest.mark.parametrize("case", ["bump-1d", "bump-2d", "outward-1d", "outward-2d"])
+    def test_bitwise_equal_to_per_step_loop(self, bump_pair_model, case, noise):
+        model, x0 = {
+            "bump-1d": (bump_callable_model(), [0.8]),
+            "bump-2d": (bump_pair_model, [0.8, 0.1]),
+            "outward-1d": (outward_model(), [0.5]),
+            "outward-2d": (outward_pair_model(), [0.5, -0.2]),
+        }[case]
+        schedule = pf.StepSchedule.inverse(0.5, 10.0)
+        states, status = reference_discrete_rgd(model, x0, 2000, schedule, noise)
+        traj = pf.discrete_rgd(model, x0, 2000, schedule, noise)
+        assert traj.terminal_status == status
+        assert status == ("left-domain" if case.startswith("outward") else "max-time")
+        assert np.array_equal(bits(traj.states), bits(states))
+
+    def test_noise_that_throws_a_run_out_matches(self, bump_pair_model):
+        noise = pf.NoiseSpec.gaussian(20.0, seed=3)
+        schedule = pf.StepSchedule.constant(0.01)
+        states, status = reference_discrete_rgd(bump_pair_model, [0.8, 0.1], 500, schedule, noise)
+        traj = pf.discrete_rgd(bump_pair_model, [0.8, 0.1], 500, schedule, noise)
+        assert status == traj.terminal_status == "left-domain"
+        assert np.array_equal(bits(traj.states), bits(states))
+
+
+class TestOneStateContract:
+    """Every single-state run takes one state; a batch is a ValueError naming the argument."""
+
+    RUNS = {
+        "integrate_flow": lambda m, x: pf.integrate_flow(m, "rgd", x, 1.0),
+        "discrete_rgd": lambda m, x: pf.discrete_rgd(
+            m, x, 10, pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()
+        ),
+        "lyapunov_derivative": lambda m, x: pf.lyapunov_derivative(m, x, "rgd"),
+        "classify_equilibrium": lambda m, x: pf.classify_equilibrium(m, x, tol=1e-8),
+    }
+    @pytest.mark.parametrize(
+        "run, name, x",
+        [
+            ("integrate_flow", "x0", [[0.7]]),
+            ("integrate_flow", "x0", [[0.7], [0.8]]),
+            ("discrete_rgd", "x0", [[0.7]]),
+            ("lyapunov_derivative", "x", [[0.0], [1.0]]),
+            ("classify_equilibrium", "x", [[0.0], [1.0]]),
+        ],
+        ids=["integrate_flow-1x1", "integrate_flow-2x1", "discrete_rgd-1x1",
+             "lyapunov_derivative-2x1", "classify_equilibrium-2x1"],
+    )
+    def test_batch_rejected(self, bump_model, run, name, x):
+        with pytest.raises(ValueError, match=rf"^{name} must be one state of shape \(1,\)"):
+            self.RUNS[run](bump_model, np.array(x))
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_bare_number_is_one_scalar_state(self, bump_model, run):
+        x = 0.0 if run == "classify_equilibrium" else 0.5  # an equilibrium to classify
+        got = self.RUNS[run](bump_model, x)
+        want = self.RUNS[run](bump_model, v(x))
+        if run in ("integrate_flow", "discrete_rgd"):
+            assert np.array_equal(got.states, want.states)
+        elif run == "lyapunov_derivative":
+            assert got == want
+        else:
+            assert got.labels == want.labels
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_bare_number_is_not_a_planar_state(self, bump_pair_model, run):
+        with pytest.raises(ValueError, match=r"must be one state of shape \(2,\), got shape \(1,\)"):
+            self.RUNS[run](bump_pair_model, 0.0)
 
 
 class TestStepSchedule:

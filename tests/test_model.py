@@ -228,6 +228,16 @@ class TestDomainBox:
         with pytest.raises(ValueError):
             pf.interval(1.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("nan")), (float("inf"), float("inf"))])
+    def test_nan_or_equal_infinite_bounds_rejected(self, lo, hi):
+        # NaN compares False both ways: such a box would contain nothing
+        with pytest.raises(ValueError):
+            pf.interval(lo, hi)
+
+    def test_infinite_bounds_allowed(self):
+        box = pf.interval(float("-inf"), float("inf"))
+        assert box.contains(np.array([1e300]))
+
 
 def bump_closed_forms(explicit):
     # the built-in model's closed forms, one scalar state at a time
