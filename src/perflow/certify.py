@@ -49,7 +49,8 @@ def _ball_grid(model, x_star, radius, grid_n):
 
     Returns ``(x_star, points, distances, exclusion_radius)``; the exclusion
     ball is ``_EXCLUSION_CELLS`` of the widest lattice step, for certificates
-    and envelopes alike.
+    and envelopes alike.  A radius that leaves no grid point outside it
+    raises :class:`ValueError`.
     """
     # fewer points leave nothing or next to nothing outside the exclusion ball
     if grid_n < MIN_CONSTANTS_GRID:
@@ -60,11 +61,16 @@ def _ball_grid(model, x_star, radius, grid_n):
     lo = np.maximum(model.domain.lower, x_star - radius)
     hi = np.minimum(model.domain.upper, x_star + radius)
     pts = _lattice(lo, hi, grid_n, 5)
-    cell = float(max(np.min(a[a > a[0]]) - a[0] for a in pts.T))  # widest lattice step
+    # widest lattice step; infinite where x_star +- radius rounds to one point
+    cell = float(max(np.min(a[a > a[0]], initial=np.inf) - a[0] for a in pts.T))
     if model.dimension > 1:  # a 1-D box lies in the ball; no filter to round endpoints away
         pts = pts[np.linalg.norm(pts - x_star, axis=-1) <= radius]
     dist = np.linalg.norm(pts - x_star, axis=-1)
-    return x_star, pts, dist, _EXCLUSION_CELLS * cell
+    excl = _EXCLUSION_CELLS * cell
+    # a lattice of one point, or distances whose squares underflow to 0, leaves nothing to fit
+    if not (dist >= excl).any():
+        raise ValueError(f"radius {radius} leaves no grid point outside the exclusion ball")
+    return x_star, pts, dist, excl
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,7 @@ def estimate_perturbation_envelope(
 
     if fit_mode == "delta-zero":
         keep = dist >= excl
-        epsilon = float(np.max(g_norm[keep] / dist[keep])) if keep.any() else 0.0
+        epsilon = float(np.max(g_norm[keep] / dist[keep]))
         delta = 0.0
     else:
         if epsilon_cap is None or epsilon_cap < 0:

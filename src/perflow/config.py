@@ -203,12 +203,10 @@ def parse_config(document: dict) -> ExperimentConfig:
     parse_noise(noise, 0)  # validates the grammar
     kwargs["noise"] = noise
 
-    kwargs["seed"] = _as_int(doc["seed"], "seed")
-
-    steps = _as_int(doc["steps"], "steps")
-    if steps < 0:
-        _fail(f"steps must be nonnegative, got {steps}")
-    kwargs["steps"] = steps
+    for key in ("seed", "steps"):
+        kwargs[key] = _as_int(doc[key], key)
+        if kwargs[key] < 0:
+            _fail(f"{key} must be nonnegative, got {kwargs[key]}")
 
     schedule = doc["schedule"]
     parse_schedule(schedule)

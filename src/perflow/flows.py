@@ -44,13 +44,6 @@ MAX_TIME = "max-time"
 LEFT_DOMAIN = "left-domain"
 NUMERIC_ERROR = "numeric-error"  # ensemble-only, recorded per point
 
-# Stopped rows leave an ensemble's batch only once this many have gathered.
-# Compacting at every step keeps reallocating ever smaller arrays; numpy
-# caches freed small buffers and the heap fragments, so a 2001-point basin
-# scan peaked 0.2-0.9 MB higher in RSS, for little or no time saved.  Blocks
-# of 128 rows keep the peak at or below that of no compaction.
-_COMPACT_ROWS = 128
-
 _FLOW_ALIASES = {
     "rgd": RGD_FLOW,
     "prm": PRM_FLOW,
@@ -333,12 +326,14 @@ def integrate_ensemble(
 ):
     """Integrate many initial conditions at once.
 
-    The ensemble advances through vectorized Runge-Kutta steps over a batch
-    of its rows.  A row that stops (converged, exited, or non-finite) freezes
-    in place; once enough rows have frozen they leave the batch together, so
-    later steps evaluate only rows that still move.  Every row's arithmetic
-    is elementwise, so its result does not depend on which other rows share
-    the batch: it equals integrating that row alone.
+    ``x0s`` is an ``(m, n)`` batch of starts; an ``(n,)`` vector, or a bare
+    number when ``n = 1``, is a batch of one.  The ensemble advances through
+    vectorized Runge-Kutta steps over a batch of the rows that still move.
+    A row that stops (trapped, converged, exited, or non-finite) leaves the
+    batch in the step it stops, with its status and final state, so no
+    later evaluation carries it.  Every row's arithmetic is elementwise, so
+    its result does not depend on which other rows share the batch: it
+    equals integrating that row alone.
 
     ``traps``, when given, is ``(centres[k, n], radii[k], last[k])``: trap
     ``j`` is the box ``|x - centres[j]| <= radii[j]`` in every coordinate,
@@ -356,7 +351,10 @@ def integrate_ensemble(
     """
     kind = normalize_flow_kind(kind)
     steps = _step_count(t_end, h)
-    x = _check_domain(model, np.atleast_2d(np.asarray(x0s, dtype=float))).copy()
+    x = np.atleast_2d(np.asarray(x0s, dtype=float))
+    if x.ndim > 2:
+        raise ValueError(f"x0s must be a batch of shape (m, {model.dimension}), got shape {x.shape}")
+    x = _check_domain(model, x).copy()
     field = _field_function(model, kind)
     m = x.shape[0]
     statuses = np.full(m, MAX_TIME, dtype=object)
@@ -367,46 +365,35 @@ def integrate_ensemble(
         centres = np.asarray(centres, dtype=float).reshape(-1, 1, x.shape[1])
         radii = np.asarray(radii, dtype=float).reshape(-1, 1, 1)
         last = np.asarray(last).reshape(-1, 1)
-    rows = np.arange(m)  # rows of ``x`` in the batch ``xb``
+    rows = np.arange(m)  # rows of ``x`` in the batch ``xb``, which holds only live rows
     xb = x
-    active = np.ones(m, dtype=bool)  # over the batch
+
+    def leave(stopped, status, final, *batch):
+        # batch rows ``stopped`` leave with ``status`` and their final state in ``final``
+        if not stopped.any():
+            return rows, *batch
+        statuses[rows[stopped]] = status
+        x[rows[stopped]] = final[stopped]
+        stay = ~stopped
+        return rows[stay], *(b[stay] for b in batch)
 
     for k in range(steps):
         if traps is not None:
             inside = (np.abs(xb - centres) <= radii).all(axis=-1) & (k <= last)
-            trapped = active & inside.any(axis=0)
-            if trapped.any():
-                statuses[rows[trapped]] = CONVERGED
-                active &= ~trapped
-        if not active.any():
+            rows, xb = leave(inside.any(axis=0), CONVERGED, xb, xb)
+        if not rows.size:
             break
-        if active.size - np.count_nonzero(active) >= _COMPACT_ROWS:
-            x[rows] = xb  # frozen rows leave with their final states
-            rows, xb = rows[active], xb[active]
-            active = np.ones(rows.size, dtype=bool)
         fx = np.asarray(field(xb), dtype=float)
-        bad = active & ~np.isfinite(fx).all(axis=-1)
-        if bad.any():
-            statuses[rows[bad]] = NUMERIC_ERROR
-            active &= ~bad
-        # np.linalg.norm's arithmetic; rows with a non-finite value are inactive
-        done = active & (np.sqrt(np.add.reduce(fx * fx, axis=-1)) <= eq_tol)
-        if done.any():
-            statuses[rows[done]] = CONVERGED
-            active &= ~done
-        if not active.any():
+        rows, xb, fx = leave(~np.isfinite(fx).all(axis=-1), NUMERIC_ERROR, xb, xb, fx)
+        # np.linalg.norm's arithmetic
+        done = np.sqrt(np.add.reduce(fx * fx, axis=-1)) <= eq_tol
+        rows, xb, fx = leave(done, CONVERGED, xb, xb, fx)
+        if not rows.size:
             break
         x_new = _rk4_step(field, xb, fx, h)
-        bad = active & ~np.isfinite(x_new).all(axis=-1)
-        if bad.any():
-            statuses[rows[bad]] = NUMERIC_ERROR
-            active &= ~bad
+        rows, x_new = leave(~np.isfinite(x_new).all(axis=-1), NUMERIC_ERROR, xb, x_new)
         # an exiting row keeps its exiting state as the final sample
-        np.copyto(xb, x_new, where=active[:, np.newaxis])
-        exited = active & ~model.domain.contains_each(x_new)
-        if exited.any():
-            statuses[rows[exited]] = LEFT_DOMAIN
-            active &= ~exited
+        rows, xb = leave(~model.domain.contains_each(x_new), LEFT_DOMAIN, x_new, x_new)
         if record and (k + 1) % stride == 0:
             x[rows] = xb
             rec_times.append((k + 1) * h)

@@ -421,11 +421,12 @@ class TestCliErrors:
             ["equilibria", "--grid", "2"],
             ["basins", "--grid", "2"],
             ["certify", "--r", "0.001", "--sweep", "--sweep-step", "0.01"],
+            ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:0.1", "--seed", "-1"],
         ],
         ids=[
             "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
             "sweep-step-1e-5", "sweep-step-1e-9", "certify-grid-50", "bounds-grid-50",
-            "equilibria-grid-2", "basins-grid-2", "empty-sweep",
+            "equilibria-grid-2", "basins-grid-2", "empty-sweep", "seed-negative",
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):

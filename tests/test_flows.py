@@ -252,6 +252,15 @@ class TestEnsemble:
         assert np.array_equal(info.value.state, [2.5])
         assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize("x0s", [0.7, [0.7], [[0.7], [0.8]]])
+    def test_one_start_or_a_batch_of_starts(self, bump_model, x0s):
+        finals, statuses, _ = pf.integrate_ensemble(bump_model, "rgd", x0s, 1.0)
+        assert finals.shape == (np.size(x0s), 1) and statuses.shape == (np.size(x0s),)
+
+    def test_more_than_two_axes_rejected(self, bump_model):
+        with pytest.raises(ValueError, match="x0s"):
+            pf.integrate_ensemble(bump_model, "rgd", np.full((2, 1, 1), 0.7), 1.0)
+
     def test_nonbatch_model_falls_back_to_loop(self):
         m = outward_model()
         finals, statuses, _ = pf.integrate_ensemble(m, "rgd", np.array([[0.2], [-0.2]]), 10.0)
@@ -351,9 +360,11 @@ class TestEnsembleCompaction:
     def check_rows_alone(self, model, x0s, traps):
         finals, statuses, (times, states) = self.integrate(model, x0s, True, traps)
         batches = sorted(set(model.batch_rows), reverse=True)
+        ensemble_rows = sum(model.batch_rows)
         unrecorded = self.integrate(model, x0s, False, traps)
+        model.batch_rows.clear()
 
-        assert len(batches) >= 4  # compacted three times
+        assert len(batches) >= 4  # rows left at three or more steps
         # rows that start in a trap leave the batch before its first evaluation
         assert (batches[0] == len(x0s)) == (traps is None)
         assert set(statuses) == {"converged-to-equilibrium", "left-domain", "numeric-error", "max-time"}
@@ -370,6 +381,8 @@ class TestEnsembleCompaction:
             # holds its last state from then on
             last = np.searchsorted(row_times, times, side="right") - 1
             assert np.array_equal(states[:, i], row_states[last, 0])
+        # the ensemble evaluates a row exactly as often as the row alone: never once stopped
+        assert ensemble_rows == sum(model.batch_rows)
 
 
 def bump_callable_model():
