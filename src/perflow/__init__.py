@@ -5,139 +5,59 @@ full descent flow of the diagonal risk and the shift-blind flow followed by
 repeated gradient descent -- locates and classifies their equilibria, maps
 basins of attraction, and numerically certifies local curvature brackets and
 the transient/ultimate convergence bounds they imply.
+
+``import perflow`` loads none of the numeric modules: each exported name
+imports its module on first use (PEP 562), so a caller pays only for the
+modules it touches.
 """
 
-from .certify import (
-    AlignmentReport,
-    CurvatureCertificate,
-    PerturbationEnvelope,
-    UltimateBoundReport,
-    alignment_check,
-    estimate_curvature_constants,
-    estimate_perturbation_envelope,
-    feasible_radius,
-    gradient_norm_bracket,
-    risk_curvature_bracket,
-    sweep_curvature_constants,
-    theta_tradeoff,
-    ultimate_bounds,
-)
-from .equilibria import (
-    BasinMap,
-    EquilibriumReport,
-    basin_boundaries,
-    basin_scan,
-    classify_equilibrium,
-    find_equilibria,
-)
-from .errors import (
-    ConfigError,
-    InvalidCertificateError,
-    MissingConstantsError,
-    NotAMinimizerError,
-    NotAnEquilibriumError,
-    NumericIntegrationError,
-    OutOfDomainError,
-    PerflowError,
-)
-from .flows import (
-    DISCRETE_RGD,
-    PRM_FLOW,
-    RGD_FLOW,
-    NoiseSpec,
-    StepSchedule,
-    Trajectory,
-    discrete_rgd,
-    integrate_ensemble,
-    integrate_flow,
-    lyapunov_derivative,
-)
-from .model import (
-    BernoulliSquaredModel,
-    Box,
-    CallableModel,
-    DecisionDependentModel,
-    SmoothnessConstants,
-    interval,
-    performative_perturbation,
-    performative_risk,
-    prm_vector_field,
-    rgd_vector_field,
-    sensitivity_estimate,
-    wasserstein1_bernoulli,
-)
-from .numerics import finite_diff_gradient, finite_diff_hessian, finite_diff_jacobian
-from .shifts import (
-    ShiftFunction,
-    bump_phi,
-    bump_phi_prime,
-    bump_shift,
-    clamped_polynomial_shift,
-    constant_shift,
-    logistic_shift,
-    tabulated_shift,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentReport",
-    "BasinMap",
-    "BernoulliSquaredModel",
-    "Box",
-    "CallableModel",
-    "ConfigError",
-    "CurvatureCertificate",
-    "DISCRETE_RGD",
-    "DecisionDependentModel",
-    "EquilibriumReport",
-    "InvalidCertificateError",
-    "MissingConstantsError",
-    "NoiseSpec",
-    "NotAMinimizerError",
-    "NotAnEquilibriumError",
-    "NumericIntegrationError",
-    "OutOfDomainError",
-    "PRM_FLOW",
-    "PerflowError",
-    "PerturbationEnvelope",
-    "RGD_FLOW",
-    "ShiftFunction",
-    "SmoothnessConstants",
-    "StepSchedule",
-    "Trajectory",
-    "UltimateBoundReport",
-    "alignment_check",
-    "basin_boundaries",
-    "basin_scan",
-    "bump_phi",
-    "bump_phi_prime",
-    "bump_shift",
-    "clamped_polynomial_shift",
-    "classify_equilibrium",
-    "constant_shift",
-    "discrete_rgd",
-    "estimate_curvature_constants",
-    "estimate_perturbation_envelope",
-    "feasible_radius",
-    "find_equilibria",
-    "finite_diff_gradient",
-    "finite_diff_hessian",
-    "finite_diff_jacobian",
-    "gradient_norm_bracket",
-    "integrate_ensemble",
-    "integrate_flow",
-    "interval",
-    "lyapunov_derivative",
-    "performative_perturbation",
-    "performative_risk",
-    "prm_vector_field",
-    "rgd_vector_field",
-    "risk_curvature_bracket",
-    "sensitivity_estimate",
-    "sweep_curvature_constants",
-    "tabulated_shift",
-    "theta_tradeoff",
-    "ultimate_bounds",
-    "wasserstein1_bernoulli",
-]
+# module -> the public names it exports from the package
+_EXPORTS = {
+    "certify": (
+        "AlignmentReport", "CurvatureCertificate", "PerturbationEnvelope", "UltimateBoundReport",
+        "alignment_check", "estimate_curvature_constants", "estimate_perturbation_envelope",
+        "feasible_radius", "gradient_norm_bracket", "risk_curvature_bracket",
+        "sweep_curvature_constants", "theta_tradeoff", "ultimate_bounds",
+    ),
+    "equilibria": (
+        "BasinMap", "EquilibriumReport", "basin_boundaries", "basin_scan",
+        "classify_equilibrium", "find_equilibria",
+    ),
+    "errors": (
+        "ConfigError", "InvalidCertificateError", "MissingConstantsError", "NotAMinimizerError",
+        "NotAnEquilibriumError", "NumericIntegrationError", "OutOfDomainError", "PerflowError",
+    ),
+    "flows": (
+        "DISCRETE_RGD", "PRM_FLOW", "RGD_FLOW", "NoiseSpec", "StepSchedule", "Trajectory",
+        "discrete_rgd", "integrate_ensemble", "integrate_flow", "lyapunov_derivative",
+    ),
+    "model": (
+        "BernoulliSquaredModel", "Box", "CallableModel", "DecisionDependentModel",
+        "SmoothnessConstants", "interval", "performative_perturbation", "performative_risk",
+        "prm_vector_field", "rgd_vector_field", "sensitivity_estimate", "wasserstein1_bernoulli",
+    ),
+    "numerics": ("finite_diff_gradient", "finite_diff_hessian", "finite_diff_jacobian"),
+    "shifts": (
+        "ShiftFunction", "bump_phi", "bump_phi_prime", "bump_shift", "clamped_polynomial_shift",
+        "constant_shift", "logistic_shift", "tabulated_shift",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

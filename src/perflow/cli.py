@@ -28,14 +28,8 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
-from . import certify as cert_mod
 from . import config as config_mod
-from . import equilibria as eq_mod
-from . import flows
 from .errors import ConfigError, PerflowError
-from .model import _check_state
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +46,8 @@ def _write_csv(path: Path, header, columns):
     included) as ``format(v, ".17g")`` does; integers use ``%d`` and booleans
     ``true``/``false``.
     """
+    import numpy as np
+
     columns = [np.asarray(c) for c in columns]
     if len(columns) != len(header) or len({c.shape for c in columns}) != 1:
         raise ValueError("CSV needs one column of equal length per header name")
@@ -73,8 +69,11 @@ def _write_json(path: Path, obj):
 
 # ---------------------------------------------------------------------------
 # commands: handler(cfg, model, args) -> {file name: JSON object | (header, columns)}
+# Each handler imports the numeric modules it runs, so a command loads no others.
 
 def cmd_simulate(cfg, model, args):
+    from . import flows
+
     if cfg.flow == flows.DISCRETE_RGD:
         schedule = config_mod.parse_schedule(cfg.schedule)
         noise = config_mod.parse_noise(cfg.noise, cfg.seed)
@@ -96,6 +95,9 @@ def cmd_simulate(cfg, model, args):
 
 def _equilibria(cfg, model):
     """The field kind, its equilibrium reports and their ``equilibria.json`` document."""
+    from . import equilibria as eq_mod
+    from . import flows
+
     if cfg.grid_n < eq_mod.MIN_ROOT_GRID:  # refused before computing, not as a numeric error
         raise ConfigError(f"grid_n must be at least {eq_mod.MIN_ROOT_GRID}, got {cfg.grid_n}")
     kind = cfg.flow if cfg.flow != flows.DISCRETE_RGD else flows.RGD_FLOW
@@ -114,6 +116,10 @@ def cmd_equilibria(cfg, model, args):
 
 
 def cmd_basins(cfg, model, args):
+    import numpy as np
+
+    from . import equilibria as eq_mod
+
     kind, reports, document = _equilibria(cfg, model)
     basin = eq_mod.basin_scan(
         model, kind, reports, grid_n=cfg.grid_n, t_end=cfg.t_end,
@@ -138,6 +144,10 @@ def cmd_basins(cfg, model, args):
 
 
 def _certificate_pair(cfg, model):
+    import numpy as np
+
+    from . import certify as cert_mod
+
     if cfg.grid_n < cert_mod.MIN_CONSTANTS_GRID:
         raise ConfigError(f"grid_n must be at least {cert_mod.MIN_CONSTANTS_GRID}, got {cfg.grid_n}")
     x_star = np.asarray(cfg.x_star)
@@ -150,6 +160,8 @@ def _certificate_pair(cfg, model):
 
 
 def _feasible_or_nan(cert):
+    from . import certify as cert_mod
+
     try:
         return cert_mod.feasible_radius(cert)
     except PerflowError:
@@ -157,6 +169,10 @@ def _feasible_or_nan(cert):
 
 
 def _sweep(model, x_star, radii, grid_n):
+    import numpy as np
+
+    from . import certify as cert_mod
+
     certs = cert_mod.sweep_curvature_constants(model, x_star, radii, grid_n=grid_n)
     rows = [(c.radius, c.c1, c.c2, c.c3, c.c4, _feasible_or_nan(c)) for c in certs]
     numbers = np.array(rows, dtype=float).reshape(-1, 6)
@@ -168,6 +184,8 @@ _MAX_SWEEP_RADII = 10_000
 
 
 def cmd_certify(cfg, model, args):
+    import numpy as np
+
     step = args.sweep_step
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"--sweep-step must be a positive finite number, got {step}")
@@ -183,6 +201,9 @@ def cmd_certify(cfg, model, args):
 
 
 def cmd_bounds(cfg, model, args):
+    from . import certify as cert_mod
+    from .model import _check_state
+
     cert, env = _certificate_pair(cfg, model)
     x0 = _check_state(model, cfg.x0, "x0")
     report = cert_mod.ultimate_bounds(cert, env, x0, cfg.theta)
@@ -193,12 +214,16 @@ def cmd_bounds(cfg, model, args):
 
 
 def cmd_align(cfg, model, args):
+    from . import certify as cert_mod
+
     report = cert_mod.alignment_check(model, cfg.lo, cfg.hi, cfg.grid_n)
     table = (["x", "lhs", "rhs", "holds"], [report.points, report.lhs, report.rhs, report.holds])
     return {"alignment.csv": table, "alignment.json": report.to_dict()}
 
 
 def cmd_repro(cfg, model, args):
+    import numpy as np
+
     if args.target == "fig1":
         lo, hi = cfg.domain
         xs = np.linspace(lo, hi, int(round((hi - lo) / 1e-3)) + 1)
@@ -213,6 +238,10 @@ def cmd_repro(cfg, model, args):
     if args.target == "fig2":
         return {"fig2.csv": _sweep(model, np.zeros(1), np.arange(0.01, 0.5001, 0.01), 4001)}
     # headline numbers: both field crossings plus the r = 0.4 constants
+    from . import certify as cert_mod
+    from . import equilibria as eq_mod
+    from . import flows
+
     rgd_reports = eq_mod.find_equilibria(model, flows.RGD_FLOW, grid_n=2001)
     prm_reports = eq_mod.find_equilibria(model, flows.PRM_FLOW, grid_n=2001)
 

@@ -3,25 +3,23 @@
 The document is deliberately plain -- flat keys, JSON scalars and short
 lists -- so a run is reproducible from the file alone and trivially parsed
 anywhere.  Unknown keys are rejected rather than ignored: a typo must fail
-loudly, not silently fall back to a default.
+loudly, not silently fall back to a default.  The numeric modules are
+imported by the functions that build from the document, so reading the
+defaults (as the CLI's argument parser does) loads none of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError
-from .flows import NoiseSpec, StepSchedule, _step_count, normalize_flow_kind
-from .model import BernoulliSquaredModel
-from .shifts import (
-    ShiftFunction,
-    bump_shift,
-    clamped_polynomial_shift,
-    logistic_shift,
-    tabulated_shift,
-)
+
+if TYPE_CHECKING:  # the annotations only; each function imports what it runs
+    from .flows import NoiseSpec, StepSchedule
+    from .model import BernoulliSquaredModel
+    from .shifts import ShiftFunction
 
 _MODEL_ALIASES = {
     "bernoulli-squared": ("bernoulli-squared", None),
@@ -115,6 +113,8 @@ def parse_config(document: dict) -> ExperimentConfig:
 
     Keys the document leaves out take the defaults of :class:`ExperimentConfig`.
     """
+    from .flows import _step_count, normalize_flow_kind
+
     if not isinstance(document, dict):
         _fail(f"configuration must be a JSON object, got {type(document).__name__}")
     defaults = to_document(ExperimentConfig())
@@ -197,6 +197,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         cap = _as_float(cap, "epsilon_cap")
         if cap < 0:
             _fail(f"epsilon_cap must be nonnegative, got {cap}")
+    elif fit_mode == "epsilon-capped":
+        _fail("fit_mode 'epsilon-capped' needs a nonnegative epsilon_cap, got null")
     kwargs["epsilon_cap"] = cap
 
     noise = doc["noise"]
@@ -238,6 +240,8 @@ def to_document(cfg: ExperimentConfig) -> dict:
 
 
 def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
+    from .shifts import bump_shift, clamped_polynomial_shift, logistic_shift, tabulated_shift
+
     params = cfg.shift_params_dict
     kind = cfg.shift_kind
     try:
@@ -264,11 +268,15 @@ def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
 
 
 def build_model(cfg: ExperimentConfig) -> BernoulliSquaredModel:
+    from .model import BernoulliSquaredModel
+
     return BernoulliSquaredModel(shift=build_shift(cfg), domain=cfg.domain)
 
 
 def parse_noise(spec: str, seed: int) -> NoiseSpec:
     """Noise grammar: ``none`` | ``gaussian:SIGMA`` | ``bernoulli:N``."""
+    from .flows import NoiseSpec
+
     if not isinstance(spec, str):
         _fail(f"noise must be a string, got {spec!r}")
     if spec == "none":
@@ -286,6 +294,8 @@ def parse_noise(spec: str, seed: int) -> NoiseSpec:
 
 def parse_schedule(spec: str) -> StepSchedule:
     """Schedule grammar: ``constant:A`` | ``inverse:A,B``."""
+    from .flows import StepSchedule
+
     if not isinstance(spec, str):
         _fail(f"schedule must be a string, got {spec!r}")
     head, sep, arg = spec.partition(":")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import perflow.cli as cli
+from perflow import equilibria, flows
 from perflow.config import ExperimentConfig, parse_config, to_document
 from perflow.errors import ConfigError, NumericIntegrationError
 
@@ -71,6 +72,7 @@ class TestConfigParsing:
             {"model": "linear-gaussian"},
             {"x0": []},
             {"epsilon_cap": -0.5},
+            {"fit_mode": "epsilon-capped"},
             {"lo": 2.0, "hi": 1.0},
             {"shift": {"kind": "logistic", "params": {"rate": "x"}}},
             {"shift": {"kind": "logistic", "params": {"rate": None}}},
@@ -102,6 +104,11 @@ class TestConfigParsing:
     def test_range_and_grammar_violations(self, doc):
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    def test_capped_fit_without_cap_names_both_keys(self):
+        with pytest.raises(ConfigError, match="fit_mode.*epsilon_cap"):
+            parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": None})
+        assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.0}).epsilon_cap == 0.0
 
     def test_model_alias_forces_bump_shift(self):
         cfg = parse_config({"model": "bernoulli-phi"})
@@ -422,11 +429,14 @@ class TestCliErrors:
             ["basins", "--grid", "2"],
             ["certify", "--r", "0.001", "--sweep", "--sweep-step", "0.01"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:0.1", "--seed", "-1"],
+            ["certify", "--fit-mode", "epsilon-capped"],
+            ["bounds", "--fit-mode", "epsilon-capped"],
         ],
         ids=[
             "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
             "sweep-step-1e-5", "sweep-step-1e-9", "certify-grid-50", "bounds-grid-50",
             "equilibria-grid-2", "basins-grid-2", "empty-sweep", "seed-negative",
+            "certify-capped-without-cap", "bounds-capped-without-cap",
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
@@ -458,14 +468,14 @@ class TestCliErrors:
         def boom(*args, **kwargs):
             raise NumericIntegrationError("synthetic blow-up")
 
-        monkeypatch.setattr(cli.flows, "integrate_flow", boom)
+        monkeypatch.setattr(flows, "integrate_flow", boom)
         assert cli.main(["simulate", "--x0", "0.1", "--out", str(tmp_path / "o")]) == 3
 
     def test_allocation_failure_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 149. GiB for an array")
 
-        monkeypatch.setattr(cli.eq_mod, "find_equilibria", no_memory)
+        monkeypatch.setattr(equilibria, "find_equilibria", no_memory)
         out = tmp_path / "o"
         assert cli.main(["repro", "constants", "--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -1,0 +1,104 @@
+"""The package's export table, and what each entry point imports.
+
+``import perflow`` loads no numeric module; an exported name loads its
+module on first use.  The CLI front end parses arguments without numpy, and
+each command imports only the modules it runs.  The import checks run in
+fresh interpreters, because this process has long since loaded everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import perflow as pf
+
+SRC = Path(pf.__file__).resolve().parents[1]
+NUMERIC = ("numpy", *(f"perflow.{m}" for m in ("flows", "model", "shifts", "certify", "equilibria")))
+# the benchmark's set-up step: what every fresh `perflow` process pays before it computes
+SETUP = "import perflow, perflow.cli; perflow.cli.build_parser()"
+CLI = """
+import sys
+from perflow.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    rc = exc.code
+"""
+REPORT = "\nimport json, sys; print(json.dumps([rc, sorted(sys.modules)]))"
+
+
+def fresh_modules(code, *argv):
+    """The exit code ``code`` binds to ``rc``, and the modules it left loaded, in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code + REPORT, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    return rc, set(modules)
+
+
+class TestExportTable:
+    NAMES = sorted(name for names in pf._EXPORTS.values() for name in names)
+
+    def test_all_is_the_table(self):
+        assert pf.__all__ == self.NAMES
+        assert len(self.NAMES) == len(set(self.NAMES)) == 60
+        assert "logistic_shift" in pf.__all__
+
+    @pytest.mark.parametrize("module", sorted(pf._EXPORTS))
+    def test_each_export_is_its_module_attribute(self, module):
+        mod = importlib.import_module(f"perflow.{module}")
+        for name in pf._EXPORTS[module]:
+            assert getattr(pf, name) is getattr(mod, name)
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from perflow import *", namespace)
+        assert {name: namespace[name] for name in self.NAMES} == {name: getattr(pf, name) for name in self.NAMES}
+
+    def test_dir_lists_every_export(self):
+        assert set(self.NAMES) <= set(dir(pf))
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_export"):
+            pf.no_such_export
+
+
+class TestImportContract:
+    def test_setup_loads_no_numeric_module(self):
+        _, modules = fresh_modules(SETUP + "\nrc = 0")
+        assert modules.isdisjoint(NUMERIC)
+
+    def test_help_exits_0_without_numpy(self):
+        rc, modules = fresh_modules(CLI, "--help")
+        assert rc == 0
+        assert modules.isdisjoint(NUMERIC)
+
+    def test_export_loads_only_its_module_chain(self):
+        _, modules = fresh_modules("import perflow\nperflow.bump_shift\nrc = 0")
+        assert "perflow.shifts" in modules
+        assert modules.isdisjoint(["perflow.flows", "perflow.certify", "perflow.equilibria"])
+
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            (["simulate"], ("certify", "equilibria")),
+            (["equilibria"], ("certify",)),
+            (["basins", "--grid", "101", "--t-end", "5"], ("certify",)),
+            (["certify"], ("equilibria",)),
+            (["bounds"], ("equilibria",)),
+            (["align"], ("equilibria",)),
+        ],
+        ids=["simulate", "equilibria", "basins", "certify", "bounds", "align"],
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
+        rc, modules = fresh_modules(CLI, *argv, "--out", str(tmp_path))
+        assert rc == 0
+        assert "numpy" in modules
+        assert modules.isdisjoint(f"perflow.{m}" for m in unused)
