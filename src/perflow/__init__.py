@@ -23,6 +23,7 @@ _EXPORTS = {
         "feasible_radius", "gradient_norm_bracket", "risk_curvature_bracket",
         "sweep_curvature_constants", "theta_tradeoff", "ultimate_bounds",
     ),
+    "config": ("DISCRETE_RGD", "PRM_FLOW", "RGD_FLOW", "NoiseSpec", "StepSchedule"),
     "equilibria": (
         "BasinMap", "EquilibriumReport", "basin_boundaries", "basin_scan",
         "classify_equilibrium", "find_equilibria",
@@ -32,8 +33,7 @@ _EXPORTS = {
         "NotAnEquilibriumError", "NumericIntegrationError", "OutOfDomainError", "PerflowError",
     ),
     "flows": (
-        "DISCRETE_RGD", "PRM_FLOW", "RGD_FLOW", "NoiseSpec", "StepSchedule", "Trajectory",
-        "discrete_rgd", "integrate_ensemble", "integrate_flow", "lyapunov_derivative",
+        "Trajectory", "discrete_rgd", "integrate_ensemble", "integrate_flow", "lyapunov_derivative",
     ),
     "model": (
         "BernoulliSquaredModel", "Box", "CallableModel", "DecisionDependentModel",

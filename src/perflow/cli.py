@@ -74,7 +74,7 @@ def _write_json(path: Path, obj):
 def cmd_simulate(cfg, model, args):
     from . import flows
 
-    if cfg.flow == flows.DISCRETE_RGD:
+    if cfg.flow == config_mod.DISCRETE_RGD:
         schedule = config_mod.parse_schedule(cfg.schedule)
         noise = config_mod.parse_noise(cfg.noise, cfg.seed)
         traj = flows.discrete_rgd(model, cfg.x0, cfg.steps, schedule, noise)
@@ -96,11 +96,12 @@ def cmd_simulate(cfg, model, args):
 def _equilibria(cfg, model):
     """The field kind, its equilibrium reports and their ``equilibria.json`` document."""
     from . import equilibria as eq_mod
-    from . import flows
 
+    kind = cfg.flow
+    if kind == config_mod.DISCRETE_RGD:  # the recursion has no field of its own to scan
+        raise ConfigError(f"flow {kind!r} runs only in simulate; equilibria and basins take rgd or prm")
     if cfg.grid_n < eq_mod.MIN_ROOT_GRID:  # refused before computing, not as a numeric error
         raise ConfigError(f"grid_n must be at least {eq_mod.MIN_ROOT_GRID}, got {cfg.grid_n}")
-    kind = cfg.flow if cfg.flow != flows.DISCRETE_RGD else flows.RGD_FLOW
     reports = eq_mod.find_equilibria(model, kind, grid_n=cfg.grid_n, refine_tol=cfg.refine_tol)
     document = {
         "field_kind": kind,
@@ -240,10 +241,9 @@ def cmd_repro(cfg, model, args):
     # headline numbers: both field crossings plus the r = 0.4 constants
     from . import certify as cert_mod
     from . import equilibria as eq_mod
-    from . import flows
 
-    rgd_reports = eq_mod.find_equilibria(model, flows.RGD_FLOW, grid_n=2001)
-    prm_reports = eq_mod.find_equilibria(model, flows.PRM_FLOW, grid_n=2001)
+    rgd_reports = eq_mod.find_equilibria(model, config_mod.RGD_FLOW, grid_n=2001)
+    prm_reports = eq_mod.find_equilibria(model, config_mod.PRM_FLOW, grid_n=2001)
 
     def crossing(reports):
         unstable = [r for r in reports if eq_mod.UNSTABLE in r.labels]

@@ -3,9 +3,13 @@
 The document is deliberately plain -- flat keys, JSON scalars and short
 lists -- so a run is reproducible from the file alone and trivially parsed
 anywhere.  Unknown keys are rejected rather than ignored: a typo must fail
-loudly, not silently fall back to a default.  The numeric modules are
-imported by the functions that build from the document, so reading the
-defaults (as the CLI's argument parser does) loads none of them.
+loudly, not silently fall back to a default.
+
+This module also owns the run vocabulary that the document names: the flow
+kinds, the whole-step horizon rule and the noise and step-schedule specs,
+which :mod:`perflow.flows` re-exports.  None of it needs numpy, so parsing
+a document, and refusing a bad one, loads no numeric module; only the
+functions that build a shift or a model import them.
 """
 
 from __future__ import annotations
@@ -17,9 +21,119 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ConfigError
 
 if TYPE_CHECKING:  # the annotations only; each function imports what it runs
-    from .flows import NoiseSpec, StepSchedule
     from .model import BernoulliSquaredModel
     from .shifts import ShiftFunction
+
+PRM_FLOW = "prm-flow"
+RGD_FLOW = "rgd-flow"
+DISCRETE_RGD = "discrete-rgd"
+
+_FLOW_ALIASES = {
+    "rgd": RGD_FLOW,
+    "prm": PRM_FLOW,
+    RGD_FLOW: RGD_FLOW,
+    PRM_FLOW: PRM_FLOW,
+    DISCRETE_RGD: DISCRETE_RGD,
+}
+
+
+def normalize_flow_kind(kind: str) -> str:
+    try:
+        return _FLOW_ALIASES[kind]
+    except KeyError:
+        raise ValueError(f"unknown flow kind {kind!r}") from None
+
+
+def _step_count(t_end: float, h: float) -> int:
+    if not h > 0:
+        raise ValueError("step size must be positive")
+    if not t_end > 0:
+        raise ValueError("horizon must be positive")
+    ratio = t_end / h
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon {t_end} over step {h} gives no finite step count")
+    steps = round(ratio)
+    # a fractional count would silently move the horizon to steps * h
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"horizon {t_end} is not a whole number (>= 1) of steps {h}")
+    return steps
+
+
+@dataclass(frozen=True)
+class StepSchedule:
+    """Step sizes for the discrete recursion: constant or ``a / (k + b)``.
+
+    The inverse form has divergent step sum and convergent squared sum, the
+    standard stochastic-approximation regime.
+    """
+
+    form: str
+    coefficient: float
+    offset: float = 1.0
+
+    def __post_init__(self):
+        if self.form not in ("constant", "inverse"):
+            raise ValueError(f"unknown schedule form {self.form!r}")
+        if not (math.isfinite(self.coefficient) and math.isfinite(self.offset)):
+            raise ValueError("schedule coefficient and offset must be finite")
+        if self.coefficient <= 0:
+            raise ValueError("schedule coefficient must be positive")
+        if self.form == "inverse" and self.offset < 1.0:
+            raise ValueError("inverse schedule offset must be >= 1")
+
+    @classmethod
+    def constant(cls, step: float) -> "StepSchedule":
+        return cls("constant", step)
+
+    @classmethod
+    def inverse(cls, coefficient: float, offset: float) -> "StepSchedule":
+        return cls("inverse", coefficient, offset)
+
+    def values(self, num_steps: int):
+        """The first ``num_steps`` step sizes as a float array."""
+        import numpy as np
+
+        if self.form == "constant":
+            return np.full(num_steps, self.coefficient)
+        return self.coefficient / (np.arange(num_steps) + self.offset)
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Zero-mean gradient noise for the discrete recursion.
+
+    ``gaussian`` adds iid N(0, sigma^2) per coordinate.  ``bernoulli-sample``
+    models a learner that estimates the gradient from ``sample_size`` fresh
+    0/1 responses drawn at the current decision: the gradient estimate is
+    ``x_k - mean(Z)``, so the realized noise is ``p(x_k) - mean(Z)``.
+    Generators are per-run and seeded; runs never share one.
+    """
+
+    mode: str
+    sigma: float = 0.0
+    sample_size: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("none", "gaussian", "bernoulli-sample"):
+            raise ValueError(f"unknown noise mode {self.mode!r}")
+        if not math.isfinite(self.sigma) or self.sigma < 0:
+            raise ValueError("noise sigma must be finite and nonnegative")
+        if self.sample_size < 1:
+            raise ValueError("sample size must be >= 1")
+
+    @classmethod
+    def none(cls) -> "NoiseSpec":
+        return cls("none")
+
+    @classmethod
+    def gaussian(cls, sigma: float, seed: int = 0) -> "NoiseSpec":
+        return cls("gaussian", sigma=sigma, seed=seed)
+
+    @classmethod
+    def bernoulli_sample(cls, sample_size: int, seed: int = 0) -> "NoiseSpec":
+        return cls("bernoulli-sample", sample_size=sample_size, seed=seed)
+
 
 _MODEL_ALIASES = {
     "bernoulli-squared": ("bernoulli-squared", None),
@@ -113,8 +227,6 @@ def parse_config(document: dict) -> ExperimentConfig:
 
     Keys the document leaves out take the defaults of :class:`ExperimentConfig`.
     """
-    from .flows import _step_count, normalize_flow_kind
-
     if not isinstance(document, dict):
         _fail(f"configuration must be a JSON object, got {type(document).__name__}")
     defaults = to_document(ExperimentConfig())
@@ -275,8 +387,6 @@ def build_model(cfg: ExperimentConfig) -> BernoulliSquaredModel:
 
 def parse_noise(spec: str, seed: int) -> NoiseSpec:
     """Noise grammar: ``none`` | ``gaussian:SIGMA`` | ``bernoulli:N``."""
-    from .flows import NoiseSpec
-
     if not isinstance(spec, str):
         _fail(f"noise must be a string, got {spec!r}")
     if spec == "none":
@@ -294,17 +404,16 @@ def parse_noise(spec: str, seed: int) -> NoiseSpec:
 
 def parse_schedule(spec: str) -> StepSchedule:
     """Schedule grammar: ``constant:A`` | ``inverse:A,B``."""
-    from .flows import StepSchedule
-
     if not isinstance(spec, str):
         _fail(f"schedule must be a string, got {spec!r}")
-    head, sep, arg = spec.partition(":")
+    head, _, arg = spec.partition(":")
     try:
-        if head == "constant" and sep:
-            return StepSchedule.constant(float(arg))
-        if head == "inverse" and sep:
-            a, _, b = arg.partition(",")
-            return StepSchedule.inverse(float(a), float(b))
+        numbers = [float(a) for a in arg.split(",")]
+    except ValueError:
+        numbers = []  # not numbers: the grammar error below
+    if len(numbers) != {"constant": 1, "inverse": 2}.get(head):
+        _fail(f"invalid schedule specification {spec!r}; expected constant:A or inverse:A,B")
+    try:
+        return StepSchedule(head, *numbers)
     except ValueError as exc:
         _fail(f"invalid schedule specification {spec!r}: {exc}")
-    _fail(f"invalid schedule specification {spec!r}; expected constant:A or inverse:A,B")

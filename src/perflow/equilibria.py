@@ -29,17 +29,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import _step_count, normalize_flow_kind
 from .errors import NotAnEquilibriumError
-from .flows import (
-    CONVERGED,
-    LEFT_DOMAIN,
-    NUMERIC_ERROR,
-    _field_function,
-    _rk4_step,
-    _step_count,
-    integrate_ensemble,
-    normalize_flow_kind,
-)
+from .flows import CONVERGED, LEFT_DOMAIN, NUMERIC_ERROR, integrate_ensemble
+from .flows import _field_function, _one_state, _rk4_step
 from .model import DecisionDependentModel, _check_state, _lattice, _record_document
 from .numerics import finite_diff_hessian, finite_diff_jacobian
 
@@ -249,7 +242,7 @@ def find_equilibria(
         fv = np.asarray(field(xs[:, None]), dtype=float)[:, 0]
 
         def f_scalar(v):
-            return float(np.asarray(field(np.array([v])), dtype=float)[0])
+            return float(np.ravel(field(_one_state(model, v)))[0])
 
         on_grid = np.abs(fv) <= refine_tol
         for v, r in zip(xs[on_grid], fv[on_grid]):

@@ -6,12 +6,17 @@ class PerflowError(Exception):
 
 
 class OutOfDomainError(PerflowError):
-    """A state lies outside the box on which a model is defined."""
+    """A state lies outside the box on which a model is defined.
+
+    ``state`` and ``box`` are kept as given; the message spells both as
+    plain lists of numbers.
+    """
 
     def __init__(self, state, box):
         self.state = state
         self.box = box
-        super().__init__(f"state {state!r} outside domain box [{box.lower!r}, {box.upper!r}]")
+        bounds = [box.lower.tolist(), box.upper.tolist()]
+        super().__init__(f"state {state.tolist()} outside domain box {bounds}")
 
 
 class NumericIntegrationError(PerflowError):

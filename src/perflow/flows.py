@@ -14,13 +14,16 @@ The single-state runs, :func:`integrate_flow`, :func:`discrete_rgd` and
 :func:`lyapunov_derivative`, take one state as ``model._check_state``
 defines it: an ``(n,)`` vector in the domain, or a bare number when
 ``n = 1``; a batch raises :class:`ValueError`.  Every run takes its field
-from ``_field_function``.  For a scalar :class:`BernoulliSquaredModel`
-``_one_state`` turns the start into a Python float, and the RK4 loop and
-the recursion run on floats with the field's closed form: numpy's cost per
-call on a one-element array would be most of their time.  The float
-arithmetic is the array path's, operation for operation, so the numbers
-are the same bit for bit.  Other models, and the ensemble, run on arrays
-through the model's gradients.
+from ``_field_function``: for a :class:`BernoulliSquaredModel` the closed
+form of its gradients, which takes a Python float and a batch alike, and
+for any other model the model's gradients on arrays.  ``_one_state`` alone
+decides when a run is on floats: it turns the start of a scalar
+:class:`BernoulliSquaredModel` into a Python float, because numpy's cost
+per call on a one-element array would be most of the loops' time.  The
+float arithmetic is the array path's, operation for operation, so the
+numbers are the same bit for bit.  The flow kinds and the noise and
+schedule specs belong to :mod:`perflow.config`, which parses them without
+numpy; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -32,41 +35,24 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import NumericIntegrationError, OutOfDomainError
+from .config import DISCRETE_RGD, PRM_FLOW, RGD_FLOW, NoiseSpec, StepSchedule  # re-exported
+from .config import _step_count, normalize_flow_kind
+from .errors import NumericIntegrationError
 from .model import BernoulliSquaredModel, DecisionDependentModel, _check_domain, _check_state
-
-PRM_FLOW = "prm-flow"
-RGD_FLOW = "rgd-flow"
-DISCRETE_RGD = "discrete-rgd"
 
 CONVERGED = "converged-to-equilibrium"
 MAX_TIME = "max-time"
 LEFT_DOMAIN = "left-domain"
 NUMERIC_ERROR = "numeric-error"  # ensemble-only, recorded per point
 
-_FLOW_ALIASES = {
-    "rgd": RGD_FLOW,
-    "prm": PRM_FLOW,
-    RGD_FLOW: RGD_FLOW,
-    PRM_FLOW: PRM_FLOW,
-    DISCRETE_RGD: DISCRETE_RGD,
-}
-
-
-def normalize_flow_kind(kind: str) -> str:
-    try:
-        return _FLOW_ALIASES[kind]
-    except KeyError:
-        raise ValueError(f"unknown flow kind {kind!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-stamped states of one flow solution or discrete run.
 
-    ``times`` are strictly increasing (iteration indices for the discrete
-    recursion).  All states lie in the domain box except possibly the final
-    one when ``terminal_status == "left-domain"``.
+    ``times`` are strictly increasing (integer iteration indices for the
+    discrete recursion).  All states lie in the domain box except possibly
+    the final one when ``terminal_status == "left-domain"``.
     """
 
     kind: str
@@ -83,92 +69,20 @@ class Trajectory:
         return float(self.times[-1])
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step sizes for the discrete recursion: constant or ``a / (k + b)``.
-
-    The inverse form has divergent step sum and convergent squared sum, the
-    standard stochastic-approximation regime.
-    """
-
-    form: str
-    coefficient: float
-    offset: float = 1.0
-
-    def __post_init__(self):
-        if self.form not in ("constant", "inverse"):
-            raise ValueError(f"unknown schedule form {self.form!r}")
-        if not (math.isfinite(self.coefficient) and math.isfinite(self.offset)):
-            raise ValueError("schedule coefficient and offset must be finite")
-        if self.coefficient <= 0:
-            raise ValueError("schedule coefficient must be positive")
-        if self.form == "inverse" and self.offset < 1.0:
-            raise ValueError("inverse schedule offset must be >= 1")
-
-    @classmethod
-    def constant(cls, step: float) -> "StepSchedule":
-        return cls("constant", step)
-
-    @classmethod
-    def inverse(cls, coefficient: float, offset: float) -> "StepSchedule":
-        return cls("inverse", coefficient, offset)
-
-    def values(self, num_steps: int) -> np.ndarray:
-        if self.form == "constant":
-            return np.full(num_steps, self.coefficient)
-        return self.coefficient / (np.arange(num_steps) + self.offset)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Zero-mean gradient noise for the discrete recursion.
-
-    ``gaussian`` adds iid N(0, sigma^2) per coordinate.  ``bernoulli-sample``
-    models a learner that estimates the gradient from ``sample_size`` fresh
-    0/1 responses drawn at the current decision: the gradient estimate is
-    ``x_k - mean(Z)``, so the realized noise is ``p(x_k) - mean(Z)``.
-    Generators are per-run and seeded; runs never share one.
-    """
-
-    mode: str
-    sigma: float = 0.0
-    sample_size: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("none", "gaussian", "bernoulli-sample"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError("noise sigma must be finite and nonnegative")
-        if self.sample_size < 1:
-            raise ValueError("sample size must be >= 1")
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls("none")
-
-    @classmethod
-    def gaussian(cls, sigma: float, seed: int = 0) -> "NoiseSpec":
-        return cls("gaussian", sigma=sigma, seed=seed)
-
-    @classmethod
-    def bernoulli_sample(cls, sample_size: int, seed: int = 0) -> "NoiseSpec":
-        return cls("bernoulli-sample", sample_size=sample_size, seed=seed)
-
-
-def _field_function(model: DecisionDependentModel, kind: str, floats: bool = False):
+def _field_function(model: DecisionDependentModel, kind: str):
     """The field of the continuous flow ``kind``: rgd ``-grad_x1``, prm ``-(grad_x1 + grad_x2)``.
 
-    ``floats``, set when ``_one_state`` made the state a float, gives the
-    field of a scalar :class:`BernoulliSquaredModel` on Python floats: the
-    closed forms of ``grad_x1`` and ``grad_x2`` in their order of
-    operations, so each value equals the array field's bit for bit: rgd
-    ``-(x - p(x))``, prm ``-((x - p(x)) + 0.5 * (1 - 2x) * p'(x))``.
+    A :class:`BernoulliSquaredModel` gets the closed forms of ``grad_x1``
+    and ``grad_x2`` in their order of operations: rgd ``-(x - p(x))``, prm
+    ``-((x - p(x)) + 0.5 * (1 - 2x) * p'(x))``.  They take a Python float
+    from ``_one_state`` or an ``(..., 1)`` batch alike, and each value
+    equals the model's gradients bit for bit (for a float, those of the
+    one-element state).
     """
     kind = normalize_flow_kind(kind)
     if kind not in (RGD_FLOW, PRM_FLOW):
         raise ValueError(f"{kind!r} is not a continuous flow")
-    if floats:
+    if isinstance(model, BernoulliSquaredModel):
         p, dp = model.shift.value, model.shift.derivative
         if kind == RGD_FLOW:
             return lambda x: -(x - p(x))
@@ -178,14 +92,14 @@ def _field_function(model: DecisionDependentModel, kind: str, floats: bool = Fal
     return lambda x: -(model.grad_x1(x, x) + model.grad_x2(x, x))
 
 
-def _one_state(model: DecisionDependentModel, x0):
-    """``x0`` as the start of a single-state run.
+def _one_state(model: DecisionDependentModel, x, name: str = "x0"):
+    """``x`` as the state of a single-state run; an error names it ``name``.
 
     A Python float for a :class:`BernoulliSquaredModel` (always scalar):
     numpy's cost per call on a one-element array would be nearly all of the
     loops' time.  An ``(n,)`` array for any other model.
     """
-    x = _check_state(model, x0, "x0")
+    x = _check_state(model, x, name)
     return float(x[0]) if isinstance(model, BernoulliSquaredModel) else x
 
 
@@ -208,21 +122,6 @@ def _rk4_step(field, x, k1, h):
     k3 = field(x + 0.5 * h * k2)
     k4 = field(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step_count(t_end: float, h: float) -> int:
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    if not t_end > 0:
-        raise ValueError("horizon must be positive")
-    ratio = t_end / h
-    if not math.isfinite(ratio):
-        raise ValueError(f"horizon {t_end} over step {h} gives no finite step count")
-    steps = round(ratio)
-    # a fractional count would silently move the horizon to steps * h
-    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
-        raise ValueError(f"horizon {t_end} is not a whole number (>= 1) of steps {h}")
-    return steps
 
 
 def _record_stride(h: float) -> int:
@@ -255,7 +154,7 @@ def integrate_flow(
     steps = _step_count(t_end, h)
     x = _one_state(model, x0)
     floats = isinstance(x, float)
-    field = _field_function(model, kind, floats)
+    field = _field_function(model, kind)
     if floats:
         lo, hi = float(model.domain.lower[0]), float(model.domain.upper[0])
         finite, norm = math.isfinite, _float_norm
@@ -440,7 +339,7 @@ def discrete_rgd(
         raise ValueError("bernoulli-sample noise needs a scalar BernoulliSquaredModel")
     rng = np.random.default_rng(noise.seed) if noise.mode != "none" else None
     n = model.dimension
-    field = _field_function(model, RGD_FLOW, floats)
+    field = _field_function(model, RGD_FLOW)
     alphas = schedule.values(num_steps).tolist()
     if noise.mode == "gaussian":
         # one draw up front is the same stream as one draw of n per step
@@ -480,7 +379,7 @@ def discrete_rgd(
     states = np.frombuffer(states, dtype=float).reshape(-1, n)
     return Trajectory(
         kind=DISCRETE_RGD,
-        times=np.arange(len(states), dtype=float),
+        times=np.arange(len(states)),
         states=states,
         terminal_status=status,
     )
@@ -493,6 +392,6 @@ def lyapunov_derivative(model: DecisionDependentModel, x, kind: str) -> float:
     ``-<prm field, flow field>``; for the full descent flow it equals minus
     the squared gradient norm, hence is never positive.  ``x`` is one state.
     """
-    x = _check_state(model, x, "x")
+    x = _one_state(model, x, "x")
     flow = _field_function(model, kind)(x)
     return -float(np.dot(_field_function(model, PRM_FLOW)(x), flow))

@@ -112,7 +112,12 @@ def logistic_shift(rate: float = 8.0, midpoint: float = 0.5) -> ShiftFunction:
         raise ValueError(f"logistic rate must be positive, got {rate}")
 
     def value(x):
-        return 1.0 / (1.0 + np.exp(-rate * (np.asarray(x, dtype=float) - midpoint)))
+        z = -rate * (np.asarray(x, dtype=float) - midpoint)
+        if z.ndim == 0 and z < 700.0:  # one state that cannot overflow: errstate would double its cost
+            return 1.0 / (1.0 + np.exp(z))
+        # far below the midpoint exp overflows to inf, and p is exactly 0 there
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(z))
 
     def derivative(x):
         p = value(x)

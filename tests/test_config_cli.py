@@ -105,6 +105,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "spec", ["constant", "inverse:1", "inverse:0.5,10,3", "constant:x", "constant:0.1,2", "geometric:0.5"]
+    )
+    def test_schedule_grammar_error_names_the_grammar(self, spec):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"schedule": spec})
+        assert str(info.value) == f"invalid schedule specification {spec!r}; expected constant:A or inverse:A,B"
+
+    def test_schedule_value_error_keeps_its_reason(self):
+        with pytest.raises(ConfigError, match=r"'inverse:0.5,0.5': inverse schedule offset must be >= 1$"):
+            parse_config({"schedule": "inverse:0.5,0.5"})
+
     def test_capped_fit_without_cap_names_both_keys(self):
         with pytest.raises(ConfigError, match="fit_mode.*epsilon_cap"):
             parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": None})
@@ -462,6 +474,19 @@ class TestCliErrors:
         assert cli.main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error") and "outside domain" in err
+        assert not out.exists()
+
+    def test_point_outside_the_domain_is_spelled_in_plain_numbers(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--x0", "2", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "numeric error: state [2.0] outside domain box [[-0.5], [1.5]]\n"
+
+    @pytest.mark.parametrize("command", ["basins", "equilibria"])
+    def test_discrete_flow_runs_only_in_simulate(self, tmp_path, capsys, command):
+        # the recursion has no field of its own; these commands scan rgd or prm
+        out = tmp_path / "o"
+        assert cli.main([command, "--flow", "discrete-rgd", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "take rgd or prm" in err
         assert not out.exists()
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import perflow as pf
+from perflow.flows import _field_function, _one_state
 
 
 def v(x):
@@ -164,6 +165,49 @@ ORACLE_SHIFTS = {
 }
 
 
+class TestClosedFormField:
+    """A ``BernoulliSquaredModel``'s field is the closed form of its gradients.
+
+    ``_field_function`` gives it on Python floats, as ``_one_state`` makes
+    them, and on batches; both equal the model's gradients bit for bit.  On
+    floats the reference is the ``(1,)``-array path that single-state
+    callers took before: ``-grad_x1`` and ``-(grad_x1 + grad_x2)``.
+    """
+
+    # the grid, random draws and the neighbours of every breakpoint
+    XS = np.concatenate([
+        np.linspace(-0.5, 1.5, 2001),
+        np.random.default_rng(11).uniform(-0.5, 1.5, 2000),
+        [y for b in (0.0, 0.4, 0.8, 1.0, 1.0 - 1e-12) for y in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0))],
+    ])
+
+    @staticmethod
+    def gradients(model, kind, x):
+        if kind == "rgd":
+            return -model.grad_x1(x, x)
+        return -(model.grad_x1(x, x) + model.grad_x2(x, x))
+
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    @pytest.mark.parametrize("shift", list(ORACLE_SHIFTS))
+    def test_float_field_equals_one_element_array_gradients(self, kind, shift):
+        model = pf.BernoulliSquaredModel(shift=ORACLE_SHIFTS[shift])
+        field = _field_function(model, kind)
+        states = [_one_state(model, x) for x in self.XS]
+        assert all(type(x) is float for x in states)
+        got = [float(field(x)) for x in states]
+        want = [float(self.gradients(model, kind, v(x))[0]) for x in self.XS]
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    @pytest.mark.parametrize("shift", list(ORACLE_SHIFTS))
+    def test_batch_field_equals_batch_gradients(self, kind, shift):
+        model = pf.BernoulliSquaredModel(shift=ORACLE_SHIFTS[shift])
+        batch = self.XS[:, None]
+        got = _field_function(model, kind)(batch)
+        assert got.shape == batch.shape
+        assert np.array_equal(bits(got), bits(self.gradients(model, kind, batch)))
+
+
 class TestFloatPathOracle:
     """``integrate_flow`` on Python floats against the array loop, bit for bit."""
 
@@ -249,8 +293,9 @@ class TestEnsemble:
         x0s[[700, 1500]] = [[2.5], [3.5]]
         with pytest.raises(pf.OutOfDomainError) as info:
             pf.integrate_ensemble(bump_model, "rgd", x0s, 1.0)
+        assert isinstance(info.value.state, np.ndarray)
         assert np.array_equal(info.value.state, [2.5])
-        assert len(str(info.value)) < 200
+        assert str(info.value) == "state [2.5] outside domain box [[-0.5], [1.5]]"
 
     @pytest.mark.parametrize("x0s", [0.7, [0.7], [[0.7], [0.8]]])
     def test_one_start_or_a_batch_of_starts(self, bump_model, x0s):
@@ -429,6 +474,13 @@ class TestDiscreteRecursion:
             rk4 = pf.integrate_flow(bump_model, "rgd", v(0.8), 5.0, h=h, eq_tol=0.0).final_state[0]
             gaps.append(abs(rk4 - euler))
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_times_are_integer_indices(self, bump_model):
+        traj = pf.discrete_rgd(
+            bump_model, v(0.6), 50, pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()
+        )
+        assert traj.times.dtype.kind == "i" and np.array_equal(traj.times, np.arange(51))
+        assert type(traj.final_time) is float and traj.final_time == 50.0
 
     def test_left_domain_truncates(self):
         traj = pf.discrete_rgd(

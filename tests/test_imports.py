@@ -1,9 +1,10 @@
 """The package's export table, and what each entry point imports.
 
 ``import perflow`` loads no numeric module; an exported name loads its
-module on first use.  The CLI front end parses arguments without numpy, and
-each command imports only the modules it runs.  The import checks run in
-fresh interpreters, because this process has long since loaded everything.
+module on first use.  The CLI front end parses arguments without numpy, a
+configuration error exits before any numeric import, and each command
+imports only the modules it runs.  The import checks run in fresh
+interpreters, because this process has long since loaded everything.
 """
 
 import importlib
@@ -85,17 +86,41 @@ class TestImportContract:
         assert "perflow.shifts" in modules
         assert modules.isdisjoint(["perflow.flows", "perflow.certify", "perflow.equilibria"])
 
+    def test_run_vocabulary_loads_no_numpy(self):
+        code = "import perflow\nperflow.NoiseSpec.gaussian(0.1, seed=1)\nperflow.StepSchedule.constant(0.1)\nrc = 0"
+        _, modules = fresh_modules(code)
+        assert "perflow.config" in modules
+        assert modules.isdisjoint(NUMERIC)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--h", "0"],
+            ["simulate", "--flow", "bogus"],
+            ["simulate", "--noise", "pink:3"],
+            ["simulate", "--schedule", "constant"],
+        ],
+        ids=["h-0", "flow-bogus", "noise-pink", "schedule-constant"],
+    )
+    def test_configuration_error_exits_2_without_numpy(self, tmp_path, argv):
+        rc, modules = fresh_modules(CLI, *argv, "--out", str(tmp_path / "o"))
+        assert rc == 2
+        assert modules.isdisjoint(NUMERIC)
+
     @pytest.mark.parametrize(
         "argv, unused",
         [
             (["simulate"], ("certify", "equilibria")),
             (["equilibria"], ("certify",)),
             (["basins", "--grid", "101", "--t-end", "5"], ("certify",)),
-            (["certify"], ("equilibria",)),
-            (["bounds"], ("equilibria",)),
-            (["align"], ("equilibria",)),
+            # commands that integrate nothing leave flows unloaded
+            (["certify"], ("equilibria", "flows")),
+            (["bounds"], ("equilibria", "flows")),
+            (["align"], ("equilibria", "flows")),
+            (["repro", "fig1"], ("certify", "equilibria", "flows")),
+            (["repro", "fig2"], ("equilibria", "flows")),
         ],
-        ids=["simulate", "equilibria", "basins", "certify", "bounds", "align"],
+        ids=["simulate", "equilibria", "basins", "certify", "bounds", "align", "repro-fig1", "repro-fig2"],
     )
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
         rc, modules = fresh_modules(CLI, *argv, "--out", str(tmp_path))

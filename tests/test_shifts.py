@@ -1,6 +1,7 @@
 """The shift maps: values, derivatives, and their finite-difference agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,20 @@ class TestLogistic:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             pf.logistic_shift(rate=0.0)
+
+    def test_overflowing_exp_gives_zero_without_warning(self):
+        # rate 1000 on [-0.5, 1.5]: exp's argument spans -1000..1000
+        s = pf.logistic_shift(rate=1000.0, midpoint=0.5)
+        xs = np.linspace(-0.5, 1.5, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, dp = s.value(xs), s.derivative(xs)
+            floats = np.array([s.value(float(x)) for x in xs])
+        with np.errstate(over="ignore"):  # the unguarded formula
+            want = 1.0 / (1.0 + np.exp(-1000.0 * (xs - 0.5)))
+        assert p[0] == dp[0] == 0.0
+        assert np.array_equal(p.view(np.int64), want.view(np.int64))
+        assert np.array_equal(floats.view(np.int64), want.view(np.int64))
 
 
 class TestClampedPolynomial:
