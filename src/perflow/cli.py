@@ -192,7 +192,8 @@ def cmd_certify(cfg, model, args):
         raise ConfigError(f"--sweep-step must be a positive finite number, got {step}")
     count = math.ceil((cfg.radius + step / 2.0 - step) / step)  # np.arange's length below
     if args.sweep and not 1 <= count <= _MAX_SWEEP_RADII:
-        raise ConfigError(f"--sweep-step {step} gives {max(count, 0)} radii, not 1 to {_MAX_SWEEP_RADII}")
+        shown = f"more than {_MAX_SWEEP_RADII}" if count > _MAX_SWEEP_RADII else "0"
+        raise ConfigError(f"--sweep-step {step} gives {shown} radii, not 1 to {_MAX_SWEEP_RADII}")
     cert, env = _certificate_pair(cfg, model)
     artifacts = {"certificate.json": cert.to_dict(), "envelope.json": env.to_dict()}
     if args.sweep:

@@ -201,6 +201,14 @@ def _as_float(value, key):
     return number
 
 
+def _as_floats(params, key):
+    """``params[key]`` as a list of floats: a JSON list of finite numbers."""
+    values = params[key]
+    if not isinstance(values, list):
+        _fail(f"{key} must be a list of finite numbers, got {values!r}")
+    return [_as_float(v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _as_int(value, key):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{key} must be an integer, got {value!r}")
@@ -370,11 +378,11 @@ def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
             extra = set(params) - {"coefficients"}
             if extra or "coefficients" not in params:
                 _fail("clamped-polynomial shift needs exactly the 'coefficients' parameter")
-            return clamped_polynomial_shift(params["coefficients"])
+            return clamped_polynomial_shift(_as_floats(params, "coefficients"))
         extra = set(params) - {"knots_x", "knots_p"}
         if extra or "knots_x" not in params or "knots_p" not in params:
             _fail("tabulated shift needs exactly 'knots_x' and 'knots_p'")
-        return tabulated_shift(params["knots_x"], params["knots_p"])
+        return tabulated_shift(_as_floats(params, "knots_x"), _as_floats(params, "knots_p"))
     except (TypeError, ValueError) as exc:
         _fail(f"invalid shift parameters: {exc}")
 
@@ -391,15 +399,17 @@ def parse_noise(spec: str, seed: int) -> NoiseSpec:
         _fail(f"noise must be a string, got {spec!r}")
     if spec == "none":
         return NoiseSpec.none()
-    head, sep, arg = spec.partition(":")
+    head, _, arg = spec.partition(":")
+    forms = {"gaussian": (float, NoiseSpec.gaussian), "bernoulli": (int, NoiseSpec.bernoulli_sample)}
     try:
-        if head == "gaussian" and sep:
-            return NoiseSpec.gaussian(float(arg), seed=seed)
-        if head == "bernoulli" and sep:
-            return NoiseSpec.bernoulli_sample(int(arg), seed=seed)
+        parse, build = forms[head]
+        number = parse(arg)
+    except (KeyError, ValueError):  # not a form, or not a number
+        _fail(f"invalid noise specification {spec!r}; expected none, gaussian:SIGMA or bernoulli:N")
+    try:
+        return build(number, seed=seed)
     except ValueError as exc:
         _fail(f"invalid noise specification {spec!r}: {exc}")
-    _fail(f"invalid noise specification {spec!r}; expected none, gaussian:SIGMA or bernoulli:N")
 
 
 def parse_schedule(spec: str) -> StepSchedule:

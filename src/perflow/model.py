@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class BernoulliSquaredModel(DecisionDependentModel):
 
     shift: ShiftFunction
     domain: Box = None
-    dimension: int = 1
+    dimension: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.domain is None:

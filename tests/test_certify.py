@@ -256,6 +256,17 @@ class TestUltimateBounds:
         assert not report.epsilon_admissible
         assert not report.admissible
 
+    def test_oversized_slope_with_offset_has_no_ultimate_ball(self, bump_cert_04):
+        # alpha = c3^2 - c4 * epsilon <= 0 and delta > 0: no contraction
+        # absorbs the offset, so the bounds are infinite
+        env = pf.PerturbationEnvelope(
+            epsilon=10.0, delta=0.1, radius=0.4, x_star=v(0.0), fit_mode="epsilon-capped", grid_n=100
+        )
+        report = pf.ultimate_bounds(bump_cert_04, env, v(0.1), 0.5)
+        assert report.alpha <= 0.0
+        assert report.mu_theta == report.t_bound == report.ultimate_radius == np.inf
+        assert not report.admissible
+
     def test_rejects_theta_outside_unit_interval(self, bump_cert_04, bump_env_04):
         for theta in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(ValueError):

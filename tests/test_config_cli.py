@@ -99,6 +99,12 @@ class TestConfigParsing:
             {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [float("nan")]}}},
             {"x0": [0.1, 0.2]},
             {"x_star": [0.0, 0.0]},
+            {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": "05"}}},
+            {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [True]}}},
+            {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": ["0", "1"]}}},
+            {"shift": {"kind": "tabulated", "params": {"knots_x": "01", "knots_p": [0, 1]}}},
+            {"shift": {"kind": "tabulated", "params": {"knots_x": [False, True], "knots_p": [0, 1]}}},
+            {"shift": {"kind": "tabulated", "params": {"knots_x": [0, 1], "knots_p": ["0", "1"]}}},
         ],
     )
     def test_range_and_grammar_violations(self, doc):
@@ -112,6 +118,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config({"schedule": spec})
         assert str(info.value) == f"invalid schedule specification {spec!r}; expected constant:A or inverse:A,B"
+
+    @pytest.mark.parametrize(
+        "spec", ["gaussian:abc", "bernoulli:1.5", "bernoulli:x", "gaussian", "bernoulli:", "pink:3"]
+    )
+    def test_noise_grammar_error_names_the_grammar(self, spec):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"noise": spec})
+        assert str(info.value) == f"invalid noise specification {spec!r}; expected none, gaussian:SIGMA or bernoulli:N"
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [("bernoulli:0", "sample size must be >= 1"), ("gaussian:-1", "noise sigma must be finite and nonnegative")],
+    )
+    def test_noise_value_error_keeps_its_reason(self, spec, reason):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"noise": spec})
+        assert str(info.value) == f"invalid noise specification {spec!r}: {reason}"
 
     def test_schedule_value_error_keeps_its_reason(self):
         with pytest.raises(ConfigError, match=r"'inverse:0.5,0.5': inverse schedule offset must be >= 1$"):
@@ -536,6 +559,14 @@ class TestCliErrors:
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("step, many", [("1e-300", "more than 10000"), ("1e-6", "more than 10000"), ("0.5", "0")])
+    def test_sweep_length_error_counts_in_words(self, tmp_path, capsys, step, many):
+        # the radius count of a tiny step has hundreds of digits: it is said in words
+        argv = ["certify", "--r", "0.1", "--sweep", "--sweep-step", step, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--sweep-step {float(step)} gives {many} radii, not 1 to 10000" in err
 
     def test_mistyped_shift_parameter_exits_2(self, tmp_path, capsys):
         code = cli.main(

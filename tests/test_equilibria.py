@@ -380,6 +380,23 @@ class TestBasinTraps:
         assert np.all(radii[inner] == cfg.match_radius / 2)
         assert np.all(last[inner] == steps)
 
+    def test_root_without_room_for_an_outer_trap_keeps_its_inner_one(self, monkeypatch):
+        # field 0.5 - x on (0, 1): the inner trap of radius 0.5 reaches both
+        # domain edges, so no outer trap can be wider
+        model = pf.BernoulliSquaredModel(shift=pf.constant_shift(0.5), domain=(0.0, 1.0))
+        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
+        assert locations(reports) == [pytest.approx(0.5, abs=1e-12)]
+        owner, radii, last = trap_table(model, "rgd", reports, 0.01, match_radius=1.0)
+        assert (owner.tolist(), radii.tolist(), last.tolist()) == ([0], [0.5], [6000])
+
+        def scan():
+            return pf.basin_scan(model, "rgd", reports, grid_n=81, t_end=60.0, match_radius=1.0)
+
+        trapped = scan()
+        monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: None)
+        assert np.array_equal(trapped.labels, scan().labels)
+        assert set(trapped.labels) == {0}
+
     def test_steep_root_gets_a_trap_only_at_a_small_enough_step(self):
         # rgd field p(x) - x = 50 - 100 x: slope -100 at the root 0.5
         model = pf.BernoulliSquaredModel(shift=pf.clamped_polynomial_shift((50.0, -99.0)))

@@ -74,6 +74,13 @@ class TestIntegrateFlow:
         assert traj.times[1] - traj.times[0] == pytest.approx(0.1)
         assert traj.final_time == pytest.approx(2.0)
 
+    def test_horizon_between_record_strides_is_recorded(self, bump_model):
+        # 5 steps of a stride of 10: no stride sample, only the endpoint
+        traj = pf.integrate_flow(bump_model, "rgd", v(0.8), 0.05, h=0.01, eq_tol=0.0)
+        assert traj.terminal_status == "max-time"
+        assert traj.times.tolist() == [0.0, 0.05]
+        assert traj.states.shape == (2, 1)
+
     def test_out_of_domain_start_rejected(self, bump_model):
         with pytest.raises(pf.OutOfDomainError):
             pf.integrate_flow(bump_model, "rgd", v(1.6), 1.0)

@@ -213,6 +213,15 @@ class TestSmoothnessConstants:
         assert c.smoothness is None
 
 
+class TestBernoulliSquaredModel:
+    def test_dimension_is_fixed_at_one(self):
+        model = pf.BernoulliSquaredModel(shift=pf.bump_shift())
+        assert model.dimension == 1
+        # the model is scalar: a dimension of 2 would make a run drop the second coordinate
+        with pytest.raises(TypeError):
+            pf.BernoulliSquaredModel(shift=pf.bump_shift(), dimension=2)
+
+
 class TestDomainBox:
     def test_membership(self):
         box = pf.interval(-0.5, 1.5)
