@@ -121,6 +121,8 @@ class NoiseSpec:
             raise ValueError("noise sigma must be finite and nonnegative")
         if self.sample_size < 1:
             raise ValueError("sample size must be >= 1")
+        if self.sample_size > 2**63 - 1:  # numpy draws binomial counts as int64
+            raise ValueError("sample size must be <= 2**63 - 1")
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -393,6 +395,17 @@ def build_model(cfg: ExperimentConfig) -> BernoulliSquaredModel:
     return BernoulliSquaredModel(shift=build_shift(cfg), domain=cfg.domain)
 
 
+def _plain(text: str) -> str:
+    """``text`` if it is spelled as the grammar writes numbers, else ValueError.
+
+    ``int`` and ``float`` also read digit separators, surrounding spaces and
+    non-ASCII digits, which would give one run several spellings.
+    """
+    if "_" in text or text != text.strip() or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return text
+
+
 def parse_noise(spec: str, seed: int) -> NoiseSpec:
     """Noise grammar: ``none`` | ``gaussian:SIGMA`` | ``bernoulli:N``."""
     if not isinstance(spec, str):
@@ -403,7 +416,7 @@ def parse_noise(spec: str, seed: int) -> NoiseSpec:
     forms = {"gaussian": (float, NoiseSpec.gaussian), "bernoulli": (int, NoiseSpec.bernoulli_sample)}
     try:
         parse, build = forms[head]
-        number = parse(arg)
+        number = parse(_plain(arg))
     except (KeyError, ValueError):  # not a form, or not a number
         _fail(f"invalid noise specification {spec!r}; expected none, gaussian:SIGMA or bernoulli:N")
     try:
@@ -418,7 +431,7 @@ def parse_schedule(spec: str) -> StepSchedule:
         _fail(f"schedule must be a string, got {spec!r}")
     head, _, arg = spec.partition(":")
     try:
-        numbers = [float(a) for a in arg.split(",")]
+        numbers = [float(_plain(a)) for a in arg.split(",")]
     except ValueError:
         numbers = []  # not numbers: the grammar error below
     if len(numbers) != {"constant": 1, "inverse": 2}.get(head):

@@ -378,13 +378,12 @@ def basin_scan(
     finals, statuses, _ = integrate_ensemble(model, kind, grid, t_end, h=h, eq_tol=eq_tol, traps=traps)
 
     labels = np.full(grid.shape[0], DIVERGENT, dtype=int)
-    ok = ~np.isin(statuses, (LEFT_DOMAIN, NUMERIC_ERROR))
-    if eq_locs.size and ok.any():
-        dists = np.linalg.norm(finals[ok, None, :] - eq_locs[None, :, :], axis=-1)
-        nearest = np.argmin(dists, axis=1)
-        matched = dists[np.arange(nearest.size), nearest] <= match_radius
-        idx = np.nonzero(ok)[0]
-        labels[idx[matched]] = nearest[matched]
+    if eq_locs.size:
+        # every final state is finite (a row leaves before a non-finite step),
+        # so the match runs on all rows and the status picks the ones it labels
+        ok = ~np.isin(statuses, (LEFT_DOMAIN, NUMERIC_ERROR))
+        dists = np.linalg.norm(finals[:, None, :] - eq_locs[None, :, :], axis=-1)
+        labels = np.where(ok & (dists.min(axis=1) <= match_radius), dists.argmin(axis=1), DIVERGENT)
     if table is not None:
         # a trapped row's final state is its entry state, possibly far from x*
         owner, radii, _ = table

@@ -31,17 +31,13 @@ def bump_phi(x):
             return 0.0
         if xf >= 1.0 - _EDGE:
             return 1.0
-        t = xf * (2.0 - xf)
-        if t < 1e-300:
-            return 0.0
-        return math.exp(1.0 - 1.0 / t)
+        # 1/t is at least 1e300 or inf once t < 1e-300, and exp gives 0.0 for both
+        return math.exp(1.0 - 1.0 / (xf * (2.0 - xf)))
     x = np.asarray(x, dtype=float)
-    out = (x >= 1.0 - _EDGE).astype(float)
-    inner = (x > 0.0) & (x < 1.0 - _EDGE)
-    xi = x[inner]
-    t = np.maximum(xi * (2.0 - xi), 1e-300)
-    out[inner] = np.exp(1.0 - 1.0 / t)
-    return out
+    # x <= 0 and NaN give t <= 0 or NaN, which fmax (unlike maximum) sends to
+    # 1e-300, so exp returns exactly 0.0 there without a mask
+    t = np.fmax(x * (2.0 - x), 1e-300)
+    return np.where(x >= 1.0 - _EDGE, 1.0, np.exp(1.0 - 1.0 / t))
 
 
 def bump_phi_prime(x):
@@ -61,14 +57,14 @@ def bump_phi_prime(x):
             return 0.0
         return math.exp(1.0 - 1.0 / t) * 2.0 * (1.0 - xf) / (t * t)
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
     inner = (x > 0.0) & (x < 1.0 - _EDGE)
-    xi = x[inner]
+    # the formula runs on every lane; 0.5 stands in outside (0, 1) so the
+    # lanes that the select discards stay finite (at -inf, 0 * inf is NaN)
+    w = np.where(inner, x, 0.5)
     # below the scalar path's t < 1e-4 cut, exp(1 - 1/t) is exactly 0.0, so
-    # clamping t there yields the same +0.0 without a second mask
-    t = np.maximum(xi * (2.0 - xi), 1e-4)
-    out[inner] = np.exp(1.0 - 1.0 / t) * 2.0 * (1.0 - xi) / (t * t)
-    return out
+    # clamping t there yields the same +0.0 without a second cut
+    t = np.maximum(w * (2.0 - w), 1e-4)
+    return np.where(inner, np.exp(1.0 - 1.0 / t) * 2.0 * (1.0 - w) / (t * t), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +205,8 @@ def tabulated_shift(knots_x, knots_p) -> ShiftFunction:
 
     def derivative(x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= lo) & (x <= hi)
-        out = np.zeros(x.shape)
-        out[inside] = dinterp(x[inside])
-        return out
+        # dinterp is NaN outside the knots (extrapolate=False), where the select gives 0.0
+        return np.where((x >= lo) & (x <= hi), dinterp(x), 0.0)
 
     return ShiftFunction(
         kind="tabulated",

@@ -10,7 +10,7 @@ import pytest
 
 import perflow.cli as cli
 from perflow import equilibria, flows
-from perflow.config import ExperimentConfig, parse_config, to_document
+from perflow.config import ExperimentConfig, NoiseSpec, parse_config, to_document
 from perflow.errors import ConfigError, NumericIntegrationError
 
 
@@ -112,7 +112,9 @@ class TestConfigParsing:
             parse_config(doc)
 
     @pytest.mark.parametrize(
-        "spec", ["constant", "inverse:1", "inverse:0.5,10,3", "constant:x", "constant:0.1,2", "geometric:0.5"]
+        "spec",
+        ["constant", "inverse:1", "inverse:0.5,10,3", "constant:x", "constant:0.1,2", "geometric:0.5",
+         "constant:0.0_1", "inverse:0.5, 10", "constant: 0.5", "constant:\u0661"],
     )
     def test_schedule_grammar_error_names_the_grammar(self, spec):
         with pytest.raises(ConfigError) as info:
@@ -120,7 +122,9 @@ class TestConfigParsing:
         assert str(info.value) == f"invalid schedule specification {spec!r}; expected constant:A or inverse:A,B"
 
     @pytest.mark.parametrize(
-        "spec", ["gaussian:abc", "bernoulli:1.5", "bernoulli:x", "gaussian", "bernoulli:", "pink:3"]
+        "spec",
+        ["gaussian:abc", "bernoulli:1.5", "bernoulli:x", "gaussian", "bernoulli:", "pink:3",
+         "bernoulli:1_0", "gaussian: 0.1", "gaussian:0.1\n", "bernoulli:\u0661\u0660"],
     )
     def test_noise_grammar_error_names_the_grammar(self, spec):
         with pytest.raises(ConfigError) as info:
@@ -129,12 +133,18 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "spec, reason",
-        [("bernoulli:0", "sample size must be >= 1"), ("gaussian:-1", "noise sigma must be finite and nonnegative")],
+        [("bernoulli:0", "sample size must be >= 1"), ("gaussian:-1", "noise sigma must be finite and nonnegative"),
+         (f"bernoulli:{2**63}", "sample size must be <= 2**63 - 1")],
     )
     def test_noise_value_error_keeps_its_reason(self, spec, reason):
         with pytest.raises(ConfigError) as info:
             parse_config({"noise": spec})
         assert str(info.value) == f"invalid noise specification {spec!r}: {reason}"
+
+    def test_sample_size_beyond_int64_is_refused(self):
+        NoiseSpec.bernoulli_sample(2**63 - 1)
+        with pytest.raises(ValueError, match=r"^sample size must be <= 2\*\*63 - 1$"):
+            NoiseSpec.bernoulli_sample(2**63)
 
     def test_schedule_value_error_keeps_its_reason(self):
         with pytest.raises(ConfigError, match=r"'inverse:0.5,0.5': inverse schedule offset must be >= 1$"):
@@ -466,12 +476,15 @@ class TestCliErrors:
             ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:0.1", "--seed", "-1"],
             ["certify", "--fit-mode", "epsilon-capped"],
             ["bounds", "--fit-mode", "epsilon-capped"],
+            ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:100000000000000000000", "--steps", "10"],
+            ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:1_0", "--steps", "10"],
         ],
         ids=[
             "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
             "sweep-step-1e-5", "sweep-step-1e-9", "certify-grid-50", "bounds-grid-50",
             "equilibria-grid-2", "basins-grid-2", "empty-sweep", "seed-negative",
-            "certify-capped-without-cap", "bounds-capped-without-cap",
+            "certify-capped-without-cap", "bounds-capped-without-cap", "bernoulli-beyond-int64",
+            "bernoulli-digit-separator",
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):

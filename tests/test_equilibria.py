@@ -220,6 +220,19 @@ class TestBasinScan:
         basin = pf.basin_scan(m, "rgd", [], grid_n=21, t_end=20.0)
         assert np.all(basin.labels == -1)
 
+    def test_exit_state_near_a_root_stays_divergent(self):
+        # p(x) = 2x - 0.5995 puts an unstable rgd root 0.0005 inside the edge at 0.6,
+        # so the start at 0.6 leaves in one step to a state within match_radius of it
+        shift = pf.clamped_polynomial_shift((-0.5995, 2.0))
+        m = pf.BernoulliSquaredModel(shift=shift, domain=(0.3, 0.6))
+        reports = pf.find_equilibria(m, "rgd", grid_n=301)
+        basin = pf.basin_scan(m, "rgd", reports, grid_n=301, t_end=5.0)
+        assert locations(reports) == pytest.approx([0.5995], abs=1e-9)
+        finals, statuses, _ = pf.integrate_ensemble(m, "rgd", [0.6], 5.0)
+        assert statuses[0] == basin.statuses[-1] == "left-domain"
+        assert abs(finals[0, 0] - 0.5995) <= 1e-3
+        assert basin.labels[-1] == -1
+
     def test_two_dimensional_scan(self):
         m = planar_model()
         reports = pf.find_equilibria(m, "rgd", grid_n=49)

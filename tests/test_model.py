@@ -319,3 +319,52 @@ class TestCallableModelBatches:
             ours = [r.location[0] for r in pf.find_equilibria(wrapped, kind, grid_n=2001)]
             theirs = [r.location[0] for r in pf.find_equilibria(bump_model, kind, grid_n=2001)]
             np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+
+
+def _flat_model(n):
+    box = pf.Box(np.zeros(n), np.ones(n))
+    return pf.CallableModel(dimension=n, domain=box, risk=lambda x1, x2: 0.0)
+
+
+_BUMP = pf.BernoulliSquaredModel(shift=pf.bump_shift())
+
+REFUSALS = {
+    "no-coefficients": (lambda: pf.clamped_polynomial_shift(()), "need at least one polynomial coefficient"),
+    "infinite-coefficient": (
+        lambda: pf.clamped_polynomial_shift((0.0, math.inf)), "polynomial coefficients must be finite"),
+    "knot-lengths": (
+        lambda: pf.tabulated_shift([0.0, 1.0], [0.0, 0.5, 1.0]),
+        "knot coordinate and value arrays differ in length"),
+    "integrate-discrete": (
+        lambda: pf.integrate_flow(_BUMP, "discrete-rgd", 0.1, 1.0), "'discrete-rgd' is not a continuous flow"),
+    "negative-steps": (
+        lambda: pf.discrete_rgd(_BUMP, 0.1, -1, pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()),
+        "number of steps must be nonnegative"),
+    "box-shapes": (
+        lambda: pf.Box(np.zeros(2), np.ones(3)), "box bounds must be 1-D arrays of equal length"),
+    "bernoulli-2d": (
+        lambda: pf.BernoulliSquaredModel(shift=pf.bump_shift(), domain=pf.Box(np.zeros(2), np.ones(2))),
+        "this model is one-dimensional"),
+    "trailing-axis": (
+        lambda: pf.performative_risk(_BUMP, [[0.1, 0.2]]), "expected 1-vector states, got shape (1, 2)"),
+    "scan-grid-1": (lambda: pf.basin_scan(_BUMP, "rgd", [], grid_n=1), "grid must have at least 2 points"),
+    "scan-3d": (
+        lambda: pf.basin_scan(_flat_model(3), "rgd", []),
+        "basin scans are supported in one and two dimensions only"),
+    "fit-mode": (
+        lambda: pf.estimate_perturbation_envelope(_BUMP, 0.0, 0.4, fit_mode="bogus"), "unknown fit mode 'bogus'"),
+    "negative-distance": (
+        lambda: pf.gradient_norm_bracket(
+            pf.SmoothnessConstants(loss_lipschitz=1.0, strong_convexity=1.0, smoothness=1.0,
+                                   grad_data_lipschitz=1.0, sensitivity=1.0), -1.0),
+        "distance must be nonnegative"),
+    "align-2d": (
+        lambda: pf.alignment_check(_flat_model(2), 0.0, 1.0, 11), "the alignment check is defined for scalar models"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_library_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -93,6 +93,50 @@ def reference_bump_phi_prime(x):
     return out
 
 
+def masked_bump_phi_prime(x):
+    # the mask-and-scatter form with the t clamp, which the select form replaced
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    inner = (x > 0.0) & (x < 1.0 - 1e-12)
+    xi = x[inner]
+    t = np.maximum(xi * (2.0 - xi), 1e-4)
+    out[inner] = np.exp(1.0 - 1.0 / t) * 2.0 * (1.0 - xi) / (t * t)
+    return out
+
+
+def guarded_bump_phi(x):
+    # the float path while it still cut t < 1e-300 by hand
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0 - 1e-12:
+        return 1.0
+    t = x * (2.0 - x)
+    if t < 1e-300:
+        return 0.0
+    return math.exp(1.0 - 1.0 / t)
+
+
+def masked_tabulated_derivative(knots_x, knots_p):
+    from scipy.interpolate import PchipInterpolator
+
+    dinterp = PchipInterpolator(knots_x, knots_p, extrapolate=False).derivative()
+    lo, hi = knots_x[0], knots_x[-1]
+
+    def derivative(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x >= lo) & (x <= hi)
+        out = np.zeros(x.shape)
+        out[inside] = dinterp(x[inside])
+        return out
+
+    return derivative
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def neighbours(x, count=4):
     """``x`` and the ``count`` floats on each side of it."""
     below, above = [x], [x]
@@ -105,26 +149,40 @@ def neighbours(x, count=4):
 class TestBumpArrayPaths:
     # where x * (2 - x) crosses the 1e-4 cut of bump_phi_prime
     T_CUT = 1e-4 / (1.0 + math.sqrt(1.0 - 1e-4))
-    SPECIAL = [0.0, -0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf,
-               *neighbours(1.0 - 1e-12), *neighbours(T_CUT, 8)]
+    SPECIAL = [0.0, -0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf, 1.0, 2.0, 1e150, -1e150,
+               *neighbours(1.0 - 1e-12), *neighbours(1.0 - 2e-12), *neighbours(T_CUT, 8)]
 
     @pytest.mark.parametrize(
         "fn, reference",
-        [(pf.bump_phi, reference_bump_phi), (pf.bump_phi_prime, reference_bump_phi_prime)],
+        [(pf.bump_phi, reference_bump_phi), (pf.bump_phi_prime, reference_bump_phi_prime),
+         (pf.bump_phi_prime, masked_bump_phi_prime)],
     )
     def test_bitwise_equal_to_reference(self, fn, reference):
-        draw = np.random.default_rng(7).uniform(-0.5, 1.5, 100_000)
+        rng = np.random.default_rng(7)
+        draw = np.concatenate([rng.uniform(-0.5, 1.5, 900_000), rng.uniform(-1e-3, 1e-3, 50_000),
+                               1.0 - rng.uniform(0.0, 1e-11, 50_000)])
         xs = np.concatenate([self.SPECIAL, draw])
         for batch in (xs, draw[::-1].reshape(-1, 5), np.array(self.SPECIAL), np.empty(0)):
             got, want = fn(batch), reference(batch)
             assert got.shape == want.shape == batch.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # beyond |x| ~ 1.3e154, x * (2 - x) overflows on lanes that bump_phi's select discards
+        huge = np.array([1e200, -1e200, np.finfo(float).max, -np.finfo(float).max])
+        with np.errstate(over="ignore"):
+            assert same_bits(fn(huge), reference(huge))
 
     @pytest.mark.parametrize("fn", [pf.bump_phi, pf.bump_phi_prime])
     def test_scalar_input_types_agree_bitwise(self, fn):
         for x in self.SPECIAL:
             bits = {np.float64(fn(arg)).view(np.int64) for arg in (float(x), np.float64(x), np.array(x))}
             assert len(bits) == 1, x
+
+    def test_float_path_equals_guarded_path(self):
+        rng = np.random.default_rng(18)
+        xs = [*self.SPECIAL, *np.geomspace(5e-324, 1e-2, 400), *rng.uniform(-0.5, 1.5, 600)]
+        assert len(xs) >= 1000
+        for x in map(float, xs):
+            assert same_bits(pf.bump_phi(x), guarded_bump_phi(x)), x
 
     def test_cut_neighbourhood_straddles_the_cut(self):
         ts = [x * (2.0 - x) for x in neighbours(self.T_CUT, 8)]
@@ -210,6 +268,16 @@ class TestTabulated:
             if min(abs(x - b) for b in s.breakpoints) < 2e-2:
                 continue
             assert scaled_error(fd_derivative(s.value, x), float(s.derivative(x))) <= 1e-5
+
+    def test_derivative_equals_masked_kernel(self):
+        xs, ps = [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.2, 0.6, 0.9, 1.0]
+        s, masked = pf.tabulated_shift(xs, ps), masked_tabulated_derivative(xs, ps)
+        special = [*xs, -0.0, math.nan, math.inf, -math.inf, 5e-324, *neighbours(1.0), 1e300, -1e300]
+        draw = np.random.default_rng(18).uniform(-0.5, 1.5, 1_000_000)
+        for batch in (np.concatenate([special, draw]), draw.reshape(-1, 4), np.empty(0)):
+            assert same_bits(s.derivative(batch), masked(batch))
+        for x in special:
+            assert same_bits(s.derivative(x), masked(x)), x
 
     @pytest.mark.parametrize(
         "xs,ps",
