@@ -49,8 +49,9 @@ def _ball_grid(model, x_star, radius, grid_n):
 
     Returns ``(x_star, points, distances, exclusion_radius)``; the exclusion
     ball is ``_EXCLUSION_CELLS`` of the widest lattice step, for certificates
-    and envelopes alike.  A radius that leaves no grid point outside it
-    raises :class:`ValueError`.
+    and envelopes alike.  A radius that leaves no grid point outside it, or
+    whose nearest such point has a subnormal squared distance, raises
+    :class:`ValueError`.
     """
     # fewer points leave nothing or next to nothing outside the exclusion ball
     if grid_n < MIN_CONSTANTS_GRID:
@@ -67,9 +68,14 @@ def _ball_grid(model, x_star, radius, grid_n):
         pts = pts[np.linalg.norm(pts - x_star, axis=-1) <= radius]
     dist = np.linalg.norm(pts - x_star, axis=-1)
     excl = _EXCLUSION_CELLS * cell
-    # a lattice of one point, or distances whose squares underflow to 0, leaves nothing to fit
-    if not (dist >= excl).any():
-        raise ValueError(f"radius {radius} leaves no grid point outside the exclusion ball")
+    kept = dist[dist >= excl]
+    # a lattice of one point, or distances whose squares underflow to 0, leaves
+    # nothing to fit; a subnormal square has lost digits, and the ratios with it
+    if not kept.size or kept.min() ** 2 < np.finfo(float).tiny:
+        raise ValueError(
+            f"radius {radius} leaves no grid point outside the exclusion ball "
+            "whose squared distance is a normal float"
+        )
     return x_star, pts, dist, excl
 
 

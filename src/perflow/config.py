@@ -274,6 +274,9 @@ def parse_config(document: dict) -> ExperimentConfig:
     d_lo, d_hi = _as_float(domain[0], "domain lo"), _as_float(domain[1], "domain hi")
     if d_lo >= d_hi:
         _fail(f"domain must satisfy lo < hi, got [{d_lo}, {d_hi}]")
+    # squares of states (field norms, root bracketing) must not overflow
+    if not all(math.isfinite(b * b) for b in (d_lo, d_hi)):
+        _fail(f"domain bounds must have finite squares, got [{d_lo}, {d_hi}]")
     kwargs["domain"] = (d_lo, d_hi)
 
     try:

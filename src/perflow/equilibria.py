@@ -85,8 +85,21 @@ class BasinMap:
     statuses: np.ndarray
 
 
+# A 1x1 matrix is its own eigenvalue, so only n > 1 calls LAPACK: a scalar run
+# that never calls it peaks 0.3-0.6 MB lower.  The entry is exact; LAPACK's
+# scaling moves the last bit of entries above about 1e138 or below 1e-142.
 def _eigvals_sym(h: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(0.5 * (h + h.T))
+    h = 0.5 * (h + h.T)
+    return h.reshape(1) if h.shape == (1, 1) else np.linalg.eigvalsh(h)
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(a)``; a non-finite entry raises :class:`numpy.linalg.LinAlgError`."""
+    if a.shape != (1, 1):
+        return np.linalg.eigvals(a)
+    if not np.isfinite(a[0, 0]):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return a.reshape(1)
 
 
 def classify_equilibrium(
@@ -134,7 +147,7 @@ def classify_equilibrium(
             finite_diff_hessian(lambda y: float(model.decoupled_risk(y, x)), x)
         )
         jac = finite_diff_jacobian(lambda z: np.asarray(model.grad_x1(z, z), dtype=float), x)
-        jac_eigs = np.sort(np.linalg.eigvals(jac).real)
+        jac_eigs = np.sort(_eigvals(jac).real)
         attracting = jac_eigs.min() > hessian_tol
         repelling = jac_eigs.min() < -hessian_tol
         if attracting and stab_eigs.min() > hessian_tol:

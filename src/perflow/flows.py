@@ -334,11 +334,12 @@ def discrete_rgd(
     rng = np.random.default_rng(noise.seed) if noise.mode != "none" else None
     n = model.dimension
     field = _field_function(model, RGD_FLOW)
-    alphas = schedule.values(num_steps).tolist()
+    # a memoryview yields the Python floats of tolist() without holding 1e5 of them
+    alphas = memoryview(schedule.values(num_steps))
     if noise.mode == "gaussian":
         # one draw up front is the same stream as one draw of n per step
         eta = rng.normal(0.0, noise.sigma, size=(num_steps, n))
-        eta = eta.ravel().tolist() if floats else eta
+        eta = memoryview(eta.ravel()) if floats else eta
     else:
         eta = repeat(0.0)
     if sampled:

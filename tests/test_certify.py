@@ -190,18 +190,24 @@ class TestPerturbationEnvelope:
                 bump_model, v(0.0), 0.4, fit_mode="epsilon-capped"
             )
 
-    @pytest.mark.parametrize("x_star, radius", [(0.0, 1e-170), (0.0, 1e-300), (0.3, 1e-170)])
+    @pytest.mark.parametrize(
+        "x_star, radius", [(0.0, 1e-170), (0.0, 1e-300), (0.3, 1e-170), (0.0, 1e-160), (0.0, 1e-155)]
+    )
     def test_ball_with_nothing_outside_the_exclusion_ball_rejected(self, bump_model, x_star, radius):
         # at 0 the squared distances underflow, so every point fell inside the
-        # exclusion ball (a silent zero envelope); at 0.3 the lattice is one point
+        # exclusion ball (a silent zero envelope); at 0.3 the lattice is one point.
+        # At 1e-160 and 1e-155 the kept squares are subnormal: 1e-160 gave a
+        # "valid" c1 = 0.4, c2 = 0.514 where both are 0.5
         for estimate in (pf.estimate_curvature_constants, pf.estimate_perturbation_envelope):
             with pytest.raises(ValueError, match=f"radius {radius}"):
                 estimate(bump_model, v(x_star), radius, grid_n=100)
 
     def test_tiny_ball_with_points_outside_the_exclusion_ball_still_certified(self, bump_model):
-        cert = pf.estimate_curvature_constants(bump_model, v(0.0), 1e-155, grid_n=100)
+        # the smallest kept squared distance, (4e-152)^2, is still a normal float
+        cert = pf.estimate_curvature_constants(bump_model, v(0.0), 1e-150, grid_n=100)
         assert cert.c1 == pytest.approx(0.5, rel=1e-9) and cert.valid
-        assert pf.estimate_perturbation_envelope(bump_model, v(0.0), 1e-155, grid_n=100).delta == 0.0
+        assert f"{cert.c1:.2f} {cert.c2:.2f}" == "0.50 0.50"
+        assert pf.estimate_perturbation_envelope(bump_model, v(0.0), 1e-150, grid_n=100).delta == 0.0
 
     @pytest.mark.parametrize("grid_n", [0, 1, 2])
     def test_grid_below_minimum_rejected(self, bump_model, grid_n):

@@ -105,6 +105,9 @@ class TestConfigParsing:
             {"shift": {"kind": "tabulated", "params": {"knots_x": "01", "knots_p": [0, 1]}}},
             {"shift": {"kind": "tabulated", "params": {"knots_x": [False, True], "knots_p": [0, 1]}}},
             {"shift": {"kind": "tabulated", "params": {"knots_x": [0, 1], "knots_p": ["0", "1"]}}},
+            {"domain": [-1e200, 1e200]},
+            {"domain": [0.0, 1e155]},
+            {"domain": [-1e155, 0.0]},
         ],
     )
     def test_range_and_grammar_violations(self, doc):
@@ -511,6 +514,30 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("numeric error") and "outside domain" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["1e-160", "1e-155"])
+    def test_radius_with_subnormal_squared_distances_exits_3(self, tmp_path, capsys, radius):
+        out = tmp_path / "o"
+        assert cli.main(["certify", "--r", radius, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error") and f"radius {float(radius)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", [1e200, 1e155])
+    def test_domain_with_overflowing_squares_exits_2(self, tmp_path, capsys, bound):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": [-bound, bound]}))
+        out = tmp_path / "o"
+        assert cli.main(["equilibria", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "domain bounds must have finite squares" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[c, "--flow", f] for c in ("equilibria", "basins") for f in ("rgd", "prm")])
+    def test_widest_domain_runs_without_overflow(self, tmp_path, argv):
+        # 1e154 squared is finite; a RuntimeWarning (overflow) fails the suite
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": [-1e154, 1e154]}))
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_point_outside_the_domain_is_spelled_in_plain_numbers(self, tmp_path, capsys):
         assert cli.main(["simulate", "--x0", "2", "--out", str(tmp_path / "o")]) == 3

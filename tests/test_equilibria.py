@@ -1,5 +1,7 @@
 """Root finding, stability classification, and basin mapping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import perflow.equilibria as eq_mod
 from perflow.config import ExperimentConfig
 from perflow.equilibria import INCONCLUSIVE, PERFORMATIVELY_STABLE, PRM_MINIMIZER, UNSTABLE
 from perflow.flows import CONVERGED, _rk4_step
+from perflow.numerics import finite_diff_hessian, finite_diff_jacobian
 
 
 def v(x):
@@ -171,6 +174,71 @@ class TestClassification:
         d = rgd_roots[0].to_dict()
         assert d["labels"] == sorted(rgd_roots[0].labels)
         assert isinstance(d["location"][0], float)
+
+
+def no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+class TestScalarEigenvalues:
+    """A 1x1 matrix is its own eigenvalue: scalar roots are classified without LAPACK."""
+
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    def test_scalar_reports_need_no_lapack(self, monkeypatch, bump_model, kind):
+        expected = [r.to_dict() for r in pf.find_equilibria(bump_model, kind, grid_n=2001)]
+        no_lapack(monkeypatch)
+        assert [r.to_dict() for r in pf.find_equilibria(bump_model, kind, grid_n=2001)] == expected
+
+    def test_two_dimensional_roots_still_run_lapack(self, monkeypatch, bump_pair_model):
+        no_lapack(monkeypatch)
+        with pytest.raises(AssertionError, match="LAPACK called"):
+            pf.classify_equilibrium(bump_pair_model, [0.0, 0.0], tol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    def test_bump_root_eigenvalues_equal_lapack_bit_for_bit(self, bump_model, kind):
+        for report in pf.find_equilibria(bump_model, kind, grid_n=2001):
+            x = report.location
+
+            def sym(f):
+                h = finite_diff_hessian(f, x)
+                return np.linalg.eigvalsh(0.5 * (h + h.T))
+
+            lapack = {
+                "pr_hessian_eigenvalues": lambda: sym(lambda y: float(bump_model.decoupled_risk(y, y))),
+                "stability_hessian_eigenvalues": lambda: sym(lambda y: float(bump_model.decoupled_risk(y, x))),
+                "rgd_jacobian_eigenvalues": lambda: np.sort(np.linalg.eigvals(
+                    finite_diff_jacobian(lambda z: bump_model.grad_x1(z, z), x)).real),
+            }
+            checked = 0
+            for name, oracle in lapack.items():
+                got = getattr(report, name)
+                if got is not None:
+                    assert got.dtype == np.float64 and got.tobytes() == oracle().tobytes(), name
+                    checked += 1
+            assert checked >= 1
+
+    @pytest.mark.parametrize("entry", [0.3, -2.5e-7, -0.0, 1.7e308, -1.7e308, np.inf, np.nan])
+    def test_symmetric_1x1_is_lapack_bit_for_bit(self, entry):
+        h = np.array([[entry]])
+        with np.errstate(over="ignore"):  # 1.7e308 + 1.7e308 overflows to inf, as with LAPACK
+            assert eq_mod._eigvals_sym(h).tobytes() == np.linalg.eigvalsh(0.5 * (h + h.T)).tobytes()
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_1x1_jacobian_raises_lapack_error(self, entry):
+        # field 0 at the root, +-entry on either side: the difference quotient is not finite
+        m = pf.CallableModel(
+            dimension=1,
+            domain=pf.interval(-1.0, 1.0),
+            risk=lambda x1, x2: 0.5 * float(x1[0] ** 2),
+            grad1=lambda x1, x2: np.array([0.0 if x1[0] == 0.0 else math.copysign(entry, x1[0])]),
+            grad2=lambda x1, x2: np.array([0.0]),
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            pf.classify_equilibrium(m, v(0.0), tol=1e-8)
 
 
 class TestBasinScan:

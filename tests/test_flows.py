@@ -1,6 +1,7 @@
 """Integration, the discrete recursion, and their cross-consistency."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -557,6 +558,19 @@ class TestDiscreteRecursion:
         slow = pf.discrete_rgd(bump_callable_model(), v(0.8), 20_000, schedule, noise)
         assert np.array_equal(fast.states, slow.states)
         assert fast.terminal_status == slow.terminal_status
+
+    def test_float_loop_holds_its_inputs_as_arrays(self, bump_model):
+        # 1e5 steps: the states, times, step sizes and noise arrays hold 0.8 MB
+        # each; a list of 1e5 Python floats would hold 3.2 MB on its own
+        schedule, noise = pf.StepSchedule.inverse(0.5, 10.0), pf.NoiseSpec.gaussian(0.1, seed=7)
+        tracemalloc.start()
+        try:
+            traj = pf.discrete_rgd(bump_model, 0.8, 100_000, schedule, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 100_001
+        assert peak < 4e6
 
     def test_nan_iterate_stops_scalar_loop(self):
         shift = pf.ShiftFunction(kind="nan", value=lambda x: float("nan"), derivative=lambda x: 0.0)
