@@ -56,7 +56,10 @@ def _write_csv(path: Path, header, columns):
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             chunks = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
-            cells = [(np.where(c, "true", "false") if c.dtype.kind == "b" else c).tolist() for c in chunks]
+            # a boolean cell indexes its text: np.where on strings would load numpy's string kernels
+            cells = [
+                [("false", "true")[v] for v in c.tolist()] if c.dtype.kind == "b" else c.tolist() for c in chunks
+            ]
             # one % for the whole chunk: the row format once per row, the cells row by row
             fh.write((row_fmt * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
 
@@ -127,13 +130,13 @@ def cmd_basins(cfg, model, args):
         match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
     )
     n = basin.grid.shape[1]
-    labels, counts = np.unique(basin.labels, return_counts=True)
+    counts = np.bincount(basin.labels + 1).tolist()  # labels are DIVERGENT = -1 or root indices
     summary = {
         "field_kind": kind,
         "grid_n": cfg.grid_n,
         "t_end": cfg.t_end,
         "match_radius": cfg.match_radius,
-        "label_counts": {str(int(l)): int(c) for l, c in zip(labels, counts)},
+        "label_counts": {str(i - 1): c for i, c in enumerate(counts) if c},
     }
     if n == 1:
         summary["boundaries"] = eq_mod.basin_boundaries(basin)

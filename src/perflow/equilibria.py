@@ -147,7 +147,9 @@ def classify_equilibrium(
             finite_diff_hessian(lambda y: float(model.decoupled_risk(y, x)), x)
         )
         jac = finite_diff_jacobian(lambda z: np.asarray(model.grad_x1(z, z), dtype=float), x)
-        jac_eigs = np.sort(_eigvals(jac).real)
+        jac_eigs = _eigvals(jac).real
+        if jac_eigs.size > 1:  # one eigenvalue is sorted already, and np.sort's first call maps ~0.26 MB
+            jac_eigs = np.sort(jac_eigs)
         attracting = jac_eigs.min() > hessian_tol
         repelling = jac_eigs.min() < -hessian_tol
         if attracting and stab_eigs.min() > hessian_tol:
@@ -174,8 +176,14 @@ def classify_equilibrium(
     )
 
 
-def _bisect(f, lo, hi, f_lo, f_hi, residual_tol, max_iter=200):
-    for _ in range(max_iter):
+# Halvings that close any bracket of doubles: from a width below 2**1025 to
+# the stop width 4 * eps * max(1, |mid|) >= 2**-50 takes at most 1075.
+_BISECT_HALVINGS = 1100
+
+
+def _bisect(f, lo, hi, f_lo, f_hi, residual_tol):
+    """``(root, f(root))`` of a sign-change bracket, or None if it is still open after the halvings."""
+    for _ in range(_BISECT_HALVINGS):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if abs(f_mid) <= residual_tol or (hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
@@ -184,11 +192,12 @@ def _bisect(f, lo, hi, f_lo, f_hi, residual_tol, max_iter=200):
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi), f(0.5 * (lo + hi))
+    return None
 
 
 def _dedup(points, residuals, min_separation):
-    order = np.argsort([p[0] for p in points])
+    # Python's stable sort: ties keep input order, and no numpy sort kernel is loaded
+    order = sorted(range(len(points)), key=lambda i: points[i][0])
     kept_p, kept_r = [], []
     for i in order:
         p, r = points[i], residuals[i]
@@ -263,9 +272,10 @@ def find_equilibria(
             residuals.append(float(r))
         sign_change = fv[:-1] * fv[1:] < 0
         for i in np.nonzero(sign_change)[0]:
-            root, res = _bisect(f_scalar, xs[i], xs[i + 1], fv[i], fv[i + 1], refine_tol)
-            points.append(np.array([root]))
-            residuals.append(float(res))
+            hit = _bisect(f_scalar, xs[i], xs[i + 1], fv[i], fv[i + 1], refine_tol)
+            if hit is not None:
+                points.append(np.array([hit[0]]))
+                residuals.append(float(hit[1]))
     else:
         for seed in _lattice(lo, hi, grid_n, 3):
             hit = _newton_root(field, seed, refine_tol, model.domain)
@@ -394,7 +404,7 @@ def basin_scan(
     if eq_locs.size:
         # every final state is finite (a row leaves before a non-finite step),
         # so the match runs on all rows and the status picks the ones it labels
-        ok = ~np.isin(statuses, (LEFT_DOMAIN, NUMERIC_ERROR))
+        ok = (statuses != LEFT_DOMAIN) & (statuses != NUMERIC_ERROR)
         dists = np.linalg.norm(finals[:, None, :] - eq_locs[None, :, :], axis=-1)
         labels = np.where(ok & (dists.min(axis=1) <= match_radius), dists.argmin(axis=1), DIVERGENT)
     if table is not None:

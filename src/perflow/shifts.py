@@ -142,13 +142,17 @@ def clamped_polynomial_shift(coefficients) -> ShiftFunction:
     poly = np.polynomial.Polynomial(coeffs)
     dpoly = poly.deriv() if len(coeffs) > 1 else np.polynomial.Polynomial([0.0])
 
+    # Far out a polynomial of degree 2 or more can overflow to +-inf: the clip sends
+    # that to the plateau value 0 or 1 it stands for, and the select to slope 0.
     def value(x):
-        return np.clip(poly(np.asarray(x, dtype=float)), 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            return np.clip(poly(np.asarray(x, dtype=float)), 0.0, 1.0)
 
     def derivative(x):
         x = np.asarray(x, dtype=float)
-        raw = poly(x)
-        return np.where((raw > 0.0) & (raw < 1.0), dpoly(x), 0.0)
+        with np.errstate(over="ignore"):
+            raw, slope = poly(x), dpoly(x)
+        return np.where((raw > 0.0) & (raw < 1.0), slope, 0.0)
 
     breakpoints = []
     if len(coeffs) > 1:

@@ -366,6 +366,24 @@ class TestCliCommands:
         assert header == ["x_0", "label"]
         assert len(rows) == 401
 
+    @pytest.mark.parametrize("t_end", ["60", "0.5"])  # no start unmatched; nearly all
+    def test_label_counts_are_the_label_histogram(self, tmp_path, t_end):
+        out = tmp_path / "bas"
+        assert cli.main(["basins", "--grid", "401", "--t-end", t_end, "--out", str(out)]) == 0
+        labels = np.array([int(r[1]) for r in read_csv(out / "basins.csv")[1]])
+        values, counts = np.unique(labels, return_counts=True)
+        label_counts = read_json(out / "basins_summary.json")["label_counts"]
+        assert label_counts == {str(v): int(c) for v, c in zip(values, counts)}
+        assert ("-1" in label_counts) == (t_end == "0.5")
+
+    def test_scan_without_roots_counts_every_start_divergent(self, tmp_path):
+        # p == 0.5 has its only root outside [0.6, 1]
+        out = tmp_path / "bas"
+        argv = ["basins", "--grid", "41", "--domain", "0.6", "1", "--shift-kind", "clamped-polynomial",
+                "--shift-params", '{"coefficients": [0.5]}', "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert read_json(out / "basins_summary.json")["label_counts"] == {"-1": 41}
+
     def test_equilibria_lists_three_roots(self, tmp_path):
         out = tmp_path / "eq"
         assert cli.main(["equilibria", "--flow", "prm", "--out", str(out)]) == 0
@@ -538,6 +556,24 @@ class TestCliErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"domain": [-1e154, 1e154]}))
         assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("argv", [[c, "--flow", f] for c in ("equilibria", "basins") for f in ("rgd", "prm")])
+    def test_cubic_shift_on_the_widest_domain_runs_without_overflow(self, tmp_path, argv):
+        # 0.1 x^3 overflows far out; the shift reads that as its plateau without a RuntimeWarning
+        shift = {"kind": "clamped-polynomial", "params": {"coefficients": [0.2, 0.5, 0, 0.1]}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": [-1e154, 1e154], "shift": shift}))
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("flow,root", [("rgd", 0.97875), ("prm", -0.0423)])
+    def test_wide_domain_reports_the_bisected_root(self, tmp_path, flow, root):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": [-1e100, 1e100], "shift": {"kind": "logistic", "params": {}}}))
+        out = tmp_path / "o"
+        assert cli.main(["equilibria", "--flow", flow, "--config", str(cfg), "--out", str(out)]) == 0
+        [report] = read_json(out / "equilibria.json")["equilibria"]
+        assert report["location"][0] == pytest.approx(root, abs=1e-4)
+        assert report["residual"] <= 1e-10
 
     def test_point_outside_the_domain_is_spelled_in_plain_numbers(self, tmp_path, capsys):
         assert cli.main(["simulate", "--x0", "2", "--out", str(tmp_path / "o")]) == 3

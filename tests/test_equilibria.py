@@ -113,6 +113,28 @@ class TestFindEquilibria:
         )
         assert pf.find_equilibria(m, "rgd", grid_n=101) == []
 
+    @pytest.mark.parametrize("kind,root", [("rgd", 0.97875), ("prm", -0.0423)])
+    def test_wide_domain_bisects_to_a_root(self, kind, root):
+        # one grid cell of width 1e97 brackets every root; 1e97 needs ~380 halvings
+        m = pf.BernoulliSquaredModel(shift=pf.logistic_shift(), domain=(-1e100, 1e100))
+        reports = pf.find_equilibria(m, kind, grid_n=2001)
+        assert locations(reports) == pytest.approx([root], abs=1e-4)
+        assert reports[0].residual <= 1e-10
+
+    def test_bracket_left_open_is_dropped(self, monkeypatch):
+        # 200 halvings shrink the wide cell only to ~1e37: no root, rather than a point classified there
+        monkeypatch.setattr(eq_mod, "_BISECT_HALVINGS", 200)
+        m = pf.BernoulliSquaredModel(shift=pf.logistic_shift(), domain=(-1e100, 1e100))
+        assert pf.find_equilibria(m, "rgd", grid_n=2001) == []
+
+    def test_dedup_keeps_input_order_of_equal_first_coordinates(self):
+        a, b, c = np.array([0.5, 1.0]), np.array([0.5, -1.0]), np.array([0.25, 3.0])
+        kept, residuals = eq_mod._dedup([a, b, c], [1e-12, 2e-12, 3e-12], 1e-9)
+        assert [p.tolist() for p in kept] == [c.tolist(), a.tolist(), b.tolist()]
+        assert residuals == [3e-12, 1e-12, 2e-12]
+        kept, _ = eq_mod._dedup([b, a], [2e-12, 1e-12], 1e-9)
+        assert [p.tolist() for p in kept] == [b.tolist(), a.tolist()]
+
     def test_grid_too_small_rejected(self, bump_model):
         with pytest.raises(ValueError):
             pf.find_equilibria(bump_model, "rgd", grid_n=2)

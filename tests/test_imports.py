@@ -5,6 +5,9 @@ module on first use.  The CLI front end parses arguments without numpy, a
 configuration error exits before any numeric import, and each command
 imports only the modules it runs.  The import checks run in fresh
 interpreters, because this process has long since loaded everything.
+Within numpy, a scalar run's bookkeeping calls no sort or set kernel and
+builds no string array: the first call of each maps a few hundred kB of
+numpy's code, for at most a handful of roots, labels or booleans.
 """
 
 import importlib
@@ -14,9 +17,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import perflow as pf
+import perflow.cli as cli
 
 SRC = Path(pf.__file__).resolve().parents[1]
 NUMERIC = ("numpy", *(f"perflow.{m}" for m in ("flows", "model", "shifts", "certify", "equilibria")))
@@ -127,3 +132,46 @@ class TestImportContract:
         assert rc == 0
         assert "numpy" in modules
         assert modules.isdisjoint(f"perflow.{m}" for m in unused)
+
+
+def no_sort_or_text_kernels(monkeypatch):
+    """Make np.sort, argsort, unique and isin raise, and np.where refuse string values."""
+    for name in ("sort", "argsort", "unique", "isin"):
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"np.{_name} called")
+
+        monkeypatch.setattr(np, name, refuse)
+    where = np.where
+
+    def where_on_numbers(condition, *values):
+        if any(np.asarray(v).dtype.kind in "SU" for v in values):
+            raise AssertionError("np.where called on strings")
+        return where(condition, *values)
+
+    monkeypatch.setattr(np, "where", where_on_numbers)
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basins", "--flow", "rgd"],
+            ["basins", "--flow", "prm"],
+            ["equilibria", "--flow", "rgd"],
+            ["equilibria", "--flow", "prm"],
+            ["repro", "constants"],
+            ["align", "--grid", "10001"],
+            ["certify", "--sweep", "--sweep-step", "0.1"],
+        ],
+        ids=["basins-rgd", "basins-prm", "equilibria-rgd", "equilibria-prm", "repro-constants", "align",
+             "certify-sweep"],
+    )
+    def test_scalar_run_writes_the_same_bytes_without_sort_or_text_kernels(self, monkeypatch, tmp_path, argv):
+        plain, guarded = tmp_path / "plain", tmp_path / "guarded"
+        assert cli.main(argv + ["--out", str(plain)]) == 0
+        no_sort_or_text_kernels(monkeypatch)
+        assert cli.main(argv + ["--out", str(guarded)]) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in guarded.iterdir())
+        for name in names:
+            assert (guarded / name).read_bytes() == (plain / name).read_bytes(), name

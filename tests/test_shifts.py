@@ -248,6 +248,19 @@ class TestClampedPolynomial:
             assert scaled_error(fd_derivative(s.value, x), float(s.derivative(x))) <= 1e-5
 
 
+    def test_overflowing_cubic_gives_its_plateaus_without_warning(self):
+        # 0.1 x^3 overflows beyond about 1e103; the sign of the overflow picks the plateau
+        s = pf.clamped_polynomial_shift((0.2, 0.5, 0.0, 0.1))
+        xs = np.array([-1e154, -1e120, 1e120, 1e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, dp = s.value(xs), s.derivative(xs)
+            floats = [(float(s.value(float(x))), float(s.derivative(float(x)))) for x in xs]
+        assert p.tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert dp.tolist() == [0.0] * 4
+        assert floats == list(zip(p.tolist(), dp.tolist()))
+
+
 class TestTabulated:
     def test_interpolates_knots_and_holds_ends(self):
         s = pf.tabulated_shift([0.0, 0.5, 1.0], [0.0, 0.8, 1.0])
