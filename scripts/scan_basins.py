@@ -2,9 +2,10 @@
 """Map basins of attraction of both flows for the built-in example.
 
 For each flow this runs ``perflow basins``, which locates the equilibria and
-integrates a grid of initial conditions, then prints the basin boundaries
-next to the unstable root they should straddle, both read back from the
-artifacts.  CSV/JSON artifacts land under --out/<flow>/.
+labels a grid of initial conditions by the root each one tends to, read off
+the sign of the field, then prints the basin boundaries next to the
+unstable root they should straddle, both read back from the artifacts.
+CSV/JSON artifacts land under --out/<flow>/.
 """
 
 import argparse

@@ -32,7 +32,7 @@ import numpy as np
 from .config import _step_count, normalize_flow_kind
 from .errors import NotAnEquilibriumError
 from .flows import CONVERGED, LEFT_DOMAIN, NUMERIC_ERROR, integrate_ensemble
-from .flows import _field_function, _one_state, _rk4_step
+from .flows import _field_function, _one_state
 from .model import DecisionDependentModel, _check_state, _lattice, _record_document
 from .numerics import finite_diff_hessian, finite_diff_jacobian
 
@@ -72,8 +72,9 @@ class BasinMap:
     """Grid of initial conditions labeled by the equilibrium they reach.
 
     ``labels[i]`` indexes into ``equilibrium_locations`` or is ``-1`` for
-    points whose final state matched nothing within ``match_radius`` (or
-    that left the domain).
+    points that reach none within ``match_radius`` (or that leave the
+    domain).  ``t_end`` is the horizon as passed; only an integrated scan
+    runs to it.
     """
 
     grid: np.ndarray
@@ -290,73 +291,67 @@ def find_equilibria(
     ]
 
 
-# Field samples per trap check; an even count leaves out the root itself,
-# where the field is zero up to the refinement residual.
-_TRAP_SAMPLES = 128
+def _sign_chart(xs, fv, roots, match_radius, eq_tol):
+    """Labels and statuses of a scalar scan from the sign of its field, or None.
 
+    ``fv`` is the field on the lattice ``xs``.  A 1-D flow is monotone, so a
+    start goes to the nearest root of ``roots`` lying in ``[xs[0], xs[-1]]``
+    in the direction of ``sign(f)``; with none there it leaves through that
+    edge (label ``-1``, ``left-domain``).  A start at rest,
+    ``sqrt(f * f) <= eq_tol``, takes the nearest of those roots within
+    ``match_radius``, or ``-1``.  Every start that does not leave is
+    ``converged-to-equilibrium``: the labels are the flow's limits.
 
-def _scalar_traps(model, kind, roots, match_radius, h, eq_tol, steps):
-    """The traps of a scalar basin scan: ``(owner, radii, last)``, or None.
+    The rule reads only root locations and the field's sign, so it holds only
+    if the roots are all the zeros a row can stop at.  It returns None, for
+    the caller to integrate instead, unless the lattice accounts for them:
 
-    Trap ``j`` is ``[x* - radii[j], x* + radii[j]]``, ``x* = roots[owner[j]]``,
-    and takes rows at steps ``0 .. last[j]``.  A row that stops in it gets
-    the label ``owner[j]`` that running on to ``eq_tol`` would give it, at
-    any horizon, as far as the samples below resolve the field.
-
-    *Inner* traps: radius ``rho = match_radius / 2``, last step ``steps``.
-    The interval lies in the domain, no other root is within ``2 * rho`` (so
-    ``x*`` is the nearest root to all of it), and on ``_TRAP_SAMPLES``
-    samples spanning it, ends included, the field points toward ``x*`` and
-    ``h * max|f'| < 1`` by finite differences, so an RK4 step cannot
-    overshoot ``x*``.  In one dimension no row leaves it.
-
-    *Outer* traps, around roots with an inner trap: radius ``R > rho``, the
-    smaller of half the distance to the nearest other root and the distance
-    to the domain edges.  On ``_TRAP_SAMPLES`` distances per side spaced
-    logarithmically from ``rho`` to ``R``: (1) the field points toward
-    ``x*``, (2) ``h * max|f'| < 1``, (3) one RK4 step contracts toward ``x*``
-    by ``q = max |step(y) - x*| / |y - x*| < 1``, (4) ``|f| > eq_tol``
-    beyond ``match_radius``, so no row stops by ``eq_tol`` unmatched, and
-    (5) ``n = ceil(log(rho / R) / log q) <= steps``.  By (3) a row in it
-    reaches the inner trap within ``n`` steps: its last step is ``steps - n``.
+    * it has at least ``MIN_ROOT_GRID`` points, and the field is finite on
+      all of them (a row would stop where it is not);
+    * every cell whose ends do not share one strict sign holds a root;
+    * no tangent zero is suspected: a lattice minimum of ``|f|`` between two
+      cells of one sign, neither holding a root, must exceed the field's
+      second difference there (one-sided at the ends).  A double root
+      between lattice points leaves a minimum of at most an eighth of that
+      difference, so rounding cannot hide it, while a minimum the lattice
+      resolves from zero passes.
     """
-    lo, hi = model.domain.lower[0], model.domain.upper[0]
-    rho = 0.5 * match_radius
-    gaps = np.abs(roots[:, None] - roots)
-    np.fill_diagonal(gaps, np.inf)
-    nearest = gaps.min(axis=1, initial=np.inf)
-    field = _field_function(model, kind)
-
-    def sampled(owner, offsets):
-        # field samples around roots[owner]; True where f points inward and h * max|f'| < 1
-        x = (roots[owner, None] + offsets)[..., None]
-        fv = np.asarray(field(x), dtype=float)
-        slope = np.max(np.abs(np.diff(fv, axis=1)) / np.diff(x, axis=1), axis=1)[:, 0]
-        return x, fv, np.all(fv[..., 0] * offsets < 0.0, axis=1) & (h * slope < 1.0)
-
-    owner = np.nonzero((roots - rho >= lo) & (roots + rho <= hi) & (nearest > 2.0 * rho))[0]
-    if owner.size == 0:
+    n = xs.size
+    if n < MIN_ROOT_GRID or not np.isfinite(fv).all():
         return None
-    owner = owner[sampled(owner, rho * np.linspace(-1.0, 1.0, _TRAP_SAMPLES))[2]]
-    if owner.size == 0:
-        return None
-    inner = (owner, np.full(owner.size, rho), np.full(owner.size, steps))
+    # Python's sorted: a handful of roots, and no numpy sort kernel is loaded
+    order = sorted((i for i in range(roots.size) if xs[0] <= roots[i] <= xs[-1]), key=roots.__getitem__)
+    labels = np.full(n, DIVERGENT)
+    covered = np.zeros(n - 1, dtype=bool)  # cells [xs[k], xs[k + 1]] holding a root
+    below = -np.inf
+    for i in order:
+        r = roots[i]
+        # f < 0: the nearest root below (the last written); f > 0: r, from the previous root on
+        labels = np.where(((fv < 0) & (xs > r)) | ((fv > 0) & (below <= xs) & (xs < r)), i, labels)
+        covered |= (xs[:-1] <= r) & (r <= xs[1:])
+        below = r
 
-    radii = np.minimum.reduce([0.5 * nearest[owner], roots[owner] - lo, hi - roots[owner]])
-    owner, radii = owner[radii > rho], radii[radii > rho]
-    if owner.size == 0:
-        return inner
-    side = np.geomspace(rho, radii, _TRAP_SAMPLES, axis=-1)
-    offsets = np.concatenate([-side[:, ::-1], side], axis=1)
-    x, fv, ok = sampled(owner, offsets)
-    dist = np.abs(offsets)
-    q = np.max(np.abs(_rk4_step(field, x, fv, h)[..., 0] - roots[owner, None]) / dist, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = np.ceil(np.log(rho / radii) / np.log(q))
-    ok &= (q < 1.0) & (n <= steps)
-    ok &= np.all((np.abs(fv[..., 0]) > eq_tol) | (dist <= match_radius), axis=1)
-    outer = (owner[ok], radii[ok], (steps - n[ok]).astype(int))
-    return tuple(np.concatenate(level) for level in zip(inner, outer))
+    same = fv[:-1] * fv[1:] > 0
+    if (~same & ~covered).any():
+        return None
+
+    def pad(a):  # an array over points or cells, its end entries repeated
+        return np.concatenate([a[:1], a, a[-1:]])
+
+    # a lattice minimum of |f| between two rootless cells of one sign, no
+    # larger than the field's second difference there: a suspected tangent zero
+    size, clear = pad(np.abs(fv)), pad(same & ~covered)
+    dip = (size[1:-1] <= np.minimum(size[:-2], size[2:])) & clear[:-1] & clear[1:]
+    if (dip & (size[1:-1] <= pad(np.abs(np.diff(fv, 2))))).any():
+        return None
+
+    rest = np.sqrt(fv * fv) <= eq_tol  # np.linalg.norm's arithmetic
+    for k in np.flatnonzero(rest).tolist():
+        near = min(order, key=lambda i: abs(xs[k] - roots[i]), default=None)
+        labels[k] = DIVERGENT if near is None or abs(xs[k] - roots[near]) > match_radius else near
+    statuses = np.full(n, LEFT_DOMAIN, dtype=object)
+    statuses[rest | (labels != DIVERGENT)] = CONVERGED
+    return labels, statuses
 
 
 def basin_scan(
@@ -371,48 +366,41 @@ def basin_scan(
 ) -> BasinMap:
     """Label a lattice of initial conditions by the equilibrium each one reaches.
 
-    Every grid point is integrated to ``t_end`` in one vectorized ensemble.
-    The final state is matched to the nearest known equilibrium within
-    ``match_radius``; anything unmatched, including domain exits, gets the
-    divergence label ``-1`` rather than spawning a new equilibrium.
-
-    For a scalar model the scan first builds the trap table of
-    :func:`_scalar_traps`, which describes its checks: a row that enters
-    trap ``j`` stops there as ``converged-to-equilibrium``, with the state
-    at which it entered as its final state, and a converged row whose final
-    state lies in trap ``j`` is labelled by the trap's root ``owner[j]``.
-    Models in more dimensions get no traps: a prm-flow trap from the
-    curvature bracket ``c1``/``c2`` needs proven enclosures of those
-    constants, and grid estimates are not a proof.
+    A scalar model gets its labels and statuses from the sign chart of its
+    field, :func:`_sign_chart`: one field evaluation on the lattice and the
+    locations of ``equilibria``.  They are the flow's limits, so ``t_end``
+    and ``h`` do not move them.  Where the lattice does not vouch for the
+    chart (a sign change or a suspected tangent zero without a passed
+    root), and for two-dimensional models, every grid point is integrated to
+    ``t_end`` in one vectorized ensemble.  The final state is matched to the
+    nearest known equilibrium within ``match_radius``; anything unmatched,
+    including domain exits, gets the divergence label ``-1`` rather than
+    spawning a new equilibrium.
     """
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")
     kind = normalize_flow_kind(field_kind)
     if model.dimension > 2:
         raise ValueError("basin scans are supported in one and two dimensions only")
+    _step_count(t_end, h)  # the horizon is checked whichever path runs
     grid = _lattice(model.domain.lower, model.domain.upper, grid_n, 2)
-
     eq_locs = np.array([r.location for r in equilibria], dtype=float)
-    table = None
-    if model.dimension == 1:
-        steps = _step_count(t_end, h)
-        table = _scalar_traps(model, kind, eq_locs.reshape(-1), match_radius, h, eq_tol, steps)
-    traps = None if table is None else (eq_locs[table[0]], *table[1:])
-    finals, statuses, _ = integrate_ensemble(model, kind, grid, t_end, h=h, eq_tol=eq_tol, traps=traps)
 
-    labels = np.full(grid.shape[0], DIVERGENT, dtype=int)
-    if eq_locs.size:
-        # every final state is finite (a row leaves before a non-finite step),
-        # so the match runs on all rows and the status picks the ones it labels
-        ok = (statuses != LEFT_DOMAIN) & (statuses != NUMERIC_ERROR)
-        dists = np.linalg.norm(finals[:, None, :] - eq_locs[None, :, :], axis=-1)
-        labels = np.where(ok & (dists.min(axis=1) <= match_radius), dists.argmin(axis=1), DIVERGENT)
-    if table is not None:
-        # a trapped row's final state is its entry state, possibly far from x*
-        owner, radii, _ = table
-        inside = np.abs(finals - eq_locs[owner, 0]) <= radii
-        rows, trap = np.nonzero(inside & (statuses == CONVERGED)[:, None])
-        labels[rows] = owner[trap]
+    chart = None
+    if model.dimension == 1:
+        fv = np.asarray(_field_function(model, kind)(grid), dtype=float)[:, 0]
+        chart = _sign_chart(grid[:, 0], fv, eq_locs.reshape(-1), match_radius, eq_tol)
+    if chart is not None:
+        labels, statuses = chart
+    else:
+        finals, statuses, _ = integrate_ensemble(model, kind, grid, t_end, h=h, eq_tol=eq_tol)
+        labels = np.full(grid.shape[0], DIVERGENT, dtype=int)
+        if eq_locs.size:
+            # every final state is finite (a row leaves before a non-finite step),
+            # so the match runs on all rows and the status picks the ones it labels
+            ok = (statuses != LEFT_DOMAIN) & (statuses != NUMERIC_ERROR)
+            dists = np.linalg.norm(finals[:, None, :] - eq_locs[None, :, :], axis=-1)
+            labels = np.where(ok & (dists.min(axis=1) <= match_radius), dists.argmin(axis=1), DIVERGENT)
 
     return BasinMap(
         grid=grid,

@@ -213,28 +213,17 @@ def integrate_ensemble(
     h: float = 0.01,
     eq_tol: float = 1e-9,
     record: bool = False,
-    traps=None,
 ):
     """Integrate many initial conditions at once.
 
     ``x0s`` is an ``(m, n)`` batch of starts; an ``(n,)`` vector, or a bare
     number when ``n = 1``, is a batch of one.  The ensemble advances through
     vectorized Runge-Kutta steps over a batch of the rows that still move.
-    A row that stops (trapped, converged, exited, or non-finite) leaves the
+    A row that stops (converged, exited, or non-finite) leaves the
     batch in the step it stops, with its status and final state, so no
     later evaluation carries it.  Every row's arithmetic is elementwise, so
     its result does not depend on which other rows share the batch: it
     equals integrating that row alone.
-
-    ``traps``, when given, is ``(centres[k, n], radii[k], last[k])``: trap
-    ``j`` is the box ``|x - centres[j]| <= radii[j]`` in every coordinate,
-    and it takes rows at steps ``0 .. last[j]`` only.  A row that lies in a
-    trap at the start of such a step stops there with status
-    ``converged-to-equilibrium``: the caller vouches that its label is
-    decided there, whatever the rest of the horizon.
-    :func:`perflow.basin_scan` passes the table of
-    ``equilibria._scalar_traps``.  A trapped row's final state is the state
-    at which it entered the trap, not the equilibrium.
 
     Returns ``(final_states, statuses, recording)`` where ``recording`` is
     ``(times, states[k, m, n])`` when requested, else None.  Per-point
@@ -251,11 +240,6 @@ def integrate_ensemble(
     statuses = np.full(m, MAX_TIME, dtype=object)
     stride = _record_stride(h)
     rec_times, rec_states = [0.0], [x.copy()]
-    if traps is not None:
-        centres, radii, last = traps
-        centres = np.asarray(centres, dtype=float).reshape(-1, 1, x.shape[1])
-        radii = np.asarray(radii, dtype=float).reshape(-1, 1, 1)
-        last = np.asarray(last).reshape(-1, 1)
     rows = np.arange(m)  # rows of ``x`` in the batch ``xb``, which holds only live rows
     xb = x
 
@@ -269,9 +253,6 @@ def integrate_ensemble(
         return rows[stay], *(b[stay] for b in batch)
 
     for k in range(steps):
-        if traps is not None:
-            inside = (np.abs(xb - centres) <= radii).all(axis=-1) & (k <= last)
-            rows, xb = leave(inside.any(axis=0), CONVERGED, xb, xb)
         if not rows.size:
             break
         fx = np.asarray(field(xb), dtype=float)

@@ -1,15 +1,17 @@
 """Root finding, stability classification, and basin mapping."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import perflow as pf
+import perflow.cli as cli
 import perflow.equilibria as eq_mod
 from perflow.config import ExperimentConfig
 from perflow.equilibria import INCONCLUSIVE, PERFORMATIVELY_STABLE, PRM_MINIMIZER, UNSTABLE
-from perflow.flows import CONVERGED, _rk4_step
+from perflow.flows import CONVERGED
 from perflow.numerics import finite_diff_hessian, finite_diff_jacobian
 
 
@@ -338,30 +340,115 @@ class TestBasinScan:
             pf.basin_boundaries(basin)
 
 
-class TestExactBasinOracle:
-    @pytest.mark.parametrize(
-        "shift, kind",
-        [
-            (pf.bump_shift(), "rgd"),
-            (pf.bump_shift(), "prm"),
-            (pf.logistic_shift(8.0, 0.5), "rgd"),
-        ],
-        ids=["bump-rgd", "bump-prm", "logistic-rgd"],
+def ensemble_labels(model, kind, reports, xs, cfg):
+    """The ensemble's labels and statuses of the starts ``xs`` at ``cfg``'s horizon.
+
+    This is how ``basin_scan`` labels the starts it integrates: each final
+    state takes the nearest root within ``match_radius``, unless its row
+    left the domain or hit a non-finite value.
+    """
+    finals, statuses, _ = pf.integrate_ensemble(model, kind, xs[:, None], cfg.t_end, h=cfg.h, eq_tol=cfg.eq_tol)
+    dists = np.abs(finals - np.array([r.location[0] for r in reports]))
+    ok = (statuses != "left-domain") & (statuses != "numeric-error")
+    return np.where(ok & (dists.min(axis=1) <= cfg.match_radius), dists.argmin(axis=1), -1), statuses
+
+
+def chart_scan(monkeypatch, model, kind, reports, grid_n, cfg):
+    # a scalar scan that must not integrate: the sign chart alone labels it.
+    # Only basin_scan's reference is patched; pf.integrate_ensemble still runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("basin_scan integrated a scalar scan")
+
+    monkeypatch.setattr(eq_mod, "integrate_ensemble", refuse)
+    return pf.basin_scan(
+        model, kind, reports, grid_n=grid_n, t_end=cfg.t_end,
+        match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
     )
-    def test_scan_labels_equal_monotone_oracle(self, shift, kind):
-        model = pf.BernoulliSquaredModel(shift=shift)
+
+
+TABULATED_KNOTS = ([-0.5, 0.1, 0.6, 1.5], [0.0, 0.0, 0.9, 1.0])
+SHIFTS = {
+    "bump": pf.bump_shift(),
+    "logistic": pf.logistic_shift(8.0, 0.5),
+    "tabulated": pf.tabulated_shift(*TABULATED_KNOTS),
+    "logistic-rate-4": pf.logistic_shift(4.0, 0.5),
+    "cubic": pf.clamped_polynomial_shift((0.2, 0.5, 0.0, 0.1)),
+}
+
+
+class TestSignChartOracles:
+    """The scalar scan's sign chart against the ensemble and against the classification labels."""
+
+    @pytest.mark.parametrize("grid_n", [2001, 501])
+    @pytest.mark.parametrize("kind", ["rgd", "prm"])
+    @pytest.mark.parametrize("shift", ["bump", "logistic", "tabulated"])
+    def test_chart_equals_ensemble_and_monotone_oracle(self, monkeypatch, shift, kind, grid_n):
+        model = pf.BernoulliSquaredModel(shift=SHIFTS[shift])
         cfg = ExperimentConfig()  # the command-line defaults, t_end included
-        reports = pf.find_equilibria(model, kind, grid_n=cfg.grid_n)
-        basin = pf.basin_scan(
-            model, kind, reports, grid_n=cfg.grid_n, t_end=cfg.t_end,
-            match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
-        )
+        reports = pf.find_equilibria(model, kind, grid_n=grid_n)
+        basin = chart_scan(monkeypatch, model, kind, reports, grid_n, cfg)
         xs = basin.grid[:, 0]
-        expected = exact_basin_labels(model, kind, reports, xs, cfg.eq_tol, cfg.match_radius)
-        converged = basin.statuses == CONVERGED
+        labels, statuses = ensemble_labels(model, kind, reports, xs, cfg)
+        converged = statuses == CONVERGED
         assert converged.mean() > 0.99
-        assert len(set(expected[converged])) >= 2
-        assert np.array_equal(basin.labels[converged], expected[converged])
+        assert len(set(labels[converged].tolist())) >= 2
+        assert np.array_equal(basin.labels[converged], labels[converged])
+        assert np.array_equal(basin.labels, exact_basin_labels(model, kind, reports, xs, cfg.eq_tol, cfg.match_radius))
+        assert set(basin.statuses.tolist()) == {CONVERGED}
+
+    # logistic rate 4: the root 0.5 is degenerate (rgd Jacobian 0), so at the
+    # horizon the ensemble is still on its way and matches nothing.  The
+    # cubic's prm field jumps at the kinks -0.38829 and 1.22886 and points
+    # into them from both sides: RK4 chatters across the jump while the flow
+    # slides into the kink
+    @pytest.mark.parametrize("shift, kind, differing", [("logistic-rate-4", "rgd", 1998), ("cubic", "prm", 749)])
+    def test_chart_gives_the_limit_the_ensemble_has_not_reached(self, monkeypatch, shift, kind, differing):
+        model = pf.BernoulliSquaredModel(shift=SHIFTS[shift])
+        cfg = ExperimentConfig()
+        reports = pf.find_equilibria(model, kind, grid_n=cfg.grid_n)
+        basin = chart_scan(monkeypatch, model, kind, reports, cfg.grid_n, cfg)
+        xs = basin.grid[:, 0]
+        labels, statuses = ensemble_labels(model, kind, reports, xs, cfg)
+        differ = basin.labels != labels
+        assert differ.sum() == differing
+        assert set(statuses[differ].tolist()) == {"max-time"}
+        assert set(basin.statuses.tolist()) == {CONVERGED} and np.all(basin.labels >= 0)
+        if shift == "cubic":
+            # the sliding basins: each kink owns the starts up to the unstable root 0.661
+            assert np.array_equal(basin.labels, exact_basin_labels(model, kind, reports, xs, cfg.eq_tol, cfg.match_radius))
+        else:
+            assert locations(reports) == pytest.approx([0.5], abs=1e-9) and np.all(basin.labels == 0)
+
+
+class TestSignChartGuard:
+    """The chart runs only when the passed roots account for the lattice."""
+
+    def test_tangent_root_missed_by_bracketing_is_not_jumped(self, monkeypatch, tmp_path):
+        # rgd field (x - 0.5)^2 up to x = 0.866, then 1 - x: a double root at
+        # 0.5 that no 400-point lattice brackets, and a simple root at 1
+        calls, real = [], eq_mod.integrate_ensemble
+        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1) or real(*a, **k))
+        out = tmp_path / "tangent"
+        argv = ["basins", "--flow", "rgd", "--grid", "400", "--shift-kind", "clamped-polynomial",
+                "--shift-params", '{"coefficients": [0.25, 0.0, 1.0]}', "--out", str(out)]
+        assert cli.main(argv) == 0
+        roots = [e["location"][0] for e in json.loads((out / "equilibria.json").read_text())["equilibria"]]
+        assert roots == [pytest.approx(1.0, abs=1e-9)]
+        assert calls == [1]  # the guard fell back to the ensemble
+        rows = np.loadtxt(out / "basins.csv", delimiter=",", skiprows=1)
+        left = rows[:, 0] < 0.5
+        assert left.sum() == 200 and not np.any(rows[left, 1] == 0)
+
+    def test_sign_change_without_a_passed_root_falls_back(self, monkeypatch, bump_model, rgd_roots):
+        calls, real = [], eq_mod.integrate_ensemble
+        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1) or real(*a, **k))
+        charted = pf.basin_scan(bump_model, "rgd", rgd_roots, grid_n=401)
+        assert calls == []
+        stable = [r for r in rgd_roots if UNSTABLE not in r.labels]
+        integrated = pf.basin_scan(bump_model, "rgd", stable, grid_n=401)
+        assert calls == [1]
+        # the same basins, indexed into the two stable roots
+        assert np.array_equal(integrated.labels, np.where(charted.labels == 2, 1, charted.labels))
 
 
 class TestSeparableOracle:
@@ -414,220 +501,3 @@ class TestSeparableOracle:
         roots = scalar.equilibrium_locations[:, 0]
         owner = np.abs(planar.equilibrium_locations[:, :, None] - roots).argmin(axis=2)
         assert np.array_equal(owner[planar.labels], product(scalar.labels))
-
-
-def three_root_model(a, rate=10.0):
-    # rgd field -rate * s(x) with s a sawtooth: roots 0 and 2a attract, a
-    # repels
-    def grad1(x1, x2):
-        x = x1[0]
-        if x <= 0.5 * a:
-            return np.array([rate * x])
-        if x <= 1.5 * a:
-            return np.array([rate * (a - x)])
-        return np.array([rate * (x - 2.0 * a)])
-
-    return pf.CallableModel(
-        dimension=1,
-        domain=pf.interval(-5.0 * a, 5.0 * a),
-        risk=lambda x1, x2: 0.0,
-        grad1=grad1,
-        grad2=lambda x1, x2: np.zeros(1),
-    )
-
-
-def trap_table(model, kind, reports, h, match_radius=1e-3, eq_tol=1e-9, steps=6000):
-    # the traps basin_scan builds for these reports: (owner, radii, last)
-    roots = np.array([r.location[0] for r in reports])
-    return eq_mod._scalar_traps(model, kind, roots, match_radius, h, eq_tol, steps)
-
-
-class TestBasinTraps:
-    def scan(self, model, reports, monkeypatch=None, traps=None):
-        if monkeypatch is not None:
-            monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: traps)
-        return pf.basin_scan(model, "rgd", reports, grid_n=81)
-
-    # a = 2e-4: all three roots lie inside one trap of radius 5e-4 and the
-    # field test refuses it; a = 7e-4: the field points toward 0 on the whole
-    # trap, but part of it is nearer the root a, which would label it a
-    @pytest.mark.parametrize("a", [2e-4, 7e-4])
-    def test_trap_near_a_second_root_is_refused(self, monkeypatch, a):
-        model = three_root_model(a)
-        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
-        roots = np.array(locations(reports))
-        assert np.allclose(roots, [0.0, a, 2.0 * a], atol=1e-12)
-        assert trap_table(model, "rgd", reports, 0.01) is None
-
-        scanned = self.scan(model, reports).labels
-        untrapped = self.scan(model, reports, monkeypatch, None).labels
-        assert len(set(scanned)) >= 2
-        assert np.array_equal(scanned, untrapped)
-        # the refusal matters: trapping every root would relabel starts
-        # between the roots by the root nearest to them
-        every_root = (np.arange(3), np.full(3, 5e-4), np.full(3, 6000))
-        assert not np.array_equal(scanned, self.scan(model, reports, monkeypatch, every_root).labels)
-
-    @pytest.mark.parametrize("kind, unstable", [("rgd", 0.227360), ("prm", 0.398966)])
-    def test_only_the_attracting_roots_get_traps(self, bump_model, kind, unstable):
-        cfg = ExperimentConfig()
-        reports = pf.find_equilibria(bump_model, kind, grid_n=cfg.grid_n)
-        assert any(abs(r.location[0] - unstable) < 1e-6 for r in reports)
-        steps = round(cfg.t_end / cfg.h)
-        owner, radii, last = trap_table(bump_model, kind, reports, cfg.h, cfg.match_radius, cfg.eq_tol, steps)
-        assert owner.tolist() == [0, 2, 0, 2]  # inner traps, then outer ones
-        inner = radii == cfg.match_radius / 2
-        assert inner.tolist() == [True, True, False, False]
-        centres = [reports[i].location[0] for i in owner[inner]]
-        assert np.allclose(centres, [0.0, 1.0], atol=1e-9)
-        assert np.all(radii[inner] == cfg.match_radius / 2)
-        assert np.all(last[inner] == steps)
-
-    def test_root_without_room_for_an_outer_trap_keeps_its_inner_one(self, monkeypatch):
-        # field 0.5 - x on (0, 1): the inner trap of radius 0.5 reaches both
-        # domain edges, so no outer trap can be wider
-        model = pf.BernoulliSquaredModel(shift=pf.constant_shift(0.5), domain=(0.0, 1.0))
-        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
-        assert locations(reports) == [pytest.approx(0.5, abs=1e-12)]
-        owner, radii, last = trap_table(model, "rgd", reports, 0.01, match_radius=1.0)
-        assert (owner.tolist(), radii.tolist(), last.tolist()) == ([0], [0.5], [6000])
-
-        def scan():
-            return pf.basin_scan(model, "rgd", reports, grid_n=81, t_end=60.0, match_radius=1.0)
-
-        trapped = scan()
-        monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: None)
-        assert np.array_equal(trapped.labels, scan().labels)
-        assert set(trapped.labels) == {0}
-
-    def test_steep_root_gets_a_trap_only_at_a_small_enough_step(self):
-        # rgd field p(x) - x = 50 - 100 x: slope -100 at the root 0.5
-        model = pf.BernoulliSquaredModel(shift=pf.clamped_polynomial_shift((50.0, -99.0)))
-        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
-        assert locations(reports) == [pytest.approx(0.5, abs=1e-12)]
-        assert trap_table(model, "rgd", reports, 0.011) is None
-        owner, radii, _ = trap_table(model, "rgd", reports, 0.009)
-        centres = [reports[i].location[0] for i in owner[radii == 5e-4]]
-        assert centres == pytest.approx([0.5], abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "kind, outer_radii, outer_last",
-        [("rgd", [0.11368001, 0.38631999], [4301, 3863]),
-         ("prm", [0.19948297, 0.30051703], [4401, 4360])],
-    )
-    def test_readme_trap_table_of_both_bump_flows(self, monkeypatch, bump_model, kind, outer_radii, outer_last):
-        # the traps basin_scan hands to integrate_ensemble: inner ones at the
-        # stable roots 0 and 1, then the outer ones around the same roots
-        cfg = ExperimentConfig()
-        assert (cfg.t_end, cfg.h, round(cfg.t_end / cfg.h)) == (50.0, 0.01, 5000)
-        reports = pf.find_equilibria(bump_model, kind, grid_n=cfg.grid_n)
-        passed, real = [], eq_mod.integrate_ensemble
-        monkeypatch.setattr(
-            eq_mod, "integrate_ensemble", lambda *a, **k: passed.append(k["traps"]) or real(*a, **k)
-        )
-        pf.basin_scan(
-            bump_model, kind, reports, grid_n=cfg.grid_n, t_end=cfg.t_end,
-            match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
-        )
-        centres, radii, last = passed[0]
-        assert centres[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
-        assert radii[:2].tolist() == [5e-4, 5e-4]
-        assert radii[2:] == pytest.approx(outer_radii, abs=5e-9)
-        assert last.tolist() == [5000, 5000, *outer_last]
-
-
-def spiked_model(centre, half_width=1e-4):
-    # rgd field -x on [-1, 1], except +1 (outward) within half_width of
-    # centre: narrower than one RK4 stage moves, so the step taken from the
-    # centre itself still contracts toward 0
-    def grad1(x1, x2):
-        x = x1[0]
-        return np.array([-1.0 if abs(x - centre) <= half_width else x])
-
-    return pf.CallableModel(
-        dimension=1,
-        domain=pf.interval(-1.0, 1.0),
-        risk=lambda x1, x2: 0.0,
-        grad1=grad1,
-        grad2=lambda x1, x2: np.zeros(1),
-    )
-
-
-class TestOuterTraps:
-    RHO, MATCH, H, EQ_TOL, STEPS = 5e-4, 1e-3, 0.01, 1e-9, 6000
-
-    def outer(self, model, h=H, eq_tol=EQ_TOL, steps=STEPS):
-        # the one root 0, which gets its inner trap; no other root.  Returns
-        # the rows of the table with a radius above rho, or None
-        owner, radii, last = eq_mod._scalar_traps(model, "rgd", np.zeros(1), self.MATCH, h, eq_tol, steps)
-        assert (owner[0], radii[0], last[0]) == (0, self.RHO, steps)
-        wide = radii > self.RHO
-        return (owner[wide], radii[wide], last[wide]) if wide.any() else None
-
-    def test_linear_field_gets_the_whole_half_domain(self, quadratic_model):
-        owner, radii, last = self.outer(quadratic_model)
-        assert owner.tolist() == [0] and radii.tolist() == [0.5]
-        # one RK4 step of x' = -x contracts by exp(-h) to within 1e-10
-        n = np.ceil(np.log(self.RHO / 0.5) / np.log(np.exp(-self.H)))
-        assert last.tolist() == [self.STEPS - n]
-
-    def test_outward_stretch_in_the_annulus_is_refused(self):
-        samples = np.geomspace(self.RHO, 1.0, eq_mod._TRAP_SAMPLES)
-        assert self.outer(spiked_model(centre=2.0)) is not None
-        assert self.outer(spiked_model(centre=samples[115])) is None
-
-    def test_step_with_q_of_one_is_refused(self, quadratic_model):
-        # a step this small leaves every sample where it is: q == 1
-        x = np.array([[0.25]])
-        assert _rk4_step(lambda y: -y, x, -x, 1e-17)[0, 0] == 0.25
-        assert self.outer(quadratic_model, h=1e-17) is None
-        assert self.outer(quadratic_model, h=1e-3, steps=60000) is not None
-
-    def test_eq_tol_above_the_sampled_field_is_refused(self, quadratic_model):
-        # |f| = |y| on the samples beyond match_radius: at least 1e-3
-        assert self.outer(quadratic_model, eq_tol=9e-4) is not None
-        assert self.outer(quadratic_model, eq_tol=2e-3) is None
-
-    def test_horizon_shorter_than_n_steps_gives_no_outer_trap(self, quadratic_model):
-        n = self.STEPS - self.outer(quadratic_model)[2][0]
-        assert self.outer(quadratic_model, steps=n)[2].tolist() == [0]
-        assert self.outer(quadratic_model, steps=n - 1) is None
-
-    @pytest.mark.parametrize(
-        "case, short_t_end",
-        [("bump-rgd", 12.0), ("bump-prm", 12.0), ("logistic-rgd", 12.0), ("three-root", 0.5)],
-    )
-    @pytest.mark.parametrize("horizon", ["readme", "short"])
-    def test_labels_equal_those_without_outer_traps(self, monkeypatch, case, short_t_end, horizon):
-        cfg = ExperimentConfig()
-        if case == "three-root":
-            model, kind, grid_n = three_root_model(0.1), "rgd", 81
-        else:
-            shift = pf.logistic_shift(8.0, 0.5) if case == "logistic-rgd" else pf.bump_shift()
-            model, kind, grid_n = pf.BernoulliSquaredModel(shift=shift), case[-3:], cfg.grid_n
-        t_end = cfg.t_end if horizon == "readme" else short_t_end
-        reports = pf.find_equilibria(model, kind, grid_n=2001)
-
-        def scan():
-            return pf.basin_scan(
-                model, kind, reports, grid_n=grid_n, t_end=t_end,
-                match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
-            )
-
-        built, real = [], eq_mod._scalar_traps
-        monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: built.append(real(*args)) or built[-1])
-        with_outer = scan()
-        owner, radii, last = built[0]
-        outer = radii > cfg.match_radius / 2
-        assert outer.sum() == 2 and np.all(radii[outer] > 0.04)
-        steps = round(t_end / cfg.h)
-        # at the short horizon the deadline is near: some trap stops taking
-        # rows before half the horizon
-        assert (last[outer].min() < steps // 2) == (horizon == "short")
-        # the same table without the outer traps
-        inner = ~outer
-        monkeypatch.setattr(eq_mod, "_scalar_traps", lambda *args: (owner[inner], radii[inner], last[inner]))
-        without = scan()
-        assert len(set(with_outer.labels)) >= 2
-        assert np.array_equal(with_outer.labels, without.labels)
-

@@ -330,32 +330,6 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             pf.integrate_flow(bump_model, "rgd", v(0.5), t_end, h=h)
 
-    def test_row_starting_in_a_trap_stops_at_its_start(self, bump_model):
-        traps = ([[0.0], [1.0]], [5e-4, 5e-4], [6000, 6000])
-        finals, statuses, _ = pf.integrate_ensemble(
-            bump_model, "rgd", [[3e-4], [0.9996], [0.3]], 60.0, traps=traps
-        )
-        assert finals[0, 0] == 3e-4 and finals[1, 0] == 0.9996
-        assert abs(finals[2, 0] - 1.0) <= 5e-4
-        assert all(s == "converged-to-equilibrium" for s in statuses)
-
-    def test_trap_takes_rows_only_up_to_its_last_step(self, quadratic_model):
-        # field -x with h = 0.1: the rows enter [-0.5, 0.5] at steps 0, 1 and 6
-        def run(traps, record=False):
-            return pf.integrate_ensemble(
-                quadratic_model, "rgd", [[0.4], [0.52], [0.9]], 2.0, h=0.1, record=record,
-                traps=traps,
-            )
-
-        free_finals, free_statuses, (_, states) = run(None, record=True)
-        finals, statuses, _ = run(([[0.0]], [0.5], [2]))
-        assert finals[0, 0] == 0.4 and finals[1, 0] == states[1, 1, 0] < 0.5
-        assert list(statuses[:2]) == ["converged-to-equilibrium"] * 2
-        # entering after the trap's last step, the row runs on as without it
-        assert np.array_equal(finals[2], free_finals[2])
-        assert statuses[2] == free_statuses[2] == "max-time"
-        assert np.array_equal(run(([[0.0]], [0.5], [6]))[0][2], states[6, 2])
-
 
 def kinked_gradient(x1, x2):
     # NaN below -0.8 (numeric-error), attracting 0 up to 0.5, repelling
@@ -381,14 +355,9 @@ class BatchLoggingModel(pf.CallableModel):
 
 class TestEnsembleCompaction:
     T_END, H, EQ_TOL = 4.0, 0.4, 1e-3
-    # around the attracting root 0, and across the repelling side
-    TRAPS = ([[0.0], [0.75]], [0.002, 0.02], [10, 10])
 
-    def integrate(self, model, x0s, record, traps):
-        return pf.integrate_ensemble(
-            model, "rgd", x0s, self.T_END, h=self.H, eq_tol=self.EQ_TOL, record=record,
-            traps=traps,
-        )
+    def integrate(self, model, x0s, record):
+        return pf.integrate_ensemble(model, "rgd", x0s, self.T_END, h=self.H, eq_tol=self.EQ_TOL, record=record)
 
     def test_ensemble_equals_rows_integrated_alone(self):
         model = BatchLoggingModel(
@@ -406,27 +375,18 @@ class TestEnsembleCompaction:
             0.5 + np.geomspace(0.02, 0.5, 150),  # leave the domain or hit max-time
         ])[:, None]
         x0s = x0s[np.random.default_rng(3).permutation(len(x0s))]
-        for traps in (None, self.TRAPS):
-            model.batch_rows.clear()
-            self.check_rows_alone(model, x0s, traps)
-
-    def check_rows_alone(self, model, x0s, traps):
-        finals, statuses, (times, states) = self.integrate(model, x0s, True, traps)
+        finals, statuses, (times, states) = self.integrate(model, x0s, True)
         batches = sorted(set(model.batch_rows), reverse=True)
         ensemble_rows = sum(model.batch_rows)
-        unrecorded = self.integrate(model, x0s, False, traps)
+        unrecorded = self.integrate(model, x0s, False)
         model.batch_rows.clear()
 
         assert len(batches) >= 4  # rows left at three or more steps
-        # rows that start in a trap leave the batch before its first evaluation
-        assert (batches[0] == len(x0s)) == (traps is None)
+        assert batches[0] == len(x0s)
         assert set(statuses) == {"converged-to-equilibrium", "left-domain", "numeric-error", "max-time"}
         assert times.size == round(self.T_END / self.H) + 1  # one sample per step
-        # rows stopped by a trap while the field norm is still above eq_tol
-        trapped = (statuses == "converged-to-equilibrium") & (2.0 * np.abs(finals[:, 0]) > self.EQ_TOL)
-        assert trapped.any() == (traps is not None)
         for i, x0 in enumerate(x0s):
-            final, status, (row_times, row_states) = self.integrate(model, x0[None], True, traps)
+            final, status, (row_times, row_states) = self.integrate(model, x0[None], True)
             assert statuses[i] == unrecorded[1][i] == status[0]
             assert np.array_equal(finals[i], final[0])
             assert np.array_equal(unrecorded[0][i], final[0])
