@@ -376,6 +376,32 @@ SHIFTS = {
 }
 
 
+class TestExactBasinOracle:
+    @pytest.mark.parametrize(
+        "shift, kind",
+        [
+            (pf.bump_shift(), "rgd"),
+            (pf.bump_shift(), "prm"),
+            (pf.logistic_shift(8.0, 0.5), "rgd"),
+        ],
+        ids=["bump-rgd", "bump-prm", "logistic-rgd"],
+    )
+    def test_scan_labels_equal_monotone_oracle(self, shift, kind):
+        model = pf.BernoulliSquaredModel(shift=shift)
+        cfg = ExperimentConfig()  # the command-line defaults, t_end included
+        reports = pf.find_equilibria(model, kind, grid_n=cfg.grid_n)
+        basin = pf.basin_scan(
+            model, kind, reports, grid_n=cfg.grid_n, t_end=cfg.t_end,
+            match_radius=cfg.match_radius, h=cfg.h, eq_tol=cfg.eq_tol,
+        )
+        xs = basin.grid[:, 0]
+        expected = exact_basin_labels(model, kind, reports, xs, cfg.eq_tol, cfg.match_radius)
+        converged = basin.statuses == CONVERGED
+        assert converged.mean() > 0.99
+        assert len(set(expected[converged])) >= 2
+        assert np.array_equal(basin.labels[converged], expected[converged])
+
+
 class TestSignChartOracles:
     """The scalar scan's sign chart against the ensemble and against the classification labels."""
 
@@ -449,6 +475,131 @@ class TestSignChartGuard:
         assert calls == [1]
         # the same basins, indexed into the two stable roots
         assert np.array_equal(integrated.labels, np.where(charted.labels == 2, 1, charted.labels))
+
+    def test_non_finite_field_falls_back(self, monkeypatch):
+        # rgd field -x, not a number beyond 0.95: the edge start stops at once
+        # with a numeric error, which only the ensemble reports
+        def grad1(x1, x2):
+            return np.array([np.nan if x1[0] > 0.95 else x1[0]])
+
+        model = pf.CallableModel(
+            dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
+            grad1=grad1, grad2=lambda x1, x2: np.zeros(1),
+        )
+        reports = [pf.classify_equilibrium(model, v(0.0), tol=1e-8)]
+        calls, real = [], eq_mod.integrate_ensemble
+        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1) or real(*a, **k))
+        basin = pf.basin_scan(model, "rgd", reports, grid_n=21, t_end=30.0)
+        assert calls == [1]
+        nan_rows = basin.grid[:, 0] > 0.95
+        assert nan_rows.sum() == 1
+        assert set(basin.statuses[nan_rows].tolist()) == {"numeric-error"}
+        assert np.all(basin.labels[nan_rows] == -1) and np.all(basin.labels[~nan_rows] == 0)
+
+    def test_lattice_below_the_root_grid_falls_back(self, monkeypatch, bump_model, rgd_roots):
+        # two points cannot show a tangent dip: the edges -0.5 and 1.5 are integrated
+        calls, real = [], eq_mod.integrate_ensemble
+        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1) or real(*a, **k))
+        basin = pf.basin_scan(bump_model, "rgd", rgd_roots, grid_n=eq_mod.MIN_ROOT_GRID - 1)
+        assert calls == [1]
+        owners = [locations(rgd_roots).index(float(rgd_roots[i].location[0])) for i in basin.labels]
+        assert basin.grid[:, 0].tolist() == [-0.5, 1.5] and owners == [0, 2]
+
+    def test_two_dimensional_scan_integrates(self, monkeypatch):
+        m = planar_model()
+        reports = pf.find_equilibria(m, "rgd", grid_n=25)
+        calls, real = [], eq_mod.integrate_ensemble
+        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1) or real(*a, **k))
+        basin = pf.basin_scan(m, "rgd", reports, grid_n=16, t_end=30.0, h=0.05)
+        assert calls == [1]
+        assert np.all(basin.labels == 0)
+
+
+def three_root_model(a, rate=10.0):
+    # rgd field -rate * s(x) with s a sawtooth: roots 0 and 2a attract, a
+    # repels
+    def grad1(x1, x2):
+        x = x1[0]
+        if x <= 0.5 * a:
+            return np.array([rate * x])
+        if x <= 1.5 * a:
+            return np.array([rate * (a - x)])
+        return np.array([rate * (x - 2.0 * a)])
+
+    return pf.CallableModel(
+        dimension=1,
+        domain=pf.interval(-5.0 * a, 5.0 * a),
+        risk=lambda x1, x2: 0.0,
+        grad1=grad1,
+        grad2=lambda x1, x2: np.zeros(1),
+    )
+
+
+class TestSignChartRule:
+    """What the chart gives where nearest-root or horizon rules would differ."""
+
+    # a = 2e-4 and 7e-4: all three roots lie within one match_radius (1e-3),
+    # so a start is labelled by the side of the repelling root it starts on,
+    # not by the root nearest to it
+    @pytest.mark.parametrize("a", [2e-4, 7e-4])
+    def test_roots_closer_than_match_radius_are_told_apart_by_direction(self, monkeypatch, a):
+        model = three_root_model(a)
+        cfg = ExperimentConfig()
+        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
+        assert np.allclose(locations(reports), [0.0, a, 2.0 * a], atol=1e-12)
+        basin = chart_scan(monkeypatch, model, "rgd", reports, 81, cfg)
+        xs = basin.grid[:, 0]
+        # lattice step a / 8: the start 48 sits on the repelling root and stays
+        assert xs[48] == pytest.approx(a, abs=1e-12)
+        assert basin.labels.tolist() == [0] * 48 + [1] + [2] * 32
+        labels, statuses = ensemble_labels(model, "rgd", reports, xs, cfg)
+        assert set(statuses.tolist()) == set(basin.statuses.tolist()) == {CONVERGED}
+        assert np.array_equal(basin.labels, labels)
+
+    @pytest.mark.parametrize("t_end, h", [(0.05, 0.01), (2.0, 0.5), (500.0, 0.001)])
+    def test_horizon_and_step_do_not_move_scalar_labels(self, monkeypatch, bump_model, prm_roots, t_end, h):
+        # the labels are the limits: a horizon too short to arrive, a step
+        # too coarse to resolve the flow and a long fine run all read them
+        cfg = ExperimentConfig()
+        default = chart_scan(monkeypatch, bump_model, "prm", prm_roots, 401, cfg)
+        other = pf.basin_scan(bump_model, "prm", prm_roots, grid_n=401, t_end=t_end, h=h)
+        assert other.t_end == t_end
+        assert np.array_equal(other.labels, default.labels)
+        assert np.array_equal(other.statuses, default.statuses)
+
+    def test_repelling_root_sends_every_other_start_out(self, monkeypatch):
+        # rgd field +x: the root 0 repels, so only the start on it stays
+        model = pf.CallableModel(
+            dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
+            grad1=lambda x1, x2: -x1, grad2=lambda x1, x2: np.zeros(1),
+        )
+        cfg = ExperimentConfig()
+        reports = pf.find_equilibria(model, "rgd", grid_n=101)
+        assert locations(reports) == [0.0] and UNSTABLE in reports[0].labels
+        basin = chart_scan(monkeypatch, model, "rgd", reports, 21, cfg)
+        centre = basin.grid[:, 0] == 0.0
+        assert basin.labels.tolist() == np.where(centre, 0, -1).tolist()
+        assert basin.statuses.tolist() == np.where(centre, CONVERGED, "left-domain").tolist()
+        labels, statuses = ensemble_labels(model, "rgd", reports, basin.grid[:, 0], cfg)
+        assert np.array_equal(basin.labels, labels) and np.array_equal(basin.statuses, statuses)
+
+    def test_start_at_rest_away_from_every_root_is_divergent(self, monkeypatch, quadratic_model):
+        # field -x with eq_tol 0.35: the starts within 0.35 of the root 0 are
+        # already at rest, and only the one within match_radius of it matches
+        cfg = ExperimentConfig(eq_tol=0.35)
+        reports = pf.find_equilibria(quadratic_model, "rgd", grid_n=101)
+        assert locations(reports) == [0.0]
+        basin = chart_scan(monkeypatch, quadratic_model, "rgd", reports, 21, cfg)
+        xs = basin.grid[:, 0]
+        rest = np.abs(xs) <= 0.35
+        assert rest.sum() == 7
+        assert basin.labels.tolist() == np.where(rest & (xs != 0.0), -1, 0).tolist()
+        assert set(basin.statuses.tolist()) == {CONVERGED}
+        # the ensemble stops the resting starts where they are, as the chart
+        # does; the others it stops on entering the band, short of the root
+        labels, statuses = ensemble_labels(quadratic_model, "rgd", reports, xs, cfg)
+        assert np.array_equal(basin.labels[rest], labels[rest])
+        assert np.array_equal(basin.statuses, statuses)
 
 
 class TestSeparableOracle:
