@@ -16,13 +16,10 @@ from perflow.cli import main as perflow_main
 from perflow.equilibria import UNSTABLE
 
 
-def run(grid: int, t_end: float, out: str) -> None:
+def run(grid: int, out: str) -> None:
     for flow in ("rgd", "prm"):
         flow_out = Path(out) / flow
-        code = perflow_main(
-            ["basins", "--flow", flow, "--grid", str(grid), "--t-end", str(t_end),
-             "--out", str(flow_out)]
-        )
+        code = perflow_main(["basins", "--flow", flow, "--grid", str(grid), "--out", str(flow_out)])
         if code != 0:
             raise SystemExit(code)
         summary = json.loads((flow_out / "basins_summary.json").read_text())
@@ -36,7 +33,6 @@ def run(grid: int, t_end: float, out: str) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=2001)
-    parser.add_argument("--t-end", type=float, default=60.0)
     parser.add_argument("--out", default="basin_out")
     args = parser.parse_args()
-    run(args.grid, args.t_end, args.out)
+    run(args.grid, args.out)

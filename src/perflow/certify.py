@@ -214,28 +214,26 @@ def estimate_perturbation_envelope(
     x_star,
     radius: float,
     grid_n: int = 4001,
-    fit_mode: str = "delta-zero",
     epsilon_cap: Optional[float] = None,
 ) -> PerturbationEnvelope:
     """Fit the affine perturbation envelope on the ball around x_star.
 
-    ``delta-zero`` fits the smallest purely linear envelope (delta = 0,
-    epsilon = sup |g| / d away from the center).  ``epsilon-capped`` fixes
-    epsilon at the supplied cap and absorbs the excess into
-    ``delta = sup max(0, |g| - cap * d)`` over the whole ball.
+    Without ``epsilon_cap`` the fit is ``delta-zero``: the smallest purely
+    linear envelope (delta = 0, epsilon = sup |g| / d away from the center).
+    With a cap it is ``epsilon-capped``: epsilon is the cap, and the excess
+    goes into ``delta = sup max(0, |g| - cap * d)`` over the whole ball.  The
+    record's ``fit_mode`` names the fit.
     """
-    if fit_mode not in ("delta-zero", "epsilon-capped"):
-        raise ValueError(f"unknown fit mode {fit_mode!r}")
+    if epsilon_cap is not None and not epsilon_cap >= 0:
+        raise ValueError(f"epsilon_cap must be a nonnegative number, got {epsilon_cap}")
     x_star, pts, dist, excl = _ball_grid(model, x_star, radius, grid_n)
     g_norm = np.linalg.norm(model.grad_x2(pts, pts), axis=-1)
 
-    if fit_mode == "delta-zero":
+    if epsilon_cap is None:
         keep = dist >= excl
         epsilon = float(np.max(g_norm[keep] / dist[keep]))
         delta = 0.0
     else:
-        if epsilon_cap is None or epsilon_cap < 0:
-            raise ValueError("epsilon-capped fitting needs a nonnegative epsilon_cap")
         epsilon = float(epsilon_cap)
         delta = float(np.max(np.maximum(0.0, g_norm - epsilon * dist)))
     return PerturbationEnvelope(
@@ -243,7 +241,7 @@ def estimate_perturbation_envelope(
         delta=delta,
         radius=float(radius),
         x_star=x_star,
-        fit_mode=fit_mode,
+        fit_mode="delta-zero" if epsilon_cap is None else "epsilon-capped",
         grid_n=int(grid_n),
     )
 
@@ -359,17 +357,14 @@ def theta_tradeoff(
     cert: CurvatureCertificate,
     envelope: PerturbationEnvelope,
     x0,
-    thetas: Optional[Sequence[float]] = None,
 ) -> list[UltimateBoundReport]:
-    """Bound reports across a theta sweep.
+    """Bound reports across theta = 0.05, 0.10, ..., 0.95.
 
     Larger theta buys a faster transient rate at the price of a larger
     ultimate radius; the two goals are antagonistic, so no single optimum is
     singled out -- callers pick their point on the curve.
     """
-    if thetas is None:
-        thetas = np.round(np.arange(0.05, 0.951, 0.05), 2)
-    return [ultimate_bounds(cert, envelope, x0, float(t)) for t in thetas]
+    return [ultimate_bounds(cert, envelope, x0, float(t)) for t in np.round(np.arange(0.05, 0.951, 0.05), 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -156,9 +156,9 @@ def _certificate_pair(cfg, model):
         raise ConfigError(f"grid_n must be at least {cert_mod.MIN_CONSTANTS_GRID}, got {cfg.grid_n}")
     x_star = np.asarray(cfg.x_star)
     cert = cert_mod.estimate_curvature_constants(model, x_star, cfg.radius, grid_n=cfg.grid_n)
+    # parse_config sets a cap exactly when fit_mode is epsilon-capped
     env = cert_mod.estimate_perturbation_envelope(
-        model, x_star, cfg.radius, grid_n=cfg.grid_n, fit_mode=cfg.fit_mode,
-        epsilon_cap=cfg.epsilon_cap,
+        model, x_star, cfg.radius, grid_n=cfg.grid_n, epsilon_cap=cfg.epsilon_cap
     )
     return cert, env
 

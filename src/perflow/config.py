@@ -322,6 +322,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         cap = _as_float(cap, "epsilon_cap")
         if cap < 0:
             _fail(f"epsilon_cap must be nonnegative, got {cap}")
+        if fit_mode == "delta-zero":  # that fit has no cap: refuse one rather than ignore it
+            _fail(f"epsilon_cap {cap} needs fit_mode 'epsilon-capped', not 'delta-zero'")
     elif fit_mode == "epsilon-capped":
         _fail("fit_mode 'epsilon-capped' needs a nonnegative epsilon_cap, got null")
     kwargs["epsilon_cap"] = cap

@@ -18,7 +18,7 @@ Classification labels:
   stable would contradict every simulation.
 * ``unstable``: some relevant second-order object has a negative eigenvalue
   (a risk-Hessian direction of decrease, or a repelling flow direction).
-* ``inconclusive``: a second-order check sits within ``hessian_tol`` of
+* ``inconclusive``: a second-order check sits within ``_HESSIAN_TOL`` of
   degenerate; nothing is guessed.
 """
 
@@ -43,6 +43,8 @@ INCONCLUSIVE = "inconclusive"
 
 DIVERGENT = -1  # basin label for points that match no equilibrium
 MIN_ROOT_GRID = 3  # the fewest grid points find_equilibria accepts
+_CLASSIFY_TOL = 1e-8  # find_equilibria classifies with tol max(_CLASSIFY_TOL, 10 * |residual|)
+_HESSIAN_TOL = 1e-6  # eigenvalues within this of zero are degenerate
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +109,18 @@ def classify_equilibrium(
     model: DecisionDependentModel,
     x,
     tol: float,
-    hessian_tol: float = 1e-6,
-    field_kind: Optional[str] = None,
+    field_kind: str,
 ) -> EquilibriumReport:
     """Second-order classification of a point where at least one field vanishes.
 
-    Raises :class:`NotAnEquilibriumError` when neither field residual is
-    within ``tol``.  Degenerate checks (eigenvalues within ``hessian_tol`` of
+    The report carries ``field_kind``'s flow and its field residual; the
+    labels come from every field within ``tol``.  Raises
+    :class:`NotAnEquilibriumError` when neither field residual is within
+    ``tol``.  Degenerate checks (eigenvalues within ``_HESSIAN_TOL`` of
     zero) yield the ``inconclusive`` label rather than a guess.
     """
     x = _check_state(model, x, "x")
+    field_kind = normalize_flow_kind(field_kind)
     g1 = np.asarray(model.grad_x1(x, x), dtype=float)
     total = g1 + np.asarray(model.grad_x2(x, x), dtype=float)
     prm_residual = float(np.linalg.norm(total))
@@ -136,9 +140,9 @@ def classify_equilibrium(
         pr_eigs = _eigvals_sym(
             finite_diff_hessian(lambda y: float(model.decoupled_risk(y, y)), x)
         )
-        if pr_eigs.min() > hessian_tol:
+        if pr_eigs.min() > _HESSIAN_TOL:
             labels.add(PRM_MINIMIZER)
-        elif pr_eigs.min() < -hessian_tol:
+        elif pr_eigs.min() < -_HESSIAN_TOL:
             labels.add(UNSTABLE)
         else:
             labels.add(INCONCLUSIVE)
@@ -151,25 +155,19 @@ def classify_equilibrium(
         jac_eigs = _eigvals(jac).real
         if jac_eigs.size > 1:  # one eigenvalue is sorted already, and np.sort's first call maps ~0.26 MB
             jac_eigs = np.sort(jac_eigs)
-        attracting = jac_eigs.min() > hessian_tol
-        repelling = jac_eigs.min() < -hessian_tol
-        if attracting and stab_eigs.min() > hessian_tol:
+        attracting = jac_eigs.min() > _HESSIAN_TOL
+        repelling = jac_eigs.min() < -_HESSIAN_TOL
+        if attracting and stab_eigs.min() > _HESSIAN_TOL:
             labels.add(PERFORMATIVELY_STABLE)
-        if repelling or stab_eigs.min() < -hessian_tol:
+        if repelling or stab_eigs.min() < -_HESSIAN_TOL:
             labels.add(UNSTABLE)
         if not attracting and not repelling:
             labels.add(INCONCLUSIVE)
 
-    if field_kind is None:
-        field_kind = "both" if (is_prm and is_rgd) else ("prm-flow" if is_prm else "rgd-flow")
-        residual = min(prm_residual, rgd_residual)
-    else:
-        field_kind = normalize_flow_kind(field_kind)
-        residual = prm_residual if field_kind == "prm-flow" else rgd_residual
     return EquilibriumReport(
         location=x.copy(),
         field_kind=field_kind,
-        residual=residual,
+        residual=prm_residual if field_kind == "prm-flow" else rgd_residual,
         labels=frozenset(labels),
         pr_hessian_eigenvalues=pr_eigs,
         stability_hessian_eigenvalues=stab_eigs,
@@ -213,10 +211,10 @@ def _dedup(points, residuals, min_separation):
     return kept_p, kept_r
 
 
-def _newton_root(field, x0, residual_tol, box, max_iter=100):
+def _newton_root(field, x0, residual_tol, box):
     x = x0.copy()
     fx = np.asarray(field(x), dtype=float)
-    for _ in range(max_iter):
+    for _ in range(100):
         nrm = np.linalg.norm(fx)
         if nrm <= residual_tol:
             return (x, nrm) if box.contains(x) else None
@@ -243,7 +241,6 @@ def find_equilibria(
     field_kind: str,
     grid_n: int = 2001,
     refine_tol: float = 1e-10,
-    classify_tol: float = 1e-8,
 ) -> list[EquilibriumReport]:
     """Locate and classify all zeros of a flow's field resolvable on the grid.
 
@@ -286,7 +283,7 @@ def find_equilibria(
 
     points, residuals = _dedup(points, residuals, 10.0 * refine_tol)
     return [
-        classify_equilibrium(model, p, tol=max(classify_tol, 10.0 * abs(r)), field_kind=kind)
+        classify_equilibrium(model, p, tol=max(_CLASSIFY_TOL, 10.0 * abs(r)), field_kind=kind)
         for p, r in zip(points, residuals)
     ]
 

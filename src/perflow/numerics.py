@@ -5,22 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def _steps(x: np.ndarray, h, scale: float) -> np.ndarray:
-    if h is not None:
-        if h <= 0:
-            raise ValueError(f"finite-difference step must be positive, got {h}")
-        return np.full(x.shape, float(h))
-    return scale * np.maximum(1.0, np.abs(x))
-
-
-def finite_diff_gradient(f, x, h=None) -> np.ndarray:
+def finite_diff_gradient(f, x) -> np.ndarray:
     """Central-difference gradient of a scalar function.
 
-    ``h`` may be a fixed step; by default each coordinate uses
-    ``1e-5 * max(1, |x_i|)``.  Error is O(h^2) for thrice-differentiable f.
+    Each coordinate steps by ``h = 1e-5 * max(1, |x_i|)``.  Error is O(h^2)
+    for thrice-differentiable f.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    hs = _steps(x, h, 1e-5)
+    hs = 1e-5 * np.maximum(1.0, np.abs(x))
     grad = np.empty(x.shape)
     for i in range(x.size):
         e = np.zeros(x.shape)
@@ -29,11 +21,11 @@ def finite_diff_gradient(f, x, h=None) -> np.ndarray:
     return grad
 
 
-def finite_diff_hessian(f, x, h=None) -> np.ndarray:
-    """Symmetric central-difference Hessian, default step ``1e-4 * max(1, |x_i|)``."""
+def finite_diff_hessian(f, x) -> np.ndarray:
+    """Symmetric central-difference Hessian, step ``1e-4 * max(1, |x_i|)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
-    hs = _steps(x, h, 1e-4)
+    hs = 1e-4 * np.maximum(1.0, np.abs(x))
     hess = np.empty((n, n))
     f0 = f(x)
     for i in range(n):
@@ -50,10 +42,10 @@ def finite_diff_hessian(f, x, h=None) -> np.ndarray:
     return hess
 
 
-def finite_diff_jacobian(f, x, h=None) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function."""
+def finite_diff_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian of a vector-valued function, step ``1e-6 * max(1, |x_j|)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    hs = _steps(x, h, 1e-6)
+    hs = 1e-6 * np.maximum(1.0, np.abs(x))
     f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
     jac = np.empty((f0.size, x.size))
     for j in range(x.size):

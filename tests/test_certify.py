@@ -176,7 +176,7 @@ class TestPerturbationEnvelope:
     def test_capped_fit_absorbs_excess_into_offset(self, bump_model):
         cap = 1.0
         env = pf.estimate_perturbation_envelope(
-            bump_model, v(0.0), 0.4, grid_n=4001, fit_mode="epsilon-capped", epsilon_cap=cap
+            bump_model, v(0.0), 0.4, grid_n=4001, epsilon_cap=cap
         )
         xs = np.linspace(-0.4, 0.4, 4001)
         g = np.abs(pf.performative_perturbation(bump_model, xs[:, None])[:, 0])
@@ -185,10 +185,15 @@ class TestPerturbationEnvelope:
         assert env.delta == pytest.approx(expected, rel=1e-12)
 
     def test_capped_fit_requires_cap(self, bump_model):
-        with pytest.raises(ValueError):
-            pf.estimate_perturbation_envelope(
-                bump_model, v(0.0), 0.4, fit_mode="epsilon-capped"
-            )
+        # without a cap the fit is delta-zero: no offset
+        env = pf.estimate_perturbation_envelope(bump_model, v(0.0), 0.4)
+        assert env.fit_mode == "delta-zero" and env.delta == 0.0
+
+    @pytest.mark.parametrize("cap", [0.0, 1.0])
+    def test_a_cap_gives_the_capped_fit(self, bump_model, cap):
+        env = pf.estimate_perturbation_envelope(bump_model, v(0.0), 0.4, grid_n=401, epsilon_cap=cap)
+        assert env.fit_mode == env.to_dict()["fit_mode"] == "epsilon-capped"
+        assert env.epsilon == cap and env.delta > 0.0
 
     @pytest.mark.parametrize(
         "x_star, radius", [(0.0, 1e-170), (0.0, 1e-300), (0.3, 1e-170), (0.0, 1e-160), (0.0, 1e-155)]

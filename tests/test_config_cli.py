@@ -161,6 +161,13 @@ class TestConfigParsing:
             parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": None})
         assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.0}).epsilon_cap == 0.0
 
+    def test_cap_without_capped_fit_names_both_keys(self):
+        # the delta-zero fit would ignore the cap
+        message = r"^epsilon_cap 0.5 needs fit_mode 'epsilon-capped', not 'delta-zero'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"epsilon_cap": 0.5})
+        assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}).epsilon_cap == 0.5
+
     def test_model_alias_forces_bump_shift(self):
         cfg = parse_config({"model": "bernoulli-phi"})
         assert cfg.model == "bernoulli-squared"
@@ -517,6 +524,8 @@ class TestCliErrors:
             ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:0.1", "--seed", "-1"],
             ["certify", "--fit-mode", "epsilon-capped"],
             ["bounds", "--fit-mode", "epsilon-capped"],
+            ["certify", "--epsilon-cap", "0.5"],
+            ["bounds", "--epsilon-cap", "0.5"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:100000000000000000000", "--steps", "10"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:1_0", "--steps", "10"],
         ],
@@ -524,7 +533,8 @@ class TestCliErrors:
             "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
             "sweep-step-1e-5", "sweep-step-1e-9", "certify-grid-50", "bounds-grid-50",
             "equilibria-grid-2", "basins-grid-2", "empty-sweep", "seed-negative",
-            "certify-capped-without-cap", "bounds-capped-without-cap", "bernoulli-beyond-int64",
+            "certify-capped-without-cap", "bounds-capped-without-cap",
+            "certify-cap-without-capped-fit", "bounds-cap-without-capped-fit", "bernoulli-beyond-int64",
             "bernoulli-digit-separator",
         ],
     )
@@ -692,7 +702,7 @@ class TestScripts:
         assert "feasible_radius = 0.21" in printed
 
     def test_scan_basins(self, tmp_path, capsys):
-        load_script("scan_basins").run(2001, 60.0, str(tmp_path))
+        load_script("scan_basins").run(2001, str(tmp_path))
         for flow in ("rgd", "prm"):
             assert (tmp_path / flow / "basins_summary.json").is_file()
         printed = capsys.readouterr().out.splitlines()

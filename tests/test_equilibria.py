@@ -151,7 +151,7 @@ class TestFindEquilibria:
 class TestClassification:
     @pytest.mark.parametrize("x", [0.0, 1.0])
     def test_minimizers_get_both_stable_labels(self, bump_model, x):
-        report = pf.classify_equilibrium(bump_model, v(x), tol=1e-8)
+        report = pf.classify_equilibrium(bump_model, v(x), tol=1e-8, field_kind="rgd")
         assert report.labels == {PRM_MINIMIZER, PERFORMATIVELY_STABLE}
         assert report.pr_hessian_eigenvalues.min() > 0
         assert report.stability_hessian_eigenvalues.min() > 0
@@ -180,7 +180,7 @@ class TestClassification:
 
     def test_not_an_equilibrium(self, bump_model):
         with pytest.raises(pf.NotAnEquilibriumError):
-            pf.classify_equilibrium(bump_model, v(0.1), tol=1e-8)
+            pf.classify_equilibrium(bump_model, v(0.1), tol=1e-8, field_kind="rgd")
 
     def test_degenerate_point_is_inconclusive(self):
         # risk x^4/4: gradient x^3, curvature vanishes at the minimizer
@@ -191,7 +191,7 @@ class TestClassification:
             grad1=lambda x1, x2: np.array([x1[0] ** 3]),
             grad2=lambda x1, x2: np.array([0.0]),
         )
-        report = pf.classify_equilibrium(m, v(0.0), tol=1e-8)
+        report = pf.classify_equilibrium(m, v(0.0), tol=1e-8, field_kind="rgd")
         assert INCONCLUSIVE in report.labels
 
     def test_report_serialization(self, rgd_roots):
@@ -220,7 +220,7 @@ class TestScalarEigenvalues:
     def test_two_dimensional_roots_still_run_lapack(self, monkeypatch, bump_pair_model):
         no_lapack(monkeypatch)
         with pytest.raises(AssertionError, match="LAPACK called"):
-            pf.classify_equilibrium(bump_pair_model, [0.0, 0.0], tol=1e-8)
+            pf.classify_equilibrium(bump_pair_model, [0.0, 0.0], tol=1e-8, field_kind="rgd")
 
     @pytest.mark.parametrize("kind", ["rgd", "prm"])
     def test_bump_root_eigenvalues_equal_lapack_bit_for_bit(self, bump_model, kind):
@@ -262,7 +262,7 @@ class TestScalarEigenvalues:
             grad2=lambda x1, x2: np.array([0.0]),
         )
         with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-            pf.classify_equilibrium(m, v(0.0), tol=1e-8)
+            pf.classify_equilibrium(m, v(0.0), tol=1e-8, field_kind="rgd")
 
 
 class TestBasinScan:
@@ -486,7 +486,7 @@ class TestSignChartGuard:
             dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
             grad1=grad1, grad2=lambda x1, x2: np.zeros(1),
         )
-        reports = [pf.classify_equilibrium(model, v(0.0), tol=1e-8)]
+        reports = [pf.classify_equilibrium(model, v(0.0), tol=1e-8, field_kind="rgd")]
         calls, real = [], eq_mod.integrate_ensemble
         monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1) or real(*a, **k))
         basin = pf.basin_scan(model, "rgd", reports, grid_n=21, t_end=30.0)

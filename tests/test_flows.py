@@ -637,7 +637,7 @@ class TestOneStateContract:
             m, x, 10, pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()
         ),
         "lyapunov_derivative": lambda m, x: pf.lyapunov_derivative(m, x, "rgd"),
-        "classify_equilibrium": lambda m, x: pf.classify_equilibrium(m, x, tol=1e-8),
+        "classify_equilibrium": lambda m, x: pf.classify_equilibrium(m, x, tol=1e-8, field_kind="rgd"),
     }
     @pytest.mark.parametrize(
         "run, name, x",

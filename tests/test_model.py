@@ -175,7 +175,7 @@ class TestSensitivity:
 
 class TestFiniteDifferences:
     def test_exact_for_quadratics(self):
-        grad = pf.finite_diff_gradient(lambda x: float(x[0] ** 2), np.array([3.0]), h=1e-5)
+        grad = pf.finite_diff_gradient(lambda x: float(x[0] ** 2), np.array([3.0]))
         assert grad[0] == pytest.approx(6.0, abs=1e-8)
 
     def test_matches_closed_form_risk_gradient(self, bump_model):
@@ -193,10 +193,6 @@ class TestFiniteDifferences:
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
         hess = pf.finite_diff_hessian(lambda x: float(x @ a @ x / 2.0), np.array([0.3, -0.1]))
         assert np.allclose(hess, a, atol=1e-5)
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            pf.finite_diff_gradient(lambda x: 0.0, np.array([0.0]), h=0.0)
 
 
 class TestSmoothnessConstants:
@@ -351,8 +347,12 @@ REFUSALS = {
     "scan-3d": (
         lambda: pf.basin_scan(_flat_model(3), "rgd", []),
         "basin scans are supported in one and two dimensions only"),
-    "fit-mode": (
-        lambda: pf.estimate_perturbation_envelope(_BUMP, 0.0, 0.4, fit_mode="bogus"), "unknown fit mode 'bogus'"),
+    "negative-epsilon-cap": (
+        lambda: pf.estimate_perturbation_envelope(_BUMP, 0.0, 0.4, epsilon_cap=-0.5),
+        "epsilon_cap must be a nonnegative number, got -0.5"),
+    "nan-epsilon-cap": (
+        lambda: pf.estimate_perturbation_envelope(_BUMP, 0.0, 0.4, epsilon_cap=math.nan),
+        "epsilon_cap must be a nonnegative number, got nan"),
     "negative-distance": (
         lambda: pf.gradient_norm_bracket(
             pf.SmoothnessConstants(loss_lipschitz=1.0, strong_convexity=1.0, smoothness=1.0,
