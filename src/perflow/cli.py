@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -156,7 +157,6 @@ def _certificate_pair(cfg, model):
         raise ConfigError(f"grid_n must be at least {cert_mod.MIN_CONSTANTS_GRID}, got {cfg.grid_n}")
     x_star = np.asarray(cfg.x_star)
     cert = cert_mod.estimate_curvature_constants(model, x_star, cfg.radius, grid_n=cfg.grid_n)
-    # parse_config sets a cap exactly when fit_mode is epsilon-capped
     env = cert_mod.estimate_perturbation_envelope(
         model, x_star, cfg.radius, grid_n=cfg.grid_n, epsilon_cap=cfg.epsilon_cap
     )
@@ -283,12 +283,12 @@ _COMMANDS = {
     "certify": (
         cmd_certify,
         "estimate curvature constants and the perturbation envelope",
-        ("x_star", "radius", "grid_n", "fit_mode", "epsilon_cap"),
+        ("x_star", "radius", "grid_n", "epsilon_cap"),
     ),
     "bounds": (
         cmd_bounds,
         "evaluate transient/ultimate convergence bounds",
-        ("x_star", "radius", "grid_n", "x0", "theta", "fit_mode", "epsilon_cap"),
+        ("x_star", "radius", "grid_n", "x0", "theta", "epsilon_cap"),
     ),
     "align": (
         cmd_align,
@@ -308,8 +308,10 @@ _FLAG_HELP = {
     "schedule": "constant:A | inverse:A,B",
     "noise": "none | gaussian:SIGMA | bernoulli:N",
     "radius": "certification ball radius",
-    "fit_mode": "delta-zero | epsilon-capped",
+    "epsilon_cap": "cap on the envelope's epsilon; none fits delta = 0",
 }
+# argparse alone reads only "-1" and "-0.5" as numbers; no perflow option looks like one
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _config_flag(parser, key):
@@ -329,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER  # so "-1e-3" and "-.5" are values, as in a file
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory (fixed filenames per command)")
-        p.add_argument("--model", help="model kind, e.g. bernoulli-squared or bernoulli-phi")
         p.add_argument("--shift-kind", dest="shift_kind", help="response shift kind")
         p.add_argument(
             "--shift-params", dest="shift_params", help="response shift parameters as JSON"
@@ -365,6 +367,8 @@ def _load_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = list(value) if isinstance(value, (list, tuple)) else value
+    if getattr(args, "epsilon_cap", None) is not None:
+        doc.pop("fit_mode", None)  # the file's fit followed the file's cap, which the flag replaces
 
     if args.shift_kind is not None or args.shift_params is not None:
         shift = dict(doc.get("shift", {}))

@@ -137,21 +137,14 @@ class NoiseSpec:
         return cls("bernoulli-sample", sample_size=sample_size, seed=seed)
 
 
-_MODEL_ALIASES = {
-    "bernoulli-squared": ("bernoulli-squared", None),
-    # shorthand: the built-in model with its canonical bump transition
-    "bernoulli-phi": ("bernoulli-squared", "bump"),
-}
-
 _SHIFT_KINDS = ("bump", "logistic", "clamped-polynomial", "tabulated")
-_FIT_MODES = ("delta-zero", "epsilon-capped")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated parameters for one command invocation."""
 
-    model: str = "bernoulli-squared"
+    model: str = "bernoulli-squared"  # the one model; documents name it for the record
     shift_kind: str = "bump"
     shift_params: tuple = ()  # sorted (key, value) pairs; values hashable
     domain: tuple = (-0.5, 1.5)
@@ -166,7 +159,6 @@ class ExperimentConfig:
     radius: float = 0.4
     x_star: tuple = (0.0,)
     theta: float = 0.5
-    fit_mode: str = "delta-zero"
     epsilon_cap: Optional[float] = None
     noise: str = "none"
     seed: int = 0
@@ -175,6 +167,11 @@ class ExperimentConfig:
     lo: float = 0.0
     hi: float = 1.0
     out: str = "out"
+
+    @property
+    def fit_mode(self) -> str:
+        """The envelope fit, which follows the cap: none fits delta = 0."""
+        return "delta-zero" if self.epsilon_cap is None else "epsilon-capped"
 
     @property
     def shift_params_dict(self) -> dict:
@@ -245,21 +242,15 @@ def parse_config(document: dict) -> ExperimentConfig:
         _fail(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     doc = {**defaults, **document}
 
+    if doc["model"] != ExperimentConfig.model:
+        _fail(f"unknown model {doc['model']!r}; the one model is {ExperimentConfig.model!r}")
     kwargs = {}
-
-    model = doc["model"]
-    if model not in _MODEL_ALIASES:
-        _fail(f"unknown model {model!r}; expected one of {sorted(_MODEL_ALIASES)}")
-    model, forced_shift = _MODEL_ALIASES[model]
-    kwargs["model"] = model
 
     shift_doc = doc["shift"]
     if not isinstance(shift_doc, dict) or set(shift_doc) - {"kind", "params"}:
         _fail("shift must be an object with keys 'kind' and 'params'")
     shift_doc = {**defaults["shift"], **shift_doc}
     kind = shift_doc["kind"]
-    if forced_shift is not None and kind != forced_shift:
-        _fail(f"model alias fixes the shift kind to {forced_shift!r}, got {kind!r}")
     if kind not in _SHIFT_KINDS:
         _fail(f"unknown shift kind {kind!r}; expected one of {_SHIFT_KINDS}")
     params = shift_doc["params"]
@@ -312,20 +303,11 @@ def parse_config(document: dict) -> ExperimentConfig:
         _fail(f"theta must lie strictly inside (0, 1), got {theta}")
     kwargs["theta"] = theta
 
-    fit_mode = doc["fit_mode"]
-    if fit_mode not in _FIT_MODES:
-        _fail(f"unknown fit_mode {fit_mode!r}; expected one of {_FIT_MODES}")
-    kwargs["fit_mode"] = fit_mode
-
     cap = doc["epsilon_cap"]
     if cap is not None:
         cap = _as_float(cap, "epsilon_cap")
         if cap < 0:
             _fail(f"epsilon_cap must be nonnegative, got {cap}")
-        if fit_mode == "delta-zero":  # that fit has no cap: refuse one rather than ignore it
-            _fail(f"epsilon_cap {cap} needs fit_mode 'epsilon-capped', not 'delta-zero'")
-    elif fit_mode == "epsilon-capped":
-        _fail("fit_mode 'epsilon-capped' needs a nonnegative epsilon_cap, got null")
     kwargs["epsilon_cap"] = cap
 
     noise = doc["noise"]
@@ -352,13 +334,17 @@ def parse_config(document: dict) -> ExperimentConfig:
     kwargs["out"] = out
 
     cfg = ExperimentConfig(**kwargs)
+    # a saved document names the fit; it must be the one its cap gives
+    if document.get("fit_mode", cfg.fit_mode) != cfg.fit_mode:
+        cap = "null" if cfg.epsilon_cap is None else cfg.epsilon_cap
+        _fail(f"fit_mode {document['fit_mode']!r} contradicts epsilon_cap {cap}, which fits {cfg.fit_mode!r}")
     build_shift(cfg)  # reject unknown or malformed shift parameters up front
     return cfg
 
 
 def to_document(cfg: ExperimentConfig) -> dict:
     """Canonical JSON document reproducing the configuration."""
-    doc = {"shift": {"kind": cfg.shift_kind, "params": cfg.shift_params_dict}}
+    doc = {"shift": {"kind": cfg.shift_kind, "params": cfg.shift_params_dict}, "fit_mode": cfg.fit_mode}
     for f in fields(cfg):
         if f.name not in ("shift_kind", "shift_params"):
             value = getattr(cfg, f.name)

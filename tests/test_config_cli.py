@@ -3,9 +3,6 @@
 import argparse
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,19 +158,25 @@ class TestConfigParsing:
             parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": None})
         assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.0}).epsilon_cap == 0.0
 
-    def test_cap_without_capped_fit_names_both_keys(self):
-        # the delta-zero fit would ignore the cap
-        message = r"^epsilon_cap 0.5 needs fit_mode 'epsilon-capped', not 'delta-zero'$"
+    def test_fit_follows_the_cap(self):
+        assert parse_config({}).fit_mode == "delta-zero"
+        capped = parse_config({"epsilon_cap": 0.5})
+        assert capped.fit_mode == to_document(capped)["fit_mode"] == "epsilon-capped"
+        assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}) == capped
+        message = r"^fit_mode 'delta-zero' contradicts epsilon_cap 0.5, which fits 'epsilon-capped'$"
         with pytest.raises(ConfigError, match=message):
-            parse_config({"epsilon_cap": 0.5})
-        assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}).epsilon_cap == 0.5
+            parse_config({"fit_mode": "delta-zero", "epsilon_cap": 0.5})
 
-    def test_model_alias_forces_bump_shift(self):
-        cfg = parse_config({"model": "bernoulli-phi"})
-        assert cfg.model == "bernoulli-squared"
-        assert cfg.shift_kind == "bump"
-        with pytest.raises(ConfigError):
-            parse_config({"model": "bernoulli-phi", "shift": {"kind": "logistic"}})
+    def test_bernoulli_phi_is_refused_naming_the_one_model(self):
+        message = r"^unknown model 'bernoulli-phi'; the one model is 'bernoulli-squared'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"model": "bernoulli-phi"})
+        assert parse_config({"model": "bernoulli-squared"}) == ExperimentConfig()
+
+    def test_document_must_be_an_object(self):
+        # only library callers reach this: the CLI refuses a non-object file first
+        with pytest.raises(ConfigError, match=r"^configuration must be a JSON object, got list$"):
+            parse_config([1])
 
     def test_scalar_x0_promoted_to_vector(self):
         assert parse_config({"x0": 0.3}).x0 == (0.3,)
@@ -229,7 +232,6 @@ class TestCsvWriter:
 _COMMON_FLAGS = {
     "config": (("--config",), None, None, None),
     "out": (("--out",), None, None, None),
-    "model": (("--model",), None, None, None),
     "shift_kind": (("--shift-kind",), None, None, None),
     "shift_params": (("--shift-params",), None, None, None),
     "domain": (("--domain",), 2, float, None),
@@ -266,7 +268,6 @@ CLI_SURFACE = {
         "x_star": (("--x-star",), None, float, None),
         "radius": (("--r",), None, float, None),
         "grid_n": (("--grid",), None, int, None),
-        "fit_mode": (("--fit-mode",), None, None, None),
         "epsilon_cap": (("--epsilon-cap",), None, float, None),
         "sweep": (("--sweep",), 0, None, False),
         "sweep_step": (("--sweep-step",), None, float, 0.01),
@@ -277,7 +278,6 @@ CLI_SURFACE = {
         "grid_n": (("--grid",), None, int, None),
         "x0": (("--x0",), None, float, None),
         "theta": (("--theta",), None, float, None),
-        "fit_mode": (("--fit-mode",), None, None, None),
         "epsilon_cap": (("--epsilon-cap",), None, float, None),
     },
     "align": {
@@ -325,8 +325,7 @@ class TestCliCommands:
     def test_simulate_rgd_reaches_zero(self, tmp_path):
         out = tmp_path / "sim"
         code = cli.main(
-            ["simulate", "--model", "bernoulli-phi", "--flow", "rgd",
-             "--x0", "0.1", "--t-end", "50", "--out", str(out)]
+            ["simulate", "--flow", "rgd", "--x0", "0.1", "--t-end", "50", "--out", str(out)]
         )
         assert code == 0
         summary = read_json(out / "summary.json")
@@ -492,19 +491,64 @@ class TestCliErrors:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_negative_number_in_exponent_notation_needs_the_equals_form(self, tmp_path):
-        # argparse takes "-1e-3" for an option, not a number; "--x0=-1e-3" passes it
-        def run(*flags):
-            argv = [sys.executable, "-m", "perflow.cli", "simulate", *flags, "--t-end", "1", "--out", str(tmp_path)]
-            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-            return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    @pytest.mark.parametrize("number", ["-1e-3", "-.25", "-2.5E-1", "-0.25"])
+    def test_negative_number_after_a_flag_is_a_value(self, tmp_path, number):
+        # argparse alone reads only the "-1" and "-0.25" forms as numbers
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert cli.main(["simulate", "--x0", number, "--t-end", "1", "--out", str(spaced)]) == 0
+        assert cli.main(["simulate", f"--x0={number}", "--t-end", "1", "--out", str(joined)]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes(), name
+        assert read_json(spaced / "summary.json")["config"]["x0"] == [float(number)]
 
-        spaced = run("--x0", "-1e-3")
-        assert spaced.returncode == 2 and "expected one argument" in spaced.stderr
-        assert "Traceback" not in spaced.stderr
-        joined = run("--x0=-1e-3")
-        assert joined.returncode == 0 and joined.stderr == ""
-        assert read_json(tmp_path / "summary.json")["config"]["x0"] == [-1e-3]
+    def test_widest_domain_parses_after_the_flag(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--domain", "-1e154", "1e154", "--x0", "0.1", "--out", str(out)]) == 0
+        assert read_json(out / "summary.json")["config"]["domain"] == [-1e154, 1e154]
+
+    @pytest.mark.parametrize("command", ["certify", "bounds"])
+    def test_cap_alone_picks_the_capped_fit(self, tmp_path, command):
+        # a document that also names the fit, and a saved delta-zero document
+        # whose cap the flag replaces, write the bytes of the flag alone
+        capped, saved = tmp_path / "capped.json", tmp_path / "saved.json"
+        capped.write_text(json.dumps({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}))
+        saved.write_text(json.dumps(to_document(ExperimentConfig())))
+        spellings = {
+            "flag": ["--epsilon-cap", "0.5"],
+            "document": ["--config", str(capped)],
+            "saved": ["--config", str(saved), "--epsilon-cap", "0.5"],
+        }
+        for name, flags in spellings.items():
+            assert cli.main([command, *flags, "--out", str(tmp_path / name)]) == 0, name
+        flag = tmp_path / "flag"
+        names = sorted(p.name for p in flag.iterdir())
+        for other in ("document", "saved"):
+            assert sorted(p.name for p in (tmp_path / other).iterdir()) == names
+            for name in names:
+                assert (tmp_path / other / name).read_bytes() == (flag / name).read_bytes(), (other, name)
+        if command == "certify":
+            assert read_json(flag / "envelope.json")["fit_mode"] == "epsilon-capped"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["certify", "--fit-mode", "epsilon-capped"], ["bounds", "--fit-mode", "delta-zero"],
+         ["simulate", "--model", "bernoulli-squared"]],
+        ids=["certify-fit-mode", "bounds-fit-mode", "simulate-model"],
+    )
+    def test_removed_flags_are_unrecognized(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: unrecognized arguments: {' '.join(argv[1:])}\n"
+        assert not out.exists()
+
+    def test_document_whose_fit_contradicts_its_cap_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit_mode": "epsilon-capped", "epsilon_cap": None}))
+        out = tmp_path / "o"
+        assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+        message = "fit_mode 'epsilon-capped' contradicts epsilon_cap null, which fits 'delta-zero'"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -522,19 +566,13 @@ class TestCliErrors:
             ["basins", "--grid", "2"],
             ["certify", "--r", "0.001", "--sweep", "--sweep-step", "0.01"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:0.1", "--seed", "-1"],
-            ["certify", "--fit-mode", "epsilon-capped"],
-            ["bounds", "--fit-mode", "epsilon-capped"],
-            ["certify", "--epsilon-cap", "0.5"],
-            ["bounds", "--epsilon-cap", "0.5"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:100000000000000000000", "--steps", "10"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:1_0", "--steps", "10"],
         ],
         ids=[
             "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
             "sweep-step-1e-5", "sweep-step-1e-9", "certify-grid-50", "bounds-grid-50",
-            "equilibria-grid-2", "basins-grid-2", "empty-sweep", "seed-negative",
-            "certify-capped-without-cap", "bounds-capped-without-cap",
-            "certify-cap-without-capped-fit", "bounds-cap-without-capped-fit", "bernoulli-beyond-int64",
+            "equilibria-grid-2", "basins-grid-2", "empty-sweep", "seed-negative", "bernoulli-beyond-int64",
             "bernoulli-digit-separator",
         ],
     )
@@ -674,6 +712,48 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"--sweep-step {float(step)} gives {many} radii, not 1 to 10000" in err
 
+    # DOC, when given, is the --config file; {tmp} is the test's directory
+    @pytest.mark.parametrize(
+        "argv, doc, code, message",
+        [
+            ([], {"seed": 1.5}, 2, "configuration error: seed must be an integer, got 1.5"),
+            (["--shift-kind", "cosine"], None, 2,
+             "configuration error: unknown shift kind 'cosine'; "
+             "expected one of ('bump', 'logistic', 'clamped-polynomial', 'tabulated')"),
+            (["--shift-params", "[1]"], None, 2, "configuration error: shift.params must be an object"),
+            ([], {"domain": [1]}, 2, "configuration error: domain must be [lo, hi], got [1]"),
+            (["--flow", "bogus"], None, 2, "configuration error: unknown flow kind 'bogus'"),
+            (["--eq-tol", "-1e-3"], None, 2, "configuration error: eq_tol must be nonnegative, got -0.001"),
+            (["--out", ""], None, 2, "configuration error: out must be a non-empty path string, got ''"),
+            (["--shift-kind", "logistic", "--shift-params", '{"slope": 1}'], None, 2,
+             "configuration error: unknown logistic parameters: ['slope']"),
+            (["--shift-kind", "tabulated", "--shift-params", '{"knots_x": [0, 1]}'], None, 2,
+             "configuration error: tabulated shift needs exactly 'knots_x' and 'knots_p'"),
+            ([], {"noise": 3}, 2, "configuration error: noise must be a string, got 3"),
+            ([], {"schedule": 0.01}, 2, "configuration error: schedule must be a string, got 0.01"),
+            ([], [1], 2, "configuration error: configuration file must hold a JSON object"),
+            (["--shift-params", "{"], None, 2,
+             "configuration error: --shift-params is not valid JSON: "
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (["--out", "{tmp}/file/o"], None, 3, "i/o error: [Errno 20] Not a directory: '{tmp}/file/o'"),
+        ],
+        ids=["seed-not-integer", "shift-kind-unknown", "shift-params-not-object", "domain-of-one",
+             "flow-bogus", "eq-tol-negative", "out-empty", "logistic-parameter-unknown", "tabulated-without-knots-p",
+             "noise-not-string", "schedule-not-string", "config-file-list", "shift-params-not-json",
+             "out-below-a-file"],
+    )
+    def test_refusal_exit_code_and_message(self, tmp_path, capsys, argv, doc, code, message):
+        (tmp_path / "file").write_text("")
+        argv = ["simulate", "--t-end", "1", *(a.replace("{tmp}", str(tmp_path)) for a in argv)]
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "o")]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == message.replace("{tmp}", str(tmp_path)) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"][doc is None:]
+
     def test_mistyped_shift_parameter_exits_2(self, tmp_path, capsys):
         code = cli.main(
             ["equilibria", "--shift-kind", "logistic", "--shift-params", '{"rate": "x"}',
@@ -693,6 +773,34 @@ def load_script(name):
 
 class TestScripts:
     """The scripts under ``scripts/`` run end to end on their default settings."""
+
+    def test_count_code_lines(self):
+        source = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+import math  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    label = """not a docstring:
+    counted"""
+    return math.hypot(
+        x,
+
+        1.0,
+    )
+'''
+        # import, def, the label's two lines, and the four lines of the return statement with code
+        assert load_script("count_code_lines").count_code_lines(source) == 8
+
+    def test_count_code_lines_prints_each_module_and_the_total(self, capsys):
+        total = load_script("count_code_lines").main(Path(cli.__file__).parent)
+        *modules, last = capsys.readouterr().out.splitlines()
+        assert last == f"total {total}"
+        assert sum(int(line.split()[1]) for line in modules) == total
+        assert {line.split()[0] for line in modules} >= {"cli.py", "config.py", "__init__.py"}
 
     def test_reproduce_headline_numbers(self, tmp_path, capsys):
         load_script("reproduce_headline_numbers").run(str(tmp_path))

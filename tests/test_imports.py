@@ -112,6 +112,13 @@ class TestImportContract:
         assert rc == 2
         assert modules.isdisjoint(NUMERIC)
 
+    def test_fit_contradicting_the_cap_exits_2_without_numpy(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit_mode": "delta-zero", "epsilon_cap": 0.5}))
+        rc, modules = fresh_modules(CLI, "certify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == 2
+        assert modules.isdisjoint(NUMERIC)
+
     @pytest.mark.parametrize(
         "argv, unused",
         [
