@@ -7,10 +7,9 @@ and docstrings do not count, and a statement spread over several lines
 counts each line that holds part of it.  Prints one ``module count`` line per module
 and then the total::
 
-    python3 scripts/count_code_lines.py [PACKAGE_DIR]
+    python3 scripts/count_code_lines.py
 """
 
-import argparse
 import ast
 import io
 import tokenize
@@ -41,9 +40,9 @@ def count_code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(package: Path) -> int:
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "perflow").glob("*.py")):
         count = count_code_lines(path.read_text())
         total += count
         print(f"{path.name} {count}")
@@ -52,7 +51,4 @@ def main(package: Path) -> int:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    default = Path(__file__).resolve().parents[1] / "src" / "perflow"
-    parser.add_argument("package", nargs="?", type=Path, default=default)
-    main(parser.parse_args().package)
+    main()

@@ -138,13 +138,13 @@ class NoiseSpec:
 
 
 _SHIFT_KINDS = ("bump", "logistic", "clamped-polynomial", "tabulated")
+_MODEL = "bernoulli-squared"  # the one model; documents name it for the record
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated parameters for one command invocation."""
 
-    model: str = "bernoulli-squared"  # the one model; documents name it for the record
     shift_kind: str = "bump"
     shift_params: tuple = ()  # sorted (key, value) pairs; values hashable
     domain: tuple = (-0.5, 1.5)
@@ -242,8 +242,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         _fail(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     doc = {**defaults, **document}
 
-    if doc["model"] != ExperimentConfig.model:
-        _fail(f"unknown model {doc['model']!r}; the one model is {ExperimentConfig.model!r}")
+    if doc["model"] != _MODEL:
+        _fail(f"unknown model {doc['model']!r}; the one model is {_MODEL!r}")
     kwargs = {}
 
     shift_doc = doc["shift"]
@@ -337,14 +337,15 @@ def parse_config(document: dict) -> ExperimentConfig:
     # a saved document names the fit; it must be the one its cap gives
     if document.get("fit_mode", cfg.fit_mode) != cfg.fit_mode:
         cap = "null" if cfg.epsilon_cap is None else cfg.epsilon_cap
-        _fail(f"fit_mode {document['fit_mode']!r} contradicts epsilon_cap {cap}, which fits {cfg.fit_mode!r}")
+        _fail(f"fit_mode {document['fit_mode']!r} is not {cfg.fit_mode!r}, the fit epsilon_cap {cap} gives")
     build_shift(cfg)  # reject unknown or malformed shift parameters up front
     return cfg
 
 
 def to_document(cfg: ExperimentConfig) -> dict:
     """Canonical JSON document reproducing the configuration."""
-    doc = {"shift": {"kind": cfg.shift_kind, "params": cfg.shift_params_dict}, "fit_mode": cfg.fit_mode}
+    doc = {"model": _MODEL, "shift": {"kind": cfg.shift_kind, "params": cfg.shift_params_dict},
+           "fit_mode": cfg.fit_mode}
     for f in fields(cfg):
         if f.name not in ("shift_kind", "shift_params"):
             value = getattr(cfg, f.name)

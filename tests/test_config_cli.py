@@ -163,7 +163,7 @@ class TestConfigParsing:
         capped = parse_config({"epsilon_cap": 0.5})
         assert capped.fit_mode == to_document(capped)["fit_mode"] == "epsilon-capped"
         assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}) == capped
-        message = r"^fit_mode 'delta-zero' contradicts epsilon_cap 0.5, which fits 'epsilon-capped'$"
+        message = r"^fit_mode 'delta-zero' is not 'epsilon-capped', the fit epsilon_cap 0.5 gives$"
         with pytest.raises(ConfigError, match=message):
             parse_config({"fit_mode": "delta-zero", "epsilon_cap": 0.5})
 
@@ -541,12 +541,24 @@ class TestCliErrors:
         assert capsys.readouterr().err == f"configuration error: unrecognized arguments: {' '.join(argv[1:])}\n"
         assert not out.exists()
 
-    def test_document_whose_fit_contradicts_its_cap_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "document, flags, message",
+        [
+            ({"fit_mode": "epsilon-capped", "epsilon_cap": None}, [],
+             "fit_mode 'epsilon-capped' is not 'delta-zero', the fit epsilon_cap null gives"),
+            # a file that is wrong on its own stays wrong under a new cap
+            ({"fit_mode": "affine"}, ["--epsilon-cap", "0.5"],
+             "fit_mode 'affine' is not 'epsilon-capped', the fit epsilon_cap 0.5 gives"),
+            ({"fit_mode": "delta-zero", "epsilon_cap": 0.3}, ["--epsilon-cap", "0.5"],
+             "fit_mode 'delta-zero' is not 'epsilon-capped', the fit epsilon_cap 0.5 gives"),
+        ],
+        ids=["contradiction", "typo-under-cap-flag", "contradiction-under-cap-flag"],
+    )
+    def test_document_whose_fit_is_not_its_caps_exits_2(self, tmp_path, capsys, document, flags, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fit_mode": "epsilon-capped", "epsilon_cap": None}))
+        cfg.write_text(json.dumps(document))
         out = tmp_path / "o"
-        assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
-        message = "fit_mode 'epsilon-capped' contradicts epsilon_cap null, which fits 'delta-zero'"
+        assert cli.main(["certify", "--config", str(cfg), *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
@@ -796,7 +808,7 @@ def f(x):
         assert load_script("count_code_lines").count_code_lines(source) == 8
 
     def test_count_code_lines_prints_each_module_and_the_total(self, capsys):
-        total = load_script("count_code_lines").main(Path(cli.__file__).parent)
+        total = load_script("count_code_lines").main()
         *modules, last = capsys.readouterr().out.splitlines()
         assert last == f"total {total}"
         assert sum(int(line.split()[1]) for line in modules) == total
