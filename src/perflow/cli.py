@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from itertools import chain
@@ -184,19 +183,18 @@ def _sweep(model, x_star, radii, grid_n):
     return header, [*numbers.T, np.array([c.valid for c in certs], dtype=bool)]
 
 
+_SWEEP_STEP = 0.01  # the radius step of certify --sweep and repro fig2
 _MAX_SWEEP_RADII = 10_000
 
 
 def cmd_certify(cfg, model, args):
     import numpy as np
 
-    step = args.sweep_step
-    if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"--sweep-step must be a positive finite number, got {step}")
-    count = math.ceil((cfg.radius + step / 2.0 - step) / step)  # np.arange's length below
-    if args.sweep and not 1 <= count <= _MAX_SWEEP_RADII:
+    step = _SWEEP_STEP
+    count = (cfg.radius + step / 2.0 - step) / step  # np.arange's length below is ceil(count)
+    if args.sweep and not 0 < count <= _MAX_SWEEP_RADII:
         shown = f"more than {_MAX_SWEEP_RADII}" if count > _MAX_SWEEP_RADII else "0"
-        raise ConfigError(f"--sweep-step {step} gives {shown} radii, not 1 to {_MAX_SWEEP_RADII}")
+        raise ConfigError(f"--r {cfg.radius} gives {shown} radii at step {step}, not 1 to {_MAX_SWEEP_RADII}")
     cert, env = _certificate_pair(cfg, model)
     artifacts = {"certificate.json": cert.to_dict(), "envelope.json": env.to_dict()}
     if args.sweep:
@@ -241,7 +239,7 @@ def cmd_repro(cfg, model, args):
         header = ["x", "p", "p_prime", "pr", "pr_grad", "grad_x1"]
         return {"fig1.csv": (header, [xs, p, dp, risk, total, g1])}
     if args.target == "fig2":
-        return {"fig2.csv": _sweep(model, np.zeros(1), np.arange(0.01, 0.5001, 0.01), 4001)}
+        return {"fig2.csv": _sweep(model, np.zeros(1), np.arange(_SWEEP_STEP, 0.5001, _SWEEP_STEP), 4001)}
     # headline numbers: both field crossings plus the r = 0.4 constants
     from . import certify as cert_mod
     from . import equilibria as eq_mod
@@ -343,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
             _config_flag(p, key)
     certify = sub.choices["certify"]
     certify.add_argument(
-        "--sweep", action="store_true", help="also emit the constants-vs-radius CSV"
+        "--sweep", action="store_true", help="also emit the constants at radii 0.01, 0.02, ... up to --r"
     )
-    certify.add_argument("--sweep-step", dest="sweep_step", type=float, default=0.01)
     sub.choices["repro"].add_argument("target", choices=["fig1", "fig2", "constants"])
     return parser
 

@@ -24,24 +24,10 @@ if TYPE_CHECKING:  # the annotations only; each function imports what it runs
     from .model import BernoulliSquaredModel
     from .shifts import ShiftFunction
 
-PRM_FLOW = "prm-flow"
-RGD_FLOW = "rgd-flow"
+RGD_FLOW = "rgd"
+PRM_FLOW = "prm"
 DISCRETE_RGD = "discrete-rgd"
-
-_FLOW_ALIASES = {
-    "rgd": RGD_FLOW,
-    "prm": PRM_FLOW,
-    RGD_FLOW: RGD_FLOW,
-    PRM_FLOW: PRM_FLOW,
-    DISCRETE_RGD: DISCRETE_RGD,
-}
-
-
-def normalize_flow_kind(kind: str) -> str:
-    try:
-        return _FLOW_ALIASES[kind]
-    except KeyError:
-        raise ValueError(f"unknown flow kind {kind!r}") from None
+_FLOW_KINDS = (RGD_FLOW, PRM_FLOW, DISCRETE_RGD)
 
 
 def _step_count(t_end: float, h: float) -> int:
@@ -148,7 +134,7 @@ class ExperimentConfig:
     shift_kind: str = "bump"
     shift_params: tuple = ()  # sorted (key, value) pairs; values hashable
     domain: tuple = (-0.5, 1.5)
-    flow: str = "rgd-flow"
+    flow: str = RGD_FLOW
     x0: tuple = (0.1,)
     t_end: float = 50.0
     h: float = 0.01
@@ -270,10 +256,9 @@ def parse_config(document: dict) -> ExperimentConfig:
         _fail(f"domain bounds must have finite squares, got [{d_lo}, {d_hi}]")
     kwargs["domain"] = (d_lo, d_hi)
 
-    try:
-        kwargs["flow"] = normalize_flow_kind(doc["flow"])
-    except ValueError as exc:
-        _fail(str(exc))
+    if doc["flow"] not in _FLOW_KINDS:
+        _fail(f"unknown flow kind {doc['flow']!r}; expected one of {_FLOW_KINDS}")
+    kwargs["flow"] = doc["flow"]
 
     kwargs["x0"] = _as_point(doc["x0"], "x0")
     kwargs["x_star"] = _as_point(doc["x_star"], "x_star")

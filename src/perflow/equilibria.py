@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import _step_count, normalize_flow_kind
+from .config import PRM_FLOW, RGD_FLOW, _step_count
 from .errors import NotAnEquilibriumError
 from .flows import CONVERGED, LEFT_DOMAIN, NUMERIC_ERROR, integrate_ensemble
 from .flows import _field_function, _one_state
@@ -113,14 +113,16 @@ def classify_equilibrium(
 ) -> EquilibriumReport:
     """Second-order classification of a point where at least one field vanishes.
 
-    The report carries ``field_kind``'s flow and its field residual; the
-    labels come from every field within ``tol``.  Raises
-    :class:`NotAnEquilibriumError` when neither field residual is within
-    ``tol``.  Degenerate checks (eigenvalues within ``_HESSIAN_TOL`` of
-    zero) yield the ``inconclusive`` label rather than a guess.
+    The report carries ``field_kind``'s flow, ``rgd`` or ``prm``, and its
+    field residual; the labels come from every field within ``tol``.  Any
+    other kind, ``discrete-rgd`` included, raises :class:`ValueError`, and
+    :class:`NotAnEquilibriumError` is raised when neither field residual is
+    within ``tol``.  Degenerate checks (eigenvalues within ``_HESSIAN_TOL``
+    of zero) yield the ``inconclusive`` label rather than a guess.
     """
+    if field_kind not in (RGD_FLOW, PRM_FLOW):
+        raise ValueError(f"{field_kind!r} is not a continuous flow")
     x = _check_state(model, x, "x")
-    field_kind = normalize_flow_kind(field_kind)
     g1 = np.asarray(model.grad_x1(x, x), dtype=float)
     total = g1 + np.asarray(model.grad_x2(x, x), dtype=float)
     prm_residual = float(np.linalg.norm(total))
@@ -167,7 +169,7 @@ def classify_equilibrium(
     return EquilibriumReport(
         location=x.copy(),
         field_kind=field_kind,
-        residual=prm_residual if field_kind == "prm-flow" else rgd_residual,
+        residual=prm_residual if field_kind == PRM_FLOW else rgd_residual,
         labels=frozenset(labels),
         pr_hessian_eigenvalues=pr_eigs,
         stability_hessian_eigenvalues=stab_eigs,
@@ -252,8 +254,7 @@ def find_equilibria(
     """
     if grid_n < MIN_ROOT_GRID:
         raise ValueError(f"grid must have at least {MIN_ROOT_GRID} points")
-    kind = normalize_flow_kind(field_kind)
-    field = _field_function(model, kind)
+    field = _field_function(model, field_kind)
     lo, hi = model.domain.lower, model.domain.upper
 
     points, residuals = [], []
@@ -283,7 +284,7 @@ def find_equilibria(
 
     points, residuals = _dedup(points, residuals, 10.0 * refine_tol)
     return [
-        classify_equilibrium(model, p, tol=max(_CLASSIFY_TOL, 10.0 * abs(r)), field_kind=kind)
+        classify_equilibrium(model, p, tol=max(_CLASSIFY_TOL, 10.0 * abs(r)), field_kind=field_kind)
         for p, r in zip(points, residuals)
     ]
 
@@ -376,7 +377,6 @@ def basin_scan(
     """
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")
-    kind = normalize_flow_kind(field_kind)
     if model.dimension > 2:
         raise ValueError("basin scans are supported in one and two dimensions only")
     _step_count(t_end, h)  # the horizon is checked whichever path runs
@@ -385,12 +385,12 @@ def basin_scan(
 
     chart = None
     if model.dimension == 1:
-        fv = np.asarray(_field_function(model, kind)(grid), dtype=float)[:, 0]
+        fv = np.asarray(_field_function(model, field_kind)(grid), dtype=float)[:, 0]
         chart = _sign_chart(grid[:, 0], fv, eq_locs.reshape(-1), match_radius, eq_tol)
     if chart is not None:
         labels, statuses = chart
     else:
-        finals, statuses, _ = integrate_ensemble(model, kind, grid, t_end, h=h, eq_tol=eq_tol)
+        finals, statuses, _ = integrate_ensemble(model, field_kind, grid, t_end, h=h, eq_tol=eq_tol)
         labels = np.full(grid.shape[0], DIVERGENT, dtype=int)
         if eq_locs.size:
             # every final state is finite (a row leaves before a non-finite step),
@@ -402,7 +402,7 @@ def basin_scan(
     return BasinMap(
         grid=grid,
         labels=labels,
-        kind=kind,
+        kind=field_kind,
         t_end=float(t_end),
         match_radius=float(match_radius),
         equilibrium_locations=eq_locs,

@@ -36,7 +36,7 @@ from itertools import repeat
 import numpy as np
 
 from .config import DISCRETE_RGD, PRM_FLOW, RGD_FLOW, NoiseSpec, StepSchedule  # re-exported
-from .config import _step_count, normalize_flow_kind
+from .config import _step_count
 from .errors import NumericIntegrationError
 from .model import BernoulliSquaredModel, DecisionDependentModel, _check_domain, _check_state
 
@@ -79,7 +79,6 @@ def _field_function(model: DecisionDependentModel, kind: str):
     equals the model's gradients bit for bit (for a float, those of the
     one-element state).
     """
-    kind = normalize_flow_kind(kind)
     if kind not in (RGD_FLOW, PRM_FLOW):
         raise ValueError(f"{kind!r} is not a continuous flow")
     if isinstance(model, BernoulliSquaredModel):
@@ -150,7 +149,6 @@ def integrate_flow(
     ``grad_x1`` and ``grad_x2``.  Both paths do the same arithmetic in the
     same order, so they give the same trajectory bit for bit.
     """
-    kind = normalize_flow_kind(kind)
     steps = _step_count(t_end, h)
     x = _one_state(model, x0)
     floats = isinstance(x, float)
@@ -229,7 +227,6 @@ def integrate_ensemble(
     ``(times, states[k, m, n])`` when requested, else None.  Per-point
     failures are recorded as status ``numeric-error``, not raised.
     """
-    kind = normalize_flow_kind(kind)
     steps = _step_count(t_end, h)
     x = np.atleast_2d(np.asarray(x0s, dtype=float))
     if x.ndim > 2:

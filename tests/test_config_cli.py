@@ -50,6 +50,12 @@ class TestConfigParsing:
         doc = to_document(ExperimentConfig())
         assert to_document(parse_config(doc)) == doc
 
+    @pytest.mark.parametrize("flow", ["rgd-flow", "prm-flow", "RGD", "rgd ", ["rgd"]])
+    def test_each_flow_has_one_name(self, flow):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"flow": flow})
+        assert str(info.value) == f"unknown flow kind {flow!r}; expected one of ('rgd', 'prm', 'discrete-rgd')"
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({"gird_n": 100})
@@ -270,7 +276,6 @@ CLI_SURFACE = {
         "grid_n": (("--grid",), None, int, None),
         "epsilon_cap": (("--epsilon-cap",), None, float, None),
         "sweep": (("--sweep",), 0, None, False),
-        "sweep_step": (("--sweep-step",), None, float, 0.01),
     },
     "bounds": {
         "x_star": (("--x-star",), None, float, None),
@@ -334,6 +339,22 @@ class TestCliCommands:
         header, rows = read_csv(out / "trajectory.csv")
         assert header == ["t", "x_0"]
         assert float(rows[0][1]) == 0.1
+
+    @pytest.mark.parametrize("flow", ["rgd", "prm", "discrete-rgd"])
+    def test_summary_names_the_flow_and_reparses_to_the_run(self, tmp_path, flow):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--flow", flow, "--t-end", "1", "--steps", "10", "--out", str(out)]) == 0
+        summary = read_json(out / "summary.json")
+        assert summary["kind"] == summary["config"]["flow"] == flow
+        assert parse_config(summary["config"]) == parse_config({"flow": flow, "t_end": 1.0, "steps": 10})
+
+    @pytest.mark.parametrize("flow", ["rgd", "prm"])
+    def test_basins_artifacts_name_the_flow(self, tmp_path, flow):
+        out = tmp_path / "bas"
+        assert cli.main(["basins", "--flow", flow, "--grid", "101", "--out", str(out)]) == 0
+        document = read_json(out / "equilibria.json")
+        assert document["field_kind"] == read_json(out / "basins_summary.json")["field_kind"] == flow
+        assert {e["field_kind"] for e in document["equilibria"]} == {flow}
 
     def test_simulate_from_equilibrium_is_constant(self, tmp_path):
         out = tmp_path / "sim0"
@@ -407,8 +428,7 @@ class TestCliCommands:
     def test_certify_and_sweep_artifacts(self, tmp_path):
         out = tmp_path / "cert"
         code = cli.main(
-            ["certify", "--x-star", "0", "--r", "0.4", "--grid", "4001",
-             "--sweep", "--sweep-step", "0.1", "--out", str(out)]
+            ["certify", "--x-star", "0", "--r", "0.4", "--grid", "4001", "--sweep", "--out", str(out)]
         )
         assert code == 0
         cert = read_json(out / "certificate.json")
@@ -417,7 +437,9 @@ class TestCliCommands:
         assert env["delta"] == 0.0
         header, rows = read_csv(out / "constants_sweep.csv")
         assert header == ["r", "c1", "c2", "c3", "c4", "feasible_radius", "valid"]
-        assert len(rows) == 4
+        # radii 0.01, 0.02, ..., 0.4
+        assert len(rows) == 40
+        assert [float(rows[0][0]), float(rows[-1][0])] == pytest.approx([0.01, 0.4], abs=1e-12)
         assert rows[0][6] in ("true", "false")
 
     def test_bounds_reports_flags_and_tradeoff(self, tmp_path):
@@ -532,8 +554,8 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "argv",
         [["certify", "--fit-mode", "epsilon-capped"], ["bounds", "--fit-mode", "delta-zero"],
-         ["simulate", "--model", "bernoulli-squared"]],
-        ids=["certify-fit-mode", "bounds-fit-mode", "simulate-model"],
+         ["simulate", "--model", "bernoulli-squared"], ["certify", "--sweep-step", "0.1"]],
+        ids=["certify-fit-mode", "bounds-fit-mode", "simulate-model", "certify-sweep-step"],
     )
     def test_removed_flags_are_unrecognized(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -566,24 +588,19 @@ class TestCliErrors:
         "argv",
         [
             ["simulate", "--h", "0"],
-            ["certify", "--sweep", "--sweep-step", "0"],
-            ["certify", "--sweep", "--sweep-step", "-0.01"],
             ["certify", "--x-star", "0", "0"],
             ["bounds", "--x0", "0.1", "0.2"],
-            ["certify", "--sweep", "--sweep-step", "1e-5"],
-            ["certify", "--sweep", "--sweep-step", "1e-9"],
             ["certify", "--grid", "50"],
             ["bounds", "--grid", "50"],
             ["equilibria", "--grid", "2"],
             ["basins", "--grid", "2"],
-            ["certify", "--r", "0.001", "--sweep", "--sweep-step", "0.01"],
+            ["certify", "--r", "0.001", "--sweep"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "gaussian:0.1", "--seed", "-1"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:100000000000000000000", "--steps", "10"],
             ["simulate", "--flow", "discrete-rgd", "--noise", "bernoulli:1_0", "--steps", "10"],
         ],
         ids=[
-            "h-0", "sweep-step-0", "sweep-step-negative", "x-star-of-two", "x0-of-two",
-            "sweep-step-1e-5", "sweep-step-1e-9", "certify-grid-50", "bounds-grid-50",
+            "h-0", "x-star-of-two", "x0-of-two", "certify-grid-50", "bounds-grid-50",
             "equilibria-grid-2", "basins-grid-2", "empty-sweep", "seed-negative", "bernoulli-beyond-int64",
             "bernoulli-digit-separator",
         ],
@@ -707,7 +724,7 @@ class TestCliErrors:
             ["simulate", "--flow", "discrete-rgd", "--eq-tol", "nan"],
             ["simulate", "--t-end", "1e307", "--h", "1e-3"],
             ["basins", "--t-end", "1e307", "--h", "1e-3", "--grid", "11"],
-            ["certify", "--sweep", "--sweep-step", "nan"],
+            ["certify", "--sweep", "--r", "inf"],
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, argv):
@@ -716,13 +733,23 @@ class TestCliErrors:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("step, many", [("1e-300", "more than 10000"), ("1e-6", "more than 10000"), ("0.5", "0")])
-    def test_sweep_length_error_counts_in_words(self, tmp_path, capsys, step, many):
-        # the radius count of a tiny step has hundreds of digits: it is said in words
-        argv = ["certify", "--r", "0.1", "--sweep", "--sweep-step", step, "--out", str(tmp_path / "o")]
+    @pytest.mark.parametrize(
+        "radius, many",
+        [("1e308", "more than 10000"), ("1e300", "more than 10000"), ("100.01", "more than 10000"), ("0.005", "0"),
+         ("0.001", "0")],
+    )
+    def test_sweep_length_error_counts_in_words(self, tmp_path, capsys, radius, many):
+        # a count past the limit is said in words: for --r 1e308 it is not even finite
+        argv = ["certify", "--r", radius, "--sweep", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert f"--sweep-step {float(step)} gives {many} radii, not 1 to 10000" in err
+        assert err == f"configuration error: --r {float(radius)} gives {many} radii at step 0.01, not 1 to 10000\n"
+
+    def test_radius_beyond_the_sweep_limit_runs_without_sweep(self, tmp_path):
+        # only --sweep counts radii; 1e308 / 0.01 is not a finite count
+        out = tmp_path / "o"
+        assert cli.main(["certify", "--r", "1e308", "--out", str(out)]) == 0
+        assert read_json(out / "certificate.json")["radius"] == 1e308
 
     # DOC, when given, is the --config file; {tmp} is the test's directory
     @pytest.mark.parametrize(
@@ -734,7 +761,10 @@ class TestCliErrors:
              "expected one of ('bump', 'logistic', 'clamped-polynomial', 'tabulated')"),
             (["--shift-params", "[1]"], None, 2, "configuration error: shift.params must be an object"),
             ([], {"domain": [1]}, 2, "configuration error: domain must be [lo, hi], got [1]"),
-            (["--flow", "bogus"], None, 2, "configuration error: unknown flow kind 'bogus'"),
+            (["--flow", "bogus"], None, 2,
+             "configuration error: unknown flow kind 'bogus'; expected one of ('rgd', 'prm', 'discrete-rgd')"),
+            ([], {"flow": "prm-flow"}, 2,
+             "configuration error: unknown flow kind 'prm-flow'; expected one of ('rgd', 'prm', 'discrete-rgd')"),
             (["--eq-tol", "-1e-3"], None, 2, "configuration error: eq_tol must be nonnegative, got -0.001"),
             (["--out", ""], None, 2, "configuration error: out must be a non-empty path string, got ''"),
             (["--shift-kind", "logistic", "--shift-params", '{"slope": 1}'], None, 2,
@@ -750,7 +780,7 @@ class TestCliErrors:
             (["--out", "{tmp}/file/o"], None, 3, "i/o error: [Errno 20] Not a directory: '{tmp}/file/o'"),
         ],
         ids=["seed-not-integer", "shift-kind-unknown", "shift-params-not-object", "domain-of-one",
-             "flow-bogus", "eq-tol-negative", "out-empty", "logistic-parameter-unknown", "tabulated-without-knots-p",
+             "flow-bogus", "flow-prm-flow", "eq-tol-negative", "out-empty", "logistic-parameter-unknown", "tabulated-without-knots-p",
              "noise-not-string", "schedule-not-string", "config-file-list", "shift-params-not-json",
              "out-below-a-file"],
     )

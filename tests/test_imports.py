@@ -102,10 +102,12 @@ class TestImportContract:
         [
             ["simulate", "--h", "0"],
             ["simulate", "--flow", "bogus"],
+            ["simulate", "--flow", "rgd-flow"],
+            ["basins", "--flow", "prm-flow"],
             ["simulate", "--noise", "pink:3"],
             ["simulate", "--schedule", "constant"],
         ],
-        ids=["h-0", "flow-bogus", "noise-pink", "schedule-constant"],
+        ids=["h-0", "flow-bogus", "flow-rgd-flow", "flow-prm-flow", "noise-pink", "schedule-constant"],
     )
     def test_configuration_error_exits_2_without_numpy(self, tmp_path, argv):
         rc, modules = fresh_modules(CLI, *argv, "--out", str(tmp_path / "o"))
@@ -168,7 +170,7 @@ class TestKernelContract:
             ["equilibria", "--flow", "prm"],
             ["repro", "constants"],
             ["align", "--grid", "10001"],
-            ["certify", "--sweep", "--sweep-step", "0.1"],
+            ["certify", "--sweep"],
         ],
         ids=["basins-rgd", "basins-prm", "equilibria-rgd", "equilibria-prm", "repro-constants", "align",
              "certify-sweep"],

@@ -333,6 +333,16 @@ REFUSALS = {
         "knot coordinate and value arrays differ in length"),
     "integrate-discrete": (
         lambda: pf.integrate_flow(_BUMP, "discrete-rgd", 0.1, 1.0), "'discrete-rgd' is not a continuous flow"),
+    "integrate-rgd-flow": (
+        lambda: pf.integrate_flow(_BUMP, "rgd-flow", 0.1, 1.0), "'rgd-flow' is not a continuous flow"),
+    "find-rgd-flow": (lambda: pf.find_equilibria(_BUMP, "rgd-flow"), "'rgd-flow' is not a continuous flow"),
+    "classify-rgd-flow": (
+        lambda: pf.classify_equilibrium(_BUMP, 0.0, 1e-8, "rgd-flow"), "'rgd-flow' is not a continuous flow"),
+    "ensemble-prm-flow": (
+        lambda: pf.integrate_ensemble(_BUMP, "prm-flow", [[0.1]], 1.0), "'prm-flow' is not a continuous flow"),
+    "scan-prm-flow": (lambda: pf.basin_scan(_BUMP, "prm-flow", []), "'prm-flow' is not a continuous flow"),
+    "classify-discrete": (
+        lambda: pf.classify_equilibrium(_BUMP, 0.0, 1e-8, "discrete-rgd"), "'discrete-rgd' is not a continuous flow"),
     "negative-steps": (
         lambda: pf.discrete_rgd(_BUMP, 0.1, -1, pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()),
         "number of steps must be nonnegative"),
