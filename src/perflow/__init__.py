@@ -40,7 +40,7 @@ _EXPORTS = {
         "SmoothnessConstants", "interval", "performative_perturbation", "performative_risk",
         "prm_vector_field", "rgd_vector_field", "sensitivity_estimate", "wasserstein1_bernoulli",
     ),
-    "numerics": ("finite_diff_gradient", "finite_diff_hessian", "finite_diff_jacobian"),
+    "numerics": ("finite_diff_gradient", "finite_diff_jacobian"),
     "shifts": (
         "ShiftFunction", "bump_phi", "bump_phi_prime", "bump_shift", "clamped_polynomial_shift",
         "constant_shift", "logistic_shift", "tabulated_shift",

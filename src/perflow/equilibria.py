@@ -7,8 +7,8 @@ finite-difference Jacobians.
 
 Classification labels:
 
-* ``prm-minimizer``: the total risk gradient vanishes and its
-  finite-difference Hessian is positive definite.
+* ``prm-minimizer``: the total risk gradient vanishes and the Hessian of
+  the diagonal risk is positive definite.
 * ``performatively-stable``: the first-argument gradient vanishes on the
   diagonal, the decision-Hessian of ``y -> R(y, x)`` is positive definite,
   and the point attracts the shift-blind flow (the Jacobian of the composed
@@ -20,6 +20,10 @@ Classification labels:
   (a risk-Hessian direction of decrease, or a repelling flow direction).
 * ``inconclusive``: a second-order check sits within ``_HESSIAN_TOL`` of
   degenerate; nothing is guessed.
+
+All three second-order objects are central-difference Jacobians of the
+model's own gradients (the two Hessians symmetrised); no risk is
+differentiated twice.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import NotAnEquilibriumError
 from .flows import CONVERGED, LEFT_DOMAIN, NUMERIC_ERROR, integrate_ensemble
 from .flows import _field_function, _one_state
 from .model import DecisionDependentModel, _check_state, _lattice, _record_document
-from .numerics import finite_diff_hessian, finite_diff_jacobian
+from .numerics import finite_diff_jacobian
 
 PRM_MINIMIZER = "prm-minimizer"
 PERFORMATIVELY_STABLE = "performatively-stable"
@@ -43,7 +47,9 @@ INCONCLUSIVE = "inconclusive"
 
 DIVERGENT = -1  # basin label for points that match no equilibrium
 MIN_ROOT_GRID = 3  # the fewest grid points find_equilibria accepts
-_CLASSIFY_TOL = 1e-8  # find_equilibria classifies with tol max(_CLASSIFY_TOL, 10 * |residual|)
+# find_equilibria classifies with tol max(_CLASSIFY_TOL, 10 * |residual|); the other flow's
+# field must be within min(tol, _CLASSIFY_TOL) for its labels
+_CLASSIFY_TOL = 1e-8
 _HESSIAN_TOL = 1e-6  # eigenvalues within this of zero are degenerate
 
 
@@ -52,9 +58,10 @@ class EquilibriumReport:
     """A refined root of a vector field with its second-order diagnosis.
 
     Eigenvalue arrays are present only for the checks that applied (None
-    otherwise): the risk Hessian when the total gradient vanishes, the
-    decision Hessian and composed-field Jacobian when the first-argument
-    gradient vanishes on the diagonal.
+    otherwise): the diagonal-risk Hessian (the Jacobian of the total
+    gradient) when the total gradient vanishes, the decision Hessian (the
+    Jacobian of ``y -> grad_x1 R(y, x)``) and composed-field Jacobian when
+    the first-argument gradient vanishes on the diagonal.
     """
 
     location: np.ndarray
@@ -114,11 +121,13 @@ def classify_equilibrium(
     """Second-order classification of a point where at least one field vanishes.
 
     The report carries ``field_kind``'s flow, ``rgd`` or ``prm``, and its
-    field residual; the labels come from every field within ``tol``.  Any
-    other kind, ``discrete-rgd`` included, raises :class:`ValueError`, and
-    :class:`NotAnEquilibriumError` is raised when neither field residual is
-    within ``tol``.  Degenerate checks (eigenvalues within ``_HESSIAN_TOL``
-    of zero) yield the ``inconclusive`` label rather than a guess.
+    field residual.  The labels come from ``field_kind``'s field when its
+    residual is within ``tol``, and from the other flow's field when its
+    residual is within ``min(tol, _CLASSIFY_TOL)``.  Any other kind,
+    ``discrete-rgd`` included, raises :class:`ValueError`, and
+    :class:`NotAnEquilibriumError` is raised when neither field qualifies.
+    Degenerate checks (eigenvalues within ``_HESSIAN_TOL`` of zero) yield
+    the ``inconclusive`` label rather than a guess.
     """
     if field_kind not in (RGD_FLOW, PRM_FLOW):
         raise ValueError(f"{field_kind!r} is not a continuous flow")
@@ -127,21 +136,21 @@ def classify_equilibrium(
     total = g1 + np.asarray(model.grad_x2(x, x), dtype=float)
     prm_residual = float(np.linalg.norm(total))
     rgd_residual = float(np.linalg.norm(g1))
-    is_prm = prm_residual <= tol
-    is_rgd = rgd_residual <= tol
+    other_tol = min(tol, _CLASSIFY_TOL)
+    is_prm = prm_residual <= (tol if field_kind == PRM_FLOW else other_tol)
+    is_rgd = rgd_residual <= (tol if field_kind == RGD_FLOW else other_tol)
     if not (is_prm or is_rgd):
         raise NotAnEquilibriumError(
             f"no field vanishes at {x.tolist()}: "
-            f"|total grad| = {prm_residual:.3g}, |first-arg grad| = {rgd_residual:.3g} > tol = {tol:.3g}"
+            f"|total grad| = {prm_residual:.3g}, |first-arg grad| = {rgd_residual:.3g} > tol = {tol:.3g} "
+            f"({field_kind}), {other_tol:.3g} (other field)"
         )
 
     labels = set()
     pr_eigs = stab_eigs = jac_eigs = None
 
     if is_prm:
-        pr_eigs = _eigvals_sym(
-            finite_diff_hessian(lambda y: float(model.decoupled_risk(y, y)), x)
-        )
+        pr_eigs = _eigvals_sym(finite_diff_jacobian(lambda y: model.grad_x1(y, y) + model.grad_x2(y, y), x))
         if pr_eigs.min() > _HESSIAN_TOL:
             labels.add(PRM_MINIMIZER)
         elif pr_eigs.min() < -_HESSIAN_TOL:
@@ -150,10 +159,8 @@ def classify_equilibrium(
             labels.add(INCONCLUSIVE)
 
     if is_rgd:
-        stab_eigs = _eigvals_sym(
-            finite_diff_hessian(lambda y: float(model.decoupled_risk(y, x)), x)
-        )
-        jac = finite_diff_jacobian(lambda z: np.asarray(model.grad_x1(z, z), dtype=float), x)
+        stab_eigs = _eigvals_sym(finite_diff_jacobian(lambda y: model.grad_x1(y, x), x))
+        jac = finite_diff_jacobian(lambda z: model.grad_x1(z, z), x)
         jac_eigs = _eigvals(jac).real
         if jac_eigs.size > 1:  # one eigenvalue is sorted already, and np.sort's first call maps ~0.26 MB
             jac_eigs = np.sort(jac_eigs)

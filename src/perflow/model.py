@@ -26,7 +26,6 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .errors import OutOfDomainError
-from .numerics import finite_diff_gradient
 from .shifts import ShiftFunction
 
 
@@ -133,10 +132,13 @@ class BernoulliSquaredModel(DecisionDependentModel):
 
 
 def _each_row(fn, x1, x2, tail):
-    """Apply a per-state callable to one state, or to each row of a batch."""
+    """Apply a per-state callable to one state, or to each row of a batch.
+
+    A gradient (non-empty ``tail``) comes back as a float array either way.
+    """
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     if x1.ndim == 1:
-        return fn(x1, x2)
+        return np.asarray(fn(x1, x2), dtype=float) if tail else fn(x1, x2)
     n = x1.shape[-1]
     rows = [fn(a, b) for a, b in zip(x1.reshape(-1, n), x2.reshape(-1, n))]
     return np.array(rows, dtype=float).reshape(x1.shape[:-1] + tail)
@@ -144,37 +146,29 @@ def _each_row(fn, x1, x2, tail):
 
 @dataclass(frozen=True, eq=False)
 class CallableModel(DecisionDependentModel):
-    """Model built from plain callables; gradients default to finite differences.
+    """Model built from plain callables: the risk and both partial gradients.
 
     Handy for tests and ad-hoc experiments.  ``risk(x1, x2)`` must return a
-    scalar; gradient callables, when given, must return length-n vectors.
+    scalar, ``grad1`` and ``grad2`` length-n vectors; all three are required.
+    For a risk without closed-form gradients, pass finite differences
+    explicitly, e.g. ``grad1=lambda y, x: finite_diff_gradient(lambda z: risk(z, x), y)``.
     The callables see one state at a time: batches are evaluated row by row.
     """
 
     dimension: int
     domain: Box
     risk: Callable
-    grad1: Optional[Callable] = None
-    grad2: Optional[Callable] = None
+    grad1: Callable
+    grad2: Callable
 
     def decoupled_risk(self, x1, x2):
         return _each_row(self.risk, x1, x2, ())
 
     def grad_x1(self, x1, x2):
-        return _each_row(self._grad1, x1, x2, (self.dimension,))
+        return _each_row(self.grad1, x1, x2, (self.dimension,))
 
     def grad_x2(self, x1, x2):
-        return _each_row(self._grad2, x1, x2, (self.dimension,))
-
-    def _grad1(self, x1, x2):
-        if self.grad1 is not None:
-            return np.asarray(self.grad1(x1, x2), dtype=float)
-        return finite_diff_gradient(lambda y: self.risk(y, x2), x1)
-
-    def _grad2(self, x1, x2):
-        if self.grad2 is not None:
-            return np.asarray(self.grad2(x1, x2), dtype=float)
-        return finite_diff_gradient(lambda y: self.risk(x1, y), x2)
+        return _each_row(self.grad2, x1, x2, (self.dimension,))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import perflow.equilibria as eq_mod
 from perflow.config import ExperimentConfig
 from perflow.equilibria import INCONCLUSIVE, PERFORMATIVELY_STABLE, PRM_MINIMIZER, UNSTABLE
 from perflow.flows import CONVERGED
-from perflow.numerics import finite_diff_hessian, finite_diff_jacobian
+from perflow.numerics import finite_diff_jacobian
 
 
 def v(x):
@@ -45,6 +45,24 @@ def planar_model(slope=0.3):
         risk=risk,
         grad1=lambda x1, x2: x1 - slope * x2,
         grad2=lambda x1, x2: -slope * (x1 - slope * x2),
+    )
+
+
+def triple_root_model(c, k):
+    # R(y, x) = (y - q(x))^2 / 2 + k + c (y - x) x with q(z) = (1 + c) z - (z - 0.3)^3,
+    # so grad_x1 R(x, x) = (x - 0.3)^3 and the decision Hessian is 1
+    def q(z):
+        return (1.0 + c) * z - (z - 0.3) ** 3
+
+    def dq(z):
+        return 1.0 + c - 3.0 * (z - 0.3) ** 2
+
+    return pf.CallableModel(
+        dimension=1,
+        domain=pf.interval(-0.5, 1.5),
+        risk=lambda y, x: 0.5 * (y[0] - q(x[0])) ** 2 + k + c * (y[0] - x[0]) * x[0],
+        grad1=lambda y, x: np.array([y[0] - q(x[0]) + c * x[0]]),
+        grad2=lambda y, x: np.array([(q(x[0]) - y[0]) * dq(x[0]) + c * (y[0] - 2.0 * x[0])]),
     )
 
 
@@ -194,6 +212,46 @@ class TestClassification:
         report = pf.classify_equilibrium(m, v(0.0), tol=1e-8, field_kind="rgd")
         assert INCONCLUSIVE in report.labels
 
+    @pytest.mark.parametrize("c", [1.7, 37.0])
+    @pytest.mark.parametrize("k", [1.0, 123.456])
+    def test_triple_rgd_root_is_inconclusive(self, c, k):
+        # the rgd field -(x - 0.3)^3 has a zero Jacobian at 0.3: differencing
+        # the risk twice (finite-difference gradients) reads 1.1e-5 to -7.1e-4 there, a guess
+        report = pf.classify_equilibrium(triple_root_model(c, k), v(0.3), tol=1e-8, field_kind="rgd")
+        assert report.labels == {INCONCLUSIVE}
+        assert report.rgd_jacobian_eigenvalues.tolist() == [0.0]
+        assert abs(report.stability_hessian_eigenvalues[0] - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, 3.0, 8.0])
+    def test_pr_hessian_of_logistic_at_its_midpoint(self, rate):
+        # PR''(0.5) = 1 - rate / 2 in closed form
+        model = pf.BernoulliSquaredModel(shift=pf.logistic_shift(rate, 0.5))
+        report = pf.classify_equilibrium(model, v(0.5), tol=1e-8, field_kind="prm")
+        assert abs(report.pr_hessian_eigenvalues[0] - (1.0 - rate / 2.0)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "shift, kind",
+        [(pf.bump_shift(), "rgd"), (pf.bump_shift(), "prm"), (pf.logistic_shift(8.0, 0.5), "rgd")],
+        ids=["bump-rgd", "bump-prm", "logistic-rgd"],
+    )
+    def test_decision_hessian_of_squared_loss_is_one(self, shift, kind):
+        # y -> R(y, x) is (y^2 + p(x) (1 - 2 y)) / 2, whose second derivative is exactly 1
+        reports = pf.find_equilibria(pf.BernoulliSquaredModel(shift=shift), kind)
+        hessians = [r.stability_hessian_eigenvalues for r in reports if r.stability_hessian_eigenvalues is not None]
+        assert len(hessians) >= 2
+        assert np.all(np.abs(np.concatenate(hessians) - 1.0) <= 1e-10)
+
+    def test_other_flow_labels_need_its_field_to_vanish(self):
+        # the clamped cubic's prm field jumps at the kinks -0.38829 and 1.22886,
+        # where bisection stops with residuals 0.096 and 0.229; x - p(x) is
+        # -0.388 and 0.229 there, so the rgd field lends them no label
+        model = pf.BernoulliSquaredModel(shift=pf.clamped_polynomial_shift((0.2, 0.5, 0.0, 0.1)))
+        kinks = [r for r in pf.find_equilibria(model, "prm") if r.residual > 1e-3]
+        assert [round(float(r.location[0]), 5) for r in kinks] == [-0.38829, 1.22886]
+        for report in kinks:
+            assert report.labels == {PRM_MINIMIZER}
+            assert report.stability_hessian_eigenvalues is None and report.rgd_jacobian_eigenvalues is None
+
     def test_report_serialization(self, rgd_roots):
         d = rgd_roots[0].to_dict()
         assert d["labels"] == sorted(rgd_roots[0].labels)
@@ -228,12 +286,12 @@ class TestScalarEigenvalues:
             x = report.location
 
             def sym(f):
-                h = finite_diff_hessian(f, x)
+                h = finite_diff_jacobian(f, x)
                 return np.linalg.eigvalsh(0.5 * (h + h.T))
 
             lapack = {
-                "pr_hessian_eigenvalues": lambda: sym(lambda y: float(bump_model.decoupled_risk(y, y))),
-                "stability_hessian_eigenvalues": lambda: sym(lambda y: float(bump_model.decoupled_risk(y, x))),
+                "pr_hessian_eigenvalues": lambda: sym(lambda y: bump_model.grad_x1(y, y) + bump_model.grad_x2(y, y)),
+                "stability_hessian_eigenvalues": lambda: sym(lambda y: bump_model.grad_x1(y, x)),
                 "rgd_jacobian_eigenvalues": lambda: np.sort(np.linalg.eigvals(
                     finite_diff_jacobian(lambda z: bump_model.grad_x1(z, z), x)).real),
             }

@@ -405,6 +405,7 @@ def bump_callable_model():
         domain=pf.interval(-0.5, 1.5),
         risk=lambda a, b: 0.0,
         grad1=lambda a, b: a - pf.bump_phi(float(b[0])),
+        grad2=lambda a, b: np.zeros(1),
     )
 
 
@@ -496,6 +497,7 @@ class TestDiscreteRecursion:
             domain=pf.interval(-0.5, 1.5),
             risk=lambda x1, x2: float(x1[0] ** 2),
             grad1=lambda x1, x2: 2.0 * x1,
+            grad2=lambda x1, x2: np.zeros(1),
             shift=pf.bump_shift(),
         )
         with pytest.raises(ValueError):

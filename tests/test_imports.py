@@ -54,7 +54,7 @@ class TestExportTable:
 
     def test_all_is_the_table(self):
         assert pf.__all__ == self.NAMES
-        assert len(self.NAMES) == len(set(self.NAMES)) == 60
+        assert len(self.NAMES) == len(set(self.NAMES)) == 59
         assert "logistic_shift" in pf.__all__
 
     @pytest.mark.parametrize("module", sorted(pf._EXPORTS))
@@ -124,15 +124,16 @@ class TestImportContract:
     @pytest.mark.parametrize(
         "argv, unused",
         [
-            (["simulate"], ("certify", "equilibria")),
+            # only root classification and Newton take finite differences
+            (["simulate"], ("certify", "equilibria", "numerics")),
             (["equilibria"], ("certify",)),
             (["basins", "--grid", "101", "--t-end", "5"], ("certify",)),
             # commands that integrate nothing leave flows unloaded
-            (["certify"], ("equilibria", "flows")),
-            (["bounds"], ("equilibria", "flows")),
-            (["align"], ("equilibria", "flows")),
-            (["repro", "fig1"], ("certify", "equilibria", "flows")),
-            (["repro", "fig2"], ("equilibria", "flows")),
+            (["certify"], ("equilibria", "flows", "numerics")),
+            (["bounds"], ("equilibria", "flows", "numerics")),
+            (["align"], ("equilibria", "flows", "numerics")),
+            (["repro", "fig1"], ("certify", "equilibria", "flows", "numerics")),
+            (["repro", "fig2"], ("equilibria", "flows", "numerics")),
         ],
         ids=["simulate", "equilibria", "basins", "certify", "bounds", "align", "repro-fig1", "repro-fig2"],
     )

@@ -185,14 +185,20 @@ class TestFiniteDifferences:
         closed = 0.2 - phi(0.2) + 0.3 * phi_prime(0.2)
         assert abs(fd - closed) <= 1e-5 * max(1.0, abs(closed))
 
+    def test_jacobian_takes_two_evaluations_per_coordinate(self):
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return np.array([z[0] * z[1], z[1] ** 2])
+
+        jac = pf.finite_diff_jacobian(f, np.array([0.5, 2.0]))
+        assert len(calls) == 4
+        assert np.allclose(jac, [[2.0, 0.5], [0.0, 4.0]], atol=1e-8)
+
     def test_zero_for_constants(self):
         grad = pf.finite_diff_gradient(lambda x: 7.5, np.array([0.3, -0.2]))
         assert np.array_equal(grad, np.zeros(2))
-
-    def test_hessian_of_quadratic_form(self):
-        a = np.array([[2.0, 0.5], [0.5, 1.0]])
-        hess = pf.finite_diff_hessian(lambda x: float(x @ a @ x / 2.0), np.array([0.3, -0.1]))
-        assert np.allclose(hess, a, atol=1e-5)
 
 
 class TestSmoothnessConstants:
@@ -244,43 +250,36 @@ class TestDomainBox:
         assert box.contains(np.array([1e300]))
 
 
-def bump_closed_forms(explicit):
+def bump_closed_forms():
     # the built-in model's closed forms, one scalar state at a time
     s = pf.bump_shift()
-    kwargs = {}
-    if explicit:
-        kwargs["grad1"] = lambda x1, x2: np.array([x1[0] - s.value(x2[0])])
-        kwargs["grad2"] = lambda x1, x2: np.array([0.5 * (1.0 - 2.0 * x1[0]) * s.derivative(x2[0])])
     return pf.CallableModel(
         dimension=1,
         domain=pf.interval(-0.5, 1.5),
         risk=lambda x1, x2: 0.5 * (x1[0] ** 2 + s.value(x2[0]) * (1.0 - 2.0 * x1[0])),
-        **kwargs,
+        grad1=lambda x1, x2: np.array([x1[0] - s.value(x2[0])]),
+        grad2=lambda x1, x2: np.array([0.5 * (1.0 - 2.0 * x1[0]) * s.derivative(x2[0])]),
     )
 
 
-def coupled_planar(explicit):
+def coupled_planar():
     # R(x1, x2) = |x1|^2 / 2 + 0.3 x1.x2 + sin(x2_0) x1_1
     def risk(x1, x2):
         return 0.5 * float(x1 @ x1) + 0.3 * float(x1 @ x2) + math.sin(x2[0]) * x1[1]
 
-    kwargs = {}
-    if explicit:
-        kwargs["grad1"] = lambda x1, x2: x1 + 0.3 * x2 + np.array([0.0, math.sin(x2[0])])
-        kwargs["grad2"] = lambda x1, x2: 0.3 * x1 + np.array([math.cos(x2[0]) * x1[1], 0.0])
     return pf.CallableModel(
         dimension=2,
         domain=pf.Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         risk=risk,
-        **kwargs,
+        grad1=lambda x1, x2: x1 + 0.3 * x2 + np.array([0.0, math.sin(x2[0])]),
+        grad2=lambda x1, x2: 0.3 * x1 + np.array([math.cos(x2[0]) * x1[1], 0.0]),
     )
 
 
 class TestCallableModelBatches:
-    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "finite-difference"])
     @pytest.mark.parametrize("make", [bump_closed_forms, coupled_planar])
-    def test_batch_equals_row_by_row(self, make, explicit, rng):
-        model = make(explicit)
+    def test_batch_equals_row_by_row(self, make, rng):
+        model = make()
         m, n = 7, model.dimension
         x1 = rng.uniform(model.domain.lower, model.domain.upper, size=(m, n))
         x2 = rng.uniform(model.domain.lower, model.domain.upper, size=(m, n))
@@ -292,8 +291,24 @@ class TestCallableModelBatches:
             assert batch.shape == (m, n)
             assert np.array_equal(batch, np.stack([grad(a, b) for a, b in zip(x1, x2)]))
 
+    def test_gradients_are_required(self):
+        # no finite-difference fallback: a model without its gradients is refused
+        with pytest.raises(TypeError, match="grad2"):
+            pf.CallableModel(
+                dimension=1, domain=pf.interval(0.0, 1.0), risk=lambda x1, x2: 0.0, grad1=lambda x1, x2: x1
+            )
+
+    def test_one_state_gradient_is_a_float_array(self):
+        model = pf.CallableModel(
+            dimension=2, domain=pf.Box(np.zeros(2), np.ones(2)), risk=lambda x1, x2: 0.0,
+            grad1=lambda x1, x2: [1, 2], grad2=lambda x1, x2: (0, 3),
+        )
+        for grad, expected in ((model.grad_x1, [1.0, 2.0]), (model.grad_x2, [0.0, 3.0])):
+            got = grad(np.full(2, 0.5), np.full(2, 0.5))
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.tolist() == expected
+
     def test_wrapped_closed_forms_match_builtin_model(self, bump_model):
-        wrapped = bump_closed_forms(explicit=True)
+        wrapped = bump_closed_forms()
         zero = np.zeros(1)
         for a, b in [
             (pf.estimate_curvature_constants(wrapped, zero, 0.4, grid_n=4001),
@@ -319,7 +334,10 @@ class TestCallableModelBatches:
 
 def _flat_model(n):
     box = pf.Box(np.zeros(n), np.ones(n))
-    return pf.CallableModel(dimension=n, domain=box, risk=lambda x1, x2: 0.0)
+    def zero(x1, x2):
+        return np.zeros(n)
+
+    return pf.CallableModel(dimension=n, domain=box, risk=lambda x1, x2: 0.0, grad1=zero, grad2=zero)
 
 
 _BUMP = pf.BernoulliSquaredModel(shift=pf.bump_shift())
