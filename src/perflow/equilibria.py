@@ -1,9 +1,9 @@
 """Equilibrium location, second-order classification, and basin mapping.
 
 An equilibrium of either flow is a zero of its vector field.  Scalar models
-are handled by bracketing sign changes on a grid and bisecting; higher
-dimensions fall back to damped Newton iterations from lattice seeds with
-finite-difference Jacobians.
+are handled by refining each zero site of the field on a lattice, the sites
+the basin scan's sign chart checks too; higher dimensions fall back to damped
+Newton iterations from lattice seeds with finite-difference Jacobians.
 
 Classification labels:
 
@@ -38,7 +38,7 @@ from .errors import NotAnEquilibriumError
 from .flows import CONVERGED, LEFT_DOMAIN, NUMERIC_ERROR, integrate_ensemble
 from .flows import _field_function, _one_state
 from .model import DecisionDependentModel, _check_state, _lattice, _record_document
-from .numerics import finite_diff_jacobian
+from .numerics import _bisect, _golden, finite_diff_jacobian
 
 PRM_MINIMIZER = "prm-minimizer"
 PERFORMATIVELY_STABLE = "performatively-stable"
@@ -184,40 +184,45 @@ def classify_equilibrium(
     )
 
 
-# Halvings that close any bracket of doubles: from a width below 2**1025 to
-# the stop width 4 * eps * max(1, |mid|) >= 2**-50 takes at most 1075.
-_BISECT_HALVINGS = 1100
+def _zero_sites(fv, tol):
+    """Index spans ``(k, j)`` of the zeros the lattice field ``fv`` shows, in lattice order.
+
+    A site is a point with ``|f| <= tol``, ``(k, k)``; a cell whose ends
+    have strict opposite signs and are no such points, ``(k, k + 1)``; or a
+    dip, ``(k - 1, k + 1)`` clipped to the lattice: a lattice minimum of
+    ``|f|`` between two cells of one strict sign, no larger than the
+    field's second difference there (one-sided at the ends).  A double root
+    between lattice points leaves a dip of at most an eighth of that
+    difference, so rounding cannot hide it, while a minimum the lattice
+    resolves from zero is no dip.
+    """
+    n, size = fv.size, np.abs(fv)
+    point, same = size <= tol, fv[:-1] * fv[1:] > 0
+    # a lattice minimum of |f| between cells of one strict sign; an end point has one cell, taken twice
+    low = np.concatenate([same[:1], same & (size[1:] <= size[:-1])])
+    low &= np.concatenate([same & (size[:-1] <= size[1:]), same[-1:]])
+    sites = [(k, k) for k in np.flatnonzero(point)]
+    sites += [(k, k + 1) for k in np.flatnonzero((fv[:-1] * fv[1:] < 0) & ~point[:-1] & ~point[1:])]
+    for k in np.flatnonzero(low & ~point):
+        i = min(max(k, 1), n - 2)  # the second difference, one-sided at the ends
+        if size[k] <= abs(np.diff(fv[i - 1:i + 2], 2)[0]):
+            sites.append((max(k - 1, 0), min(k + 1, n - 1)))
+    return sorted(sites, key=sum)  # by k + j; no numpy sort kernel is loaded
 
 
-def _bisect(f, lo, hi, f_lo, f_hi, residual_tol):
-    """``(root, f(root))`` of a sign-change bracket, or None if it is still open after the halvings."""
-    for _ in range(_BISECT_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) <= residual_tol or (hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
-            return mid, f_mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return None
-
-
-def _dedup(points, residuals, min_separation):
-    # Python's stable sort: ties keep input order, and no numpy sort kernel is loaded
-    order = sorted(range(len(points)), key=lambda i: points[i][0])
-    kept_p, kept_r = [], []
-    for i in order:
-        p, r = points[i], residuals[i]
-        for j, q in enumerate(kept_p):
+def _dedup(hits, min_separation):
+    kept = []
+    # the hits that are not None, as (point, residual), in Python's stable sort: ties
+    # keep input order, and no numpy sort kernel is loaded
+    for p, r in sorted(((np.atleast_1d(h[0]), h[1]) for h in hits if h is not None), key=lambda h: h[0][0]):
+        for j, (q, s) in enumerate(kept):
             if np.linalg.norm(p - q) <= min_separation:
-                if abs(r) < abs(kept_r[j]):
-                    kept_p[j], kept_r[j] = p, r
+                if abs(r) < abs(s):
+                    kept[j] = p, r
                 break
         else:
-            kept_p.append(p)
-            kept_r.append(r)
-    return kept_p, kept_r
+            kept.append((p, r))
+    return kept
 
 
 def _newton_root(field, x0, residual_tol, box):
@@ -253,18 +258,19 @@ def find_equilibria(
 ) -> list[EquilibriumReport]:
     """Locate and classify all zeros of a flow's field resolvable on the grid.
 
-    Scalar models: bracket sign changes among ``grid_n`` samples of the field
-    over the domain interval, refine each bracket by bisection until the
-    residual drops to ``refine_tol``.  Higher dimensions: damped Newton from
-    every lattice seed.  Roots closer than ``10 * refine_tol`` are merged.
-    An empty list simply means no zero was resolved.
+    Scalar models: refine each site of ``_zero_sites`` on ``grid_n`` samples
+    of the field over the domain interval once.  A point is kept, a
+    sign-change cell bisected until the residual drops to ``refine_tol``,
+    and a dip reported if its golden-section minimum of ``|f|`` is within
+    ``refine_tol``.  Higher dimensions: damped Newton from every lattice
+    seed.  Roots closer than ``10 * refine_tol`` are merged.  An empty list
+    simply means no zero was resolved.
     """
     if grid_n < MIN_ROOT_GRID:
         raise ValueError(f"grid must have at least {MIN_ROOT_GRID} points")
     field = _field_function(model, field_kind)
     lo, hi = model.domain.lower, model.domain.upper
 
-    points, residuals = [], []
     if model.dimension == 1:
         xs = np.linspace(lo[0], hi[0], int(grid_n))
         fv = np.asarray(field(xs[:, None]), dtype=float)[:, 0]
@@ -272,27 +278,17 @@ def find_equilibria(
         def f_scalar(v):
             return float(np.ravel(field(_one_state(model, v)))[0])
 
-        on_grid = np.abs(fv) <= refine_tol
-        for v, r in zip(xs[on_grid], fv[on_grid]):
-            points.append(np.array([v]))
-            residuals.append(float(r))
-        sign_change = fv[:-1] * fv[1:] < 0
-        for i in np.nonzero(sign_change)[0]:
-            hit = _bisect(f_scalar, xs[i], xs[i + 1], fv[i], fv[i + 1], refine_tol)
-            if hit is not None:
-                points.append(np.array([hit[0]]))
-                residuals.append(float(hit[1]))
+        hits = [
+            (xs[k], fv[k]) if k == j
+            else _bisect(f_scalar, xs[k], xs[j], fv[k], refine_tol) if fv[k] * fv[j] < 0
+            else _golden(f_scalar, xs[k], xs[j], refine_tol)
+            for k, j in _zero_sites(fv, refine_tol)
+        ]
     else:
-        for seed in _lattice(lo, hi, grid_n, 3):
-            hit = _newton_root(field, seed, refine_tol, model.domain)
-            if hit is not None:
-                points.append(hit[0])
-                residuals.append(hit[1])
-
-    points, residuals = _dedup(points, residuals, 10.0 * refine_tol)
+        hits = [_newton_root(field, seed, refine_tol, model.domain) for seed in _lattice(lo, hi, grid_n, 3)]
     return [
         classify_equilibrium(model, p, tol=max(_CLASSIFY_TOL, 10.0 * abs(r)), field_kind=field_kind)
-        for p, r in zip(points, residuals)
+        for p, r in _dedup(hits, 10.0 * refine_tol)
     ]
 
 
@@ -310,16 +306,9 @@ def _sign_chart(xs, fv, roots, match_radius, eq_tol):
     The rule reads only root locations and the field's sign, so it holds only
     if the roots are all the zeros a row can stop at.  It returns None, for
     the caller to integrate instead, unless the lattice accounts for them:
-
-    * it has at least ``MIN_ROOT_GRID`` points, and the field is finite on
-      all of them (a row would stop where it is not);
-    * every cell whose ends do not share one strict sign holds a root;
-    * no tangent zero is suspected: a lattice minimum of ``|f|`` between two
-      cells of one sign, neither holding a root, must exceed the field's
-      second difference there (one-sided at the ends).  A double root
-      between lattice points leaves a minimum of at most an eighth of that
-      difference, so rounding cannot hide it, while a minimum the lattice
-      resolves from zero passes.
+    it has at least ``MIN_ROOT_GRID`` points, the field is finite on all of
+    them (a row would stop where it is not), and the span of every site of
+    ``_zero_sites(fv, 0.0)`` holds one of ``roots``.
     """
     n = xs.size
     if n < MIN_ROOT_GRID or not np.isfinite(fv).all():
@@ -327,27 +316,14 @@ def _sign_chart(xs, fv, roots, match_radius, eq_tol):
     # Python's sorted: a handful of roots, and no numpy sort kernel is loaded
     order = sorted((i for i in range(roots.size) if xs[0] <= roots[i] <= xs[-1]), key=roots.__getitem__)
     labels = np.full(n, DIVERGENT)
-    covered = np.zeros(n - 1, dtype=bool)  # cells [xs[k], xs[k + 1]] holding a root
     below = -np.inf
     for i in order:
         r = roots[i]
         # f < 0: the nearest root below (the last written); f > 0: r, from the previous root on
         labels = np.where(((fv < 0) & (xs > r)) | ((fv > 0) & (below <= xs) & (xs < r)), i, labels)
-        covered |= (xs[:-1] <= r) & (r <= xs[1:])
         below = r
 
-    same = fv[:-1] * fv[1:] > 0
-    if (~same & ~covered).any():
-        return None
-
-    def pad(a):  # an array over points or cells, its end entries repeated
-        return np.concatenate([a[:1], a, a[-1:]])
-
-    # a lattice minimum of |f| between two rootless cells of one sign, no
-    # larger than the field's second difference there: a suspected tangent zero
-    size, clear = pad(np.abs(fv)), pad(same & ~covered)
-    dip = (size[1:-1] <= np.minimum(size[:-2], size[2:])) & clear[:-1] & clear[1:]
-    if (dip & (size[1:-1] <= pad(np.abs(np.diff(fv, 2))))).any():
+    if not all(any(xs[k] <= roots[i] <= xs[j] for i in order) for k, j in _zero_sites(fv, 0.0)):
         return None
 
     rest = np.sqrt(fv * fv) <= eq_tol  # np.linalg.norm's arithmetic
@@ -375,12 +351,11 @@ def basin_scan(
     field, :func:`_sign_chart`: one field evaluation on the lattice and the
     locations of ``equilibria``.  They are the flow's limits, so ``t_end``
     and ``h`` do not move them.  Where the lattice does not vouch for the
-    chart (a sign change or a suspected tangent zero without a passed
-    root), and for two-dimensional models, every grid point is integrated to
-    ``t_end`` in one vectorized ensemble.  The final state is matched to the
-    nearest known equilibrium within ``match_radius``; anything unmatched,
-    including domain exits, gets the divergence label ``-1`` rather than
-    spawning a new equilibrium.
+    chart (a zero site without a passed root), and for two-dimensional
+    models, every grid point is integrated to ``t_end`` in one vectorized
+    ensemble.  The final state is matched to the nearest known equilibrium
+    within ``match_radius``; anything unmatched, including domain exits,
+    gets the divergence label ``-1`` rather than spawning a new equilibrium.
     """
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points")

@@ -843,21 +843,3 @@ def f(x):
         assert last == f"total {total}"
         assert sum(int(line.split()[1]) for line in modules) == total
         assert {line.split()[0] for line in modules} >= {"cli.py", "config.py", "__init__.py"}
-
-    def test_reproduce_headline_numbers(self, tmp_path, capsys):
-        load_script("reproduce_headline_numbers").run(str(tmp_path))
-        assert {p.name for p in tmp_path.iterdir()} >= {"fig1.csv", "fig2.csv", "constants.json"}
-        printed = capsys.readouterr().out
-        assert "rgd_crossing = 0.227360" in printed
-        assert "feasible_radius = 0.21" in printed
-
-    def test_scan_basins(self, tmp_path, capsys):
-        load_script("scan_basins").run(2001, str(tmp_path))
-        for flow in ("rgd", "prm"):
-            assert (tmp_path / flow / "basins_summary.json").is_file()
-        printed = capsys.readouterr().out.splitlines()
-        assert len(printed) == 2
-        for line, flow, root in zip(printed, ("rgd", "prm"), (0.227360, 0.398966)):
-            assert line.startswith(f"{flow}: ") and line.endswith(f"unstable root at {root:.6f}")
-            (boundary,) = json.loads(line[line.index("["):line.index("]") + 1])
-            assert abs(boundary - root) <= 0.001  # one cell of the 2001-point grid

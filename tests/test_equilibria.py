@@ -9,6 +9,7 @@ import pytest
 import perflow as pf
 import perflow.cli as cli
 import perflow.equilibria as eq_mod
+import perflow.numerics as numerics_mod
 from perflow.config import ExperimentConfig
 from perflow.equilibria import INCONCLUSIVE, PERFORMATIVELY_STABLE, PRM_MINIMIZER, UNSTABLE
 from perflow.flows import CONVERGED
@@ -143,17 +144,30 @@ class TestFindEquilibria:
 
     def test_bracket_left_open_is_dropped(self, monkeypatch):
         # 200 halvings shrink the wide cell only to ~1e37: no root, rather than a point classified there
-        monkeypatch.setattr(eq_mod, "_BISECT_HALVINGS", 200)
+        monkeypatch.setattr(numerics_mod, "_BISECT_HALVINGS", 200)
         m = pf.BernoulliSquaredModel(shift=pf.logistic_shift(), domain=(-1e100, 1e100))
         assert pf.find_equilibria(m, "rgd", grid_n=2001) == []
 
+    # -(x - 0.3)^3: rounding leaves +1.1e-16 on the lattice point 0.3 and a sign
+    # change on the cell after it, one zero.  (x - 0.0004)(x - 0.0016): two
+    # zeros in two cells that share the point 0.001
+    @pytest.mark.parametrize("model, roots", [
+        (triple_root_model(1.7, 1.0), [0.3]),
+        (pf.CallableModel(
+            dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
+            grad1=lambda x1, x2: -(x1 - 0.0004) * (x1 - 0.0016), grad2=lambda x1, x2: np.zeros(1),
+        ), [0.0004, 0.0016]),
+    ], ids=["triple", "adjacent-cells"])
+    def test_each_zero_is_reported_once(self, model, roots):
+        assert locations(pf.find_equilibria(model, "rgd", grid_n=2001)) == pytest.approx(roots, abs=1e-7)
+
     def test_dedup_keeps_input_order_of_equal_first_coordinates(self):
         a, b, c = np.array([0.5, 1.0]), np.array([0.5, -1.0]), np.array([0.25, 3.0])
-        kept, residuals = eq_mod._dedup([a, b, c], [1e-12, 2e-12, 3e-12], 1e-9)
-        assert [p.tolist() for p in kept] == [c.tolist(), a.tolist(), b.tolist()]
-        assert residuals == [3e-12, 1e-12, 2e-12]
-        kept, _ = eq_mod._dedup([b, a], [2e-12, 1e-12], 1e-9)
-        assert [p.tolist() for p in kept] == [b.tolist(), a.tolist()]
+        kept = eq_mod._dedup([(a, 1e-12), (b, 2e-12), None, (c, 3e-12)], 1e-9)
+        assert [p.tolist() for p, _ in kept] == [c.tolist(), a.tolist(), b.tolist()]
+        assert [r for _, r in kept] == [3e-12, 1e-12, 2e-12]
+        kept = eq_mod._dedup([(b, 2e-12), (a, 1e-12)], 1e-9)
+        assert [p.tolist() for p, _ in kept] == [b.tolist(), a.tolist()]
 
     def test_grid_too_small_rejected(self, bump_model):
         with pytest.raises(ValueError):
@@ -509,19 +523,24 @@ class TestSignChartGuard:
 
     def test_tangent_root_missed_by_bracketing_is_not_jumped(self, monkeypatch, tmp_path):
         # rgd field (x - 0.5)^2 up to x = 0.866, then 1 - x: a double root at
-        # 0.5 that no 400-point lattice brackets, and a simple root at 1
-        calls, real = [], eq_mod.integrate_ensemble
-        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1) or real(*a, **k))
-        out = tmp_path / "tangent"
-        argv = ["basins", "--flow", "rgd", "--grid", "400", "--shift-kind", "clamped-polynomial",
-                "--shift-params", '{"coefficients": [0.25, 0.0, 1.0]}', "--out", str(out)]
-        assert cli.main(argv) == 0
-        roots = [e["location"][0] for e in json.loads((out / "equilibria.json").read_text())["equilibria"]]
-        assert roots == [pytest.approx(1.0, abs=1e-9)]
-        assert calls == [1]  # the guard fell back to the ensemble
-        rows = np.loadtxt(out / "basins.csv", delimiter=",", skiprows=1)
-        left = rows[:, 0] < 0.5
-        assert left.sum() == 200 and not np.any(rows[left, 1] == 0)
+        # 0.5 that no 400- or 2000-point lattice brackets, and a simple root at
+        # 1.  Its dip is refined to a root, so the chart labels every start
+        calls = []
+        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1))
+        for grid in (400, 2000):
+            out = tmp_path / str(grid)
+            argv = ["basins", "--flow", "rgd", "--grid", str(grid), "--shift-kind", "clamped-polynomial",
+                    "--shift-params", '{"coefficients": [0.25, 0.0, 1.0]}', "--out", str(out)]
+            assert cli.main(argv) == 0
+            found = json.loads((out / "equilibria.json").read_text())["equilibria"]
+            roots = [e["location"][0] for e in found]
+            assert roots == [pytest.approx(0.5, abs=1e-5), pytest.approx(1.0, abs=1e-9)]
+            # as the lattice point 0.5 of an odd grid reads: the rgd Jacobian 2 (x - 0.5) is degenerate
+            assert INCONCLUSIVE in found[0]["labels"]
+            rows = np.loadtxt(out / "basins.csv", delimiter=",", skiprows=1)
+            left = rows[:, 0] < 0.5
+            assert left.sum() == grid // 2 and np.all(rows[left, 1] == 0)
+        assert calls == []  # the chart labelled both scans
 
     def test_sign_change_without_a_passed_root_falls_back(self, monkeypatch, bump_model, rgd_roots):
         calls, real = [], eq_mod.integrate_ensemble

@@ -26,6 +26,7 @@ DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 
 LOGISTIC = '{"rate": 8.0, "midpoint": 0.5}'
 TABULATED = '{"knots_x": [-0.5, 0.1, 0.6, 1.5], "knots_p": [0.0, 0.0, 0.9, 1.0]}'
+TANGENT = '{"coefficients": [0.25, 0.0, 1.0]}'  # rgd field (x - 0.5)^2 below 0.866: a double root
 DISCRETE = ["simulate", "--flow", "discrete-rgd", "--steps", "20000", "--x0", "0.8",
             "--schedule", "inverse:0.5,10", "--seed", "7"]
 
@@ -48,6 +49,8 @@ CONFIGS = {
                         "--shift-kind", "logistic", "--shift-params", LOGISTIC],
     "certify_tabulated": ["certify", "--x-star", "0", "--r", "0.3", "--grid", "4001",
                           "--shift-kind", "tabulated", "--shift-params", TABULATED],
+    "basins_tangent": ["basins", "--flow", "rgd", "--grid", "400",
+                       "--shift-kind", "clamped-polynomial", "--shift-params", TANGENT],
 }
 
 
