@@ -171,11 +171,16 @@ def _feasible_or_nan(cert):
         return float("nan")
 
 
-def _sweep(model, x_star, radii, grid_n):
+def _sweep(model, x_star, radius, grid_n):
+    """The curvature constants table at radii ``_SWEEP_STEP``, ``2 * _SWEEP_STEP``, ... up to ``radius``.
+
+    A radius whose constants give no feasible radius reads ``nan`` there.
+    """
     import numpy as np
 
     from . import certify as cert_mod
 
+    radii = np.arange(_SWEEP_STEP, radius + _SWEEP_STEP / 2.0, _SWEEP_STEP)
     certs = cert_mod.sweep_curvature_constants(model, x_star, radii, grid_n=grid_n)
     rows = [(c.radius, c.c1, c.c2, c.c3, c.c4, _feasible_or_nan(c)) for c in certs]
     numbers = np.array(rows, dtype=float).reshape(-1, 6)
@@ -188,18 +193,15 @@ _MAX_SWEEP_RADII = 10_000
 
 
 def cmd_certify(cfg, model, args):
-    import numpy as np
-
     step = _SWEEP_STEP
-    count = (cfg.radius + step / 2.0 - step) / step  # np.arange's length below is ceil(count)
+    count = (cfg.radius + step / 2.0 - step) / step  # _sweep's np.arange gives ceil(count) radii
     if args.sweep and not 0 < count <= _MAX_SWEEP_RADII:
         shown = f"more than {_MAX_SWEEP_RADII}" if count > _MAX_SWEEP_RADII else "0"
         raise ConfigError(f"--r {cfg.radius} gives {shown} radii at step {step}, not 1 to {_MAX_SWEEP_RADII}")
     cert, env = _certificate_pair(cfg, model)
     artifacts = {"certificate.json": cert.to_dict(), "envelope.json": env.to_dict()}
     if args.sweep:
-        radii = np.arange(step, cfg.radius + step / 2.0, step)
-        artifacts["constants_sweep.csv"] = _sweep(model, cert.x_star, radii, cfg.grid_n)
+        artifacts["constants_sweep.csv"] = _sweep(model, cert.x_star, cfg.radius, cfg.grid_n)
     return artifacts
 
 
@@ -239,7 +241,7 @@ def cmd_repro(cfg, model, args):
         header = ["x", "p", "p_prime", "pr", "pr_grad", "grad_x1"]
         return {"fig1.csv": (header, [xs, p, dp, risk, total, g1])}
     if args.target == "fig2":
-        return {"fig2.csv": _sweep(model, np.zeros(1), np.arange(_SWEEP_STEP, 0.5001, _SWEEP_STEP), 4001)}
+        return {"fig2.csv": _sweep(model, np.zeros(1), 0.5, 4001)}
     # headline numbers: both field crossings plus the r = 0.4 constants
     from . import certify as cert_mod
     from . import equilibria as eq_mod

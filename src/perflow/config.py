@@ -200,6 +200,17 @@ def _as_int(value, key):
     return int(value)
 
 
+# the single-number keys in the order they are checked: (key, reader, test, the rule a refusal names)
+_RANGES = (
+    *((key, _as_float, lambda v: v > 0, "must be positive")
+      for key in ("t_end", "h", "match_radius", "refine_tol", "radius")),
+    ("eq_tol", _as_float, lambda v: v >= 0, "must be nonnegative"),
+    ("grid_n", _as_int, lambda v: v >= 2, "must be at least 2"),
+    ("theta", _as_float, lambda v: 0.0 < v < 1.0, "must lie strictly inside (0, 1)"),
+    *((key, _as_int, lambda v: v >= 0, "must be nonnegative") for key in ("seed", "steps")),
+)
+
+
 def _as_point(value, key):
     """A point of the scalar models: one finite number, bare or in a one-entry list."""
     items = value if isinstance(value, (list, tuple)) else [value]
@@ -263,30 +274,14 @@ def parse_config(document: dict) -> ExperimentConfig:
     kwargs["x0"] = _as_point(doc["x0"], "x0")
     kwargs["x_star"] = _as_point(doc["x_star"], "x_star")
 
-    for key in ("t_end", "h", "match_radius", "refine_tol", "radius"):
-        v = _as_float(doc[key], key)
-        if v <= 0:
-            _fail(f"{key} must be positive, got {v}")
-        kwargs[key] = v
+    for key, read, test, rule in _RANGES:
+        kwargs[key] = read(doc[key], key)
+        if not test(kwargs[key]):
+            _fail(f"{key} {rule}, got {kwargs[key]}")
     try:
         _step_count(kwargs["t_end"], kwargs["h"])
     except ValueError as exc:
         _fail(str(exc))
-
-    eq_tol = _as_float(doc["eq_tol"], "eq_tol")
-    if eq_tol < 0:
-        _fail(f"eq_tol must be nonnegative, got {eq_tol}")
-    kwargs["eq_tol"] = eq_tol
-
-    grid_n = _as_int(doc["grid_n"], "grid_n")
-    if grid_n < 2:
-        _fail(f"grid_n must be at least 2, got {grid_n}")
-    kwargs["grid_n"] = grid_n
-
-    theta = _as_float(doc["theta"], "theta")
-    if not 0.0 < theta < 1.0:
-        _fail(f"theta must lie strictly inside (0, 1), got {theta}")
-    kwargs["theta"] = theta
 
     cap = doc["epsilon_cap"]
     if cap is not None:
@@ -298,11 +293,6 @@ def parse_config(document: dict) -> ExperimentConfig:
     noise = doc["noise"]
     parse_noise(noise, 0)  # validates the grammar
     kwargs["noise"] = noise
-
-    for key in ("seed", "steps"):
-        kwargs[key] = _as_int(doc[key], key)
-        if kwargs[key] < 0:
-            _fail(f"{key} must be nonnegative, got {kwargs[key]}")
 
     schedule = doc["schedule"]
     parse_schedule(schedule)

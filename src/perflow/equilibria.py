@@ -5,21 +5,24 @@ are handled by refining each zero site of the field on a lattice, the sites
 the basin scan's sign chart checks too; higher dimensions fall back to damped
 Newton iterations from lattice seeds with finite-difference Jacobians.
 
-Classification labels:
+Classification: each flow whose field vanishes at the point adds one label,
+by the verdict of its second-order check.  A verdict is +1 when every
+eigenvalue lies above ``_HESSIAN_TOL``, -1 when one lies below
+``-_HESSIAN_TOL``, and 0 otherwise or when one is NaN::
 
-* ``prm-minimizer``: the total risk gradient vanishes and the Hessian of
-  the diagonal risk is positive definite.
-* ``performatively-stable``: the first-argument gradient vanishes on the
-  diagonal, the decision-Hessian of ``y -> R(y, x)`` is positive definite,
-  and the point attracts the shift-blind flow (the Jacobian of the composed
-  map ``x -> grad_x1 R(x, x)`` has positive real parts).  The attraction
-  requirement matters: the basin-boundary crossing of the built-in example
-  minimizes ``y -> R(y, x)`` pointwise yet repels the flow, and labeling it
-  stable would contradict every simulation.
-* ``unstable``: some relevant second-order object has a negative eigenvalue
-  (a risk-Hessian direction of decrease, or a repelling flow direction).
-* ``inconclusive``: a second-order check sits within ``_HESSIAN_TOL`` of
-  degenerate; nothing is guessed.
+    flow  verdict                                +1                     -1        0
+    prm   the PR Hessian's                       prm-minimizer          unstable  inconclusive
+    rgd   the lower of the rgd Jacobian's and    performatively-stable  unstable  inconclusive
+          the decision Hessian's
+
+The PR Hessian is that of the diagonal risk ``x -> R(x, x)``, the rgd
+Jacobian that of the composed map ``x -> grad_x1 R(x, x)``, and the decision
+Hessian that of ``y -> R(y, x)``.  A ``prm-minimizer`` is performatively
+optimal.  ``performatively-stable`` asks for attraction as well: the
+basin-boundary crossing of the built-in example minimizes ``y -> R(y, x)``
+pointwise yet repels the flow, and labeling it stable would contradict every
+simulation.  ``inconclusive`` means that no check decided; nothing is
+guessed.
 
 All three second-order objects are central-difference Jacobians of the
 model's own gradients (the two Hessians symmetrised); no risk is
@@ -104,12 +107,23 @@ def _eigvals_sym(h: np.ndarray) -> np.ndarray:
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvals(a)``; a non-finite entry raises :class:`numpy.linalg.LinAlgError`."""
+    """Real parts of ``np.linalg.eigvals(a)`` in ascending order, as ``_eigvals_sym`` gives its eigenvalues.
+
+    A non-finite entry raises :class:`numpy.linalg.LinAlgError`.  A 1x1
+    matrix calls neither LAPACK nor ``np.sort``, whose first call maps about
+    0.26 MB.
+    """
     if a.shape != (1, 1):
-        return np.linalg.eigvals(a)
+        return np.sort(np.linalg.eigvals(a).real)
     if not np.isfinite(a[0, 0]):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     return a.reshape(1)
+
+
+def _verdict(eigs: np.ndarray) -> int:
+    """+1, -1 or 0 by the rule of the module docstring."""
+    low = eigs.min()  # NaN when one is NaN: neither comparison holds
+    return 1 if low > _HESSIAN_TOL else -1 if low < -_HESSIAN_TOL else 0
 
 
 def classify_equilibrium(
@@ -126,8 +140,7 @@ def classify_equilibrium(
     residual is within ``min(tol, _CLASSIFY_TOL)``.  Any other kind,
     ``discrete-rgd`` included, raises :class:`ValueError`, and
     :class:`NotAnEquilibriumError` is raised when neither field qualifies.
-    Degenerate checks (eigenvalues within ``_HESSIAN_TOL`` of zero) yield
-    the ``inconclusive`` label rather than a guess.
+    Each qualifying flow adds the one label of its verdict (module docstring).
     """
     if field_kind not in (RGD_FLOW, PRM_FLOW):
         raise ValueError(f"{field_kind!r} is not a continuous flow")
@@ -148,30 +161,13 @@ def classify_equilibrium(
 
     labels = set()
     pr_eigs = stab_eigs = jac_eigs = None
-
     if is_prm:
         pr_eigs = _eigvals_sym(finite_diff_jacobian(lambda y: model.grad_x1(y, y) + model.grad_x2(y, y), x))
-        if pr_eigs.min() > _HESSIAN_TOL:
-            labels.add(PRM_MINIMIZER)
-        elif pr_eigs.min() < -_HESSIAN_TOL:
-            labels.add(UNSTABLE)
-        else:
-            labels.add(INCONCLUSIVE)
-
+        labels.add((INCONCLUSIVE, PRM_MINIMIZER, UNSTABLE)[_verdict(pr_eigs)])  # by verdict 0, +1, -1
     if is_rgd:
         stab_eigs = _eigvals_sym(finite_diff_jacobian(lambda y: model.grad_x1(y, x), x))
-        jac = finite_diff_jacobian(lambda z: model.grad_x1(z, z), x)
-        jac_eigs = _eigvals(jac).real
-        if jac_eigs.size > 1:  # one eigenvalue is sorted already, and np.sort's first call maps ~0.26 MB
-            jac_eigs = np.sort(jac_eigs)
-        attracting = jac_eigs.min() > _HESSIAN_TOL
-        repelling = jac_eigs.min() < -_HESSIAN_TOL
-        if attracting and stab_eigs.min() > _HESSIAN_TOL:
-            labels.add(PERFORMATIVELY_STABLE)
-        if repelling or stab_eigs.min() < -_HESSIAN_TOL:
-            labels.add(UNSTABLE)
-        if not attracting and not repelling:
-            labels.add(INCONCLUSIVE)
+        jac_eigs = _eigvals(finite_diff_jacobian(lambda z: model.grad_x1(z, z), x))
+        labels.add((INCONCLUSIVE, PERFORMATIVELY_STABLE, UNSTABLE)[min(_verdict(jac_eigs), _verdict(stab_eigs))])
 
     return EquilibriumReport(
         location=x.copy(),

@@ -52,8 +52,7 @@ class Box:
 
     def contains(self, x) -> bool:
         """True when every listed state lies in the closed box."""
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool(self.contains_each(x).all())
 
     def contains_each(self, states: np.ndarray) -> np.ndarray:
         """Per-row containment for a batch with the coordinate on the last axis."""

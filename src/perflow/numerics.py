@@ -9,32 +9,34 @@ from __future__ import annotations
 import numpy as np
 
 
+_GRADIENT_STEP = 1e-5  # relative steps: coordinate i moves by step * max(1, |x_i|)
+_JACOBIAN_STEP = 1e-6
+
+
+def _central_differences(f, x, step):
+    """The quotients ``(f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i)``, one per coordinate ``i`` of ``x``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    hs = step * np.maximum(1.0, np.abs(x))
+    quotients = []
+    for i in range(x.size):
+        e = np.zeros(x.shape)
+        e[i] = hs[i]
+        quotients.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * hs[i]))
+    return quotients
+
+
 def finite_diff_gradient(f, x) -> np.ndarray:
     """Central-difference gradient of a scalar function.
 
     Each coordinate steps by ``h = 1e-5 * max(1, |x_i|)``.  Error is O(h^2)
     for thrice-differentiable f.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    hs = 1e-5 * np.maximum(1.0, np.abs(x))
-    grad = np.empty(x.shape)
-    for i in range(x.size):
-        e = np.zeros(x.shape)
-        e[i] = hs[i]
-        grad[i] = (f(x + e) - f(x - e)) / (2.0 * hs[i])
-    return grad
+    return np.array(_central_differences(f, x, _GRADIENT_STEP), dtype=float).ravel()
 
 
 def finite_diff_jacobian(f, x) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued function, step ``1e-6 * max(1, |x_j|)``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    hs = 1e-6 * np.maximum(1.0, np.abs(x))
-    columns = []
-    for j in range(x.size):
-        e = np.zeros(x.shape)
-        e[j] = hs[j]
-        columns.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * hs[j]))
-    return np.column_stack(columns)
+    return np.column_stack(_central_differences(f, x, _JACOBIAN_STEP))
 
 
 # Halvings that close any bracket of doubles: from a width below 2**1025 to

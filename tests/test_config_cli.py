@@ -442,6 +442,14 @@ class TestCliCommands:
         assert [float(rows[0][0]), float(rows[-1][0])] == pytest.approx([0.01, 0.4], abs=1e-12)
         assert rows[0][6] in ("true", "false")
 
+    def test_sweep_row_without_feasible_radius_reads_nan(self, tmp_path):
+        # PR(1) = PR(0) = 0 on the bump, so c1 = 0 at r = 1 and feasible_radius refuses that row
+        out = tmp_path / "cert"
+        assert cli.main(["certify", "--x-star", "0", "--r", "1.0", "--sweep", "--out", str(out)]) == 0
+        header, rows = read_csv(out / "constants_sweep.csv")
+        last = dict(zip(header, rows[-1]))
+        assert (float(last["r"]), last["c1"], last["feasible_radius"], last["valid"]) == (1.0, "0", "nan", "false")
+
     def test_bounds_reports_flags_and_tradeoff(self, tmp_path):
         out = tmp_path / "bnd"
         code = cli.main(
@@ -778,11 +786,22 @@ class TestCliErrors:
              "configuration error: --shift-params is not valid JSON: "
              "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
             (["--out", "{tmp}/file/o"], None, 3, "i/o error: [Errno 20] Not a directory: '{tmp}/file/o'"),
+            # one bad value per single-number key, in the order parse_config checks them
+            (["--t-end", "0"], None, 2, "configuration error: t_end must be positive, got 0.0"),
+            (["--h", "-0.01"], None, 2, "configuration error: h must be positive, got -0.01"),
+            ([], {"match_radius": 0}, 2, "configuration error: match_radius must be positive, got 0.0"),
+            ([], {"refine_tol": -1e-10}, 2, "configuration error: refine_tol must be positive, got -1e-10"),
+            ([], {"radius": -0.4}, 2, "configuration error: radius must be positive, got -0.4"),
+            ([], {"grid_n": 1}, 2, "configuration error: grid_n must be at least 2, got 1"),
+            ([], {"theta": 1}, 2, "configuration error: theta must lie strictly inside (0, 1), got 1.0"),
+            (["--seed", "-1"], None, 2, "configuration error: seed must be nonnegative, got -1"),
+            (["--steps", "-5"], None, 2, "configuration error: steps must be nonnegative, got -5"),
         ],
         ids=["seed-not-integer", "shift-kind-unknown", "shift-params-not-object", "domain-of-one",
              "flow-bogus", "flow-prm-flow", "eq-tol-negative", "out-empty", "logistic-parameter-unknown", "tabulated-without-knots-p",
              "noise-not-string", "schedule-not-string", "config-file-list", "shift-params-not-json",
-             "out-below-a-file"],
+             "out-below-a-file", "t-end-zero", "h-negative", "match-radius-zero", "refine-tol-negative",
+             "radius-negative", "grid-n-one", "theta-one", "seed-negative", "steps-negative"],
     )
     def test_refusal_exit_code_and_message(self, tmp_path, capsys, argv, doc, code, message):
         (tmp_path / "file").write_text("")

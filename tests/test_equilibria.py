@@ -226,6 +226,20 @@ class TestClassification:
         report = pf.classify_equilibrium(m, v(0.0), tol=1e-8, field_kind="rgd")
         assert INCONCLUSIVE in report.labels
 
+    @pytest.mark.parametrize("s", [1, 0, -1])
+    @pytest.mark.parametrize("j", [1, 0, -1])
+    def test_rgd_label_is_the_lower_verdict(self, j, s):
+        # at the root 0 the rgd Jacobian is j and the decision Hessian is s
+        m = pf.CallableModel(
+            dimension=1,
+            domain=pf.interval(-1.0, 1.0),
+            risk=lambda x1, x2: 0.0,
+            grad1=lambda x1, x2: s * (x1 - x2) + j * x2,
+            grad2=lambda x1, x2: np.array([1.0]),
+        )
+        report = pf.classify_equilibrium(m, v(0.0), tol=1e-8, field_kind="rgd")
+        assert report.labels == {PERFORMATIVELY_STABLE if j == s == 1 else UNSTABLE if -1 in (j, s) else INCONCLUSIVE}
+
     @pytest.mark.parametrize("c", [1.7, 37.0])
     @pytest.mark.parametrize("k", [1.0, 123.456])
     def test_triple_rgd_root_is_inconclusive(self, c, k):
