@@ -362,13 +362,10 @@ def _load_config(args) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("configuration file must hold a JSON object")
 
-    file_fit = config_mod.ExperimentConfig(epsilon_cap=doc.get("epsilon_cap")).fit_mode
     for key in config_mod.to_document(config_mod.ExperimentConfig()):
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = list(value) if isinstance(value, (list, tuple)) else value
-    if getattr(args, "epsilon_cap", None) is not None and doc.get("fit_mode") == file_fit:
-        del doc["fit_mode"]  # the file's fit followed the file's cap, which the flag replaces
 
     if args.shift_kind is not None or args.shift_params is not None:
         shift = dict(doc.get("shift", {}))

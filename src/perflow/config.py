@@ -2,8 +2,11 @@
 
 The document is deliberately plain -- flat keys, JSON scalars and short
 lists -- so a run is reproducible from the file alone and trivially parsed
-anywhere.  Unknown keys are rejected rather than ignored: a typo must fail
-loudly, not silently fall back to a default.
+anywhere.  Each key is one field of :class:`ExperimentConfig` and each field
+one key, so :func:`to_document` writes the fields and nothing else; the
+``shift`` key holds the ``{kind, params}`` object as the document spells it.
+Unknown keys are rejected rather than ignored: a typo must fail loudly, not
+silently fall back to a default.
 
 This module also owns the run vocabulary that the document names: the flow
 kinds, the whole-step horizon rule and the noise and step-schedule specs,
@@ -14,8 +17,9 @@ functions that build a shift or a model import them.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError
@@ -124,15 +128,13 @@ class NoiseSpec:
 
 
 _SHIFT_KINDS = ("bump", "logistic", "clamped-polynomial", "tabulated")
-_MODEL = "bernoulli-squared"  # the one model; documents name it for the record
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated parameters for one command invocation."""
+    """Validated parameters for one command invocation, one field per document key."""
 
-    shift_kind: str = "bump"
-    shift_params: tuple = ()  # sorted (key, value) pairs; values hashable
+    shift: dict = field(default_factory=lambda: {"kind": "bump", "params": {}})
     domain: tuple = (-0.5, 1.5)
     flow: str = RGD_FLOW
     x0: tuple = (0.1,)
@@ -153,15 +155,6 @@ class ExperimentConfig:
     lo: float = 0.0
     hi: float = 1.0
     out: str = "out"
-
-    @property
-    def fit_mode(self) -> str:
-        """The envelope fit, which follows the cap: none fits delta = 0."""
-        return "delta-zero" if self.epsilon_cap is None else "epsilon-capped"
-
-    @property
-    def shift_params_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in self.shift_params}
 
 
 def _fail(msg: str):
@@ -220,12 +213,6 @@ def _as_point(value, key):
     return numbers
 
 
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
 def parse_config(document: dict) -> ExperimentConfig:
     """Validate a configuration document; unknown keys and bad ranges are errors.
 
@@ -238,23 +225,17 @@ def parse_config(document: dict) -> ExperimentConfig:
     if unknown:
         _fail(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     doc = {**defaults, **document}
-
-    if doc["model"] != _MODEL:
-        _fail(f"unknown model {doc['model']!r}; the one model is {_MODEL!r}")
     kwargs = {}
 
-    shift_doc = doc["shift"]
-    if not isinstance(shift_doc, dict) or set(shift_doc) - {"kind", "params"}:
+    shift = doc["shift"]
+    if not isinstance(shift, dict) or set(shift) - {"kind", "params"}:
         _fail("shift must be an object with keys 'kind' and 'params'")
-    shift_doc = {**defaults["shift"], **shift_doc}
-    kind = shift_doc["kind"]
-    if kind not in _SHIFT_KINDS:
-        _fail(f"unknown shift kind {kind!r}; expected one of {_SHIFT_KINDS}")
-    params = shift_doc["params"]
-    if not isinstance(params, dict):
+    shift = {**defaults["shift"], **shift}
+    if shift["kind"] not in _SHIFT_KINDS:
+        _fail(f"unknown shift kind {shift['kind']!r}; expected one of {_SHIFT_KINDS}")
+    if not isinstance(shift["params"], dict):
         _fail("shift.params must be an object")
-    kwargs["shift_kind"] = kind
-    kwargs["shift_params"] = tuple(sorted((k, _freeze(v)) for k, v in params.items()))
+    kwargs["shift"] = copy.deepcopy(shift)  # the caller keeps its document
 
     domain = doc["domain"]
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
@@ -309,40 +290,39 @@ def parse_config(document: dict) -> ExperimentConfig:
     kwargs["out"] = out
 
     cfg = ExperimentConfig(**kwargs)
-    # a saved document names the fit; it must be the one its cap gives
-    if document.get("fit_mode", cfg.fit_mode) != cfg.fit_mode:
-        cap = "null" if cfg.epsilon_cap is None else cfg.epsilon_cap
-        _fail(f"fit_mode {document['fit_mode']!r} is not {cfg.fit_mode!r}, the fit epsilon_cap {cap} gives")
     build_shift(cfg)  # reject unknown or malformed shift parameters up front
     return cfg
 
 
 def to_document(cfg: ExperimentConfig) -> dict:
-    """Canonical JSON document reproducing the configuration."""
-    doc = {"model": _MODEL, "shift": {"kind": cfg.shift_kind, "params": cfg.shift_params_dict},
-           "fit_mode": cfg.fit_mode}
+    """Canonical JSON document reproducing the configuration: each field under its name."""
+    doc = {}
     for f in fields(cfg):
-        if f.name not in ("shift_kind", "shift_params"):
-            value = getattr(cfg, f.name)
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        value = getattr(cfg, f.name)
+        # a copy of the shift object: changing the document must not change the configuration
+        doc[f.name] = list(value) if isinstance(value, tuple) else copy.deepcopy(value)
     return doc
 
 
 def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
     from .shifts import bump_shift, clamped_polynomial_shift, logistic_shift, tabulated_shift
 
-    params = cfg.shift_params_dict
-    kind = cfg.shift_kind
+    kind, params = cfg.shift["kind"], cfg.shift["params"]
     try:
         if kind == "bump":
             if params:
                 _fail(f"bump shift takes no parameters, got {sorted(params)}")
             return bump_shift()
         if kind == "logistic":
-            extra = set(params) - {"rate", "midpoint"}
+            logistic = {"rate": 8.0, "midpoint": 0.5}  # logistic_shift's defaults
+            extra = set(params) - set(logistic)
             if extra:
                 _fail(f"unknown logistic parameters: {sorted(extra)}")
-            return logistic_shift(**{k: _as_float(v, f"logistic {k}") for k, v in params.items()})
+            logistic.update((k, _as_float(v, f"logistic {k}")) for k, v in params.items())
+            # p evaluates rate * (x - midpoint), which must not overflow at either end of the domain
+            if not all(math.isfinite(logistic["rate"] * (b - logistic["midpoint"])) for b in cfg.domain):
+                raise ValueError(f"logistic rate * (x - midpoint) overflows on the domain {list(cfg.domain)}")
+            return logistic_shift(**logistic)
         if kind == "clamped-polynomial":
             extra = set(params) - {"coefficients"}
             if extra or "coefficients" not in params:

@@ -120,6 +120,7 @@ class BernoulliSquaredModel(DecisionDependentModel):
         return 0.5 * (a * a + p * (1.0 - 2.0 * a))
 
     def grad_x1(self, x1, x2):
+        # load-bearing: the slice makes one (1,) state 0-d, so bump_phi takes math.exp, as the float field does
         a = np.asarray(x1, dtype=float)[..., 0]
         b = np.asarray(x2, dtype=float)[..., 0]
         return np.asarray(a - self.shift.value(b))[..., np.newaxis]

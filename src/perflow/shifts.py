@@ -9,7 +9,7 @@ term need ``p'`` directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,37 +69,24 @@ def bump_phi_prime(x):
 
 @dataclass(frozen=True, eq=False)
 class ShiftFunction:
-    """A probability map with explicit derivative.
+    """A probability map ``p`` and its derivative ``p'``: all that is read of a shift.
 
-    Attributes
-    ----------
-    kind:
-        One of ``bump``, ``logistic``, ``clamped-polynomial``, ``tabulated``.
-    value, derivative:
-        Vectorized callables; ``value`` stays within [0, 1].
-    params:
-        Constructor parameters, kept for serialization.
-    breakpoints:
-        Points where the derivative is one-sided (clamp knees, table knots);
-        finite-difference agreement is only guaranteed away from these.
+    Both are vectorized callables; ``value`` stays within [0, 1].  The kind
+    and parameters that built them are the configuration's ``shift`` document
+    (:func:`perflow.config.build_shift`), and are not kept here.
     """
 
-    kind: str
     value: Callable
     derivative: Callable
-    params: dict = field(default_factory=dict)
-    breakpoints: tuple = ()
+    # accepted and dropped, not fields: perfbench/tracing.py still rebuilds a traced shift with them
+    kind: InitVar[str] = None
+    params: InitVar[dict] = None
+    breakpoints: InitVar[tuple] = None
 
 
 def bump_shift() -> ShiftFunction:
     """The smooth 0-to-1 bump transition with knees at 0 and 1."""
-    return ShiftFunction(
-        kind="bump",
-        value=bump_phi,
-        derivative=bump_phi_prime,
-        params={},
-        breakpoints=(0.0, 1.0),
-    )
+    return ShiftFunction(bump_phi, bump_phi_prime)
 
 
 def logistic_shift(rate: float = 8.0, midpoint: float = 0.5) -> ShiftFunction:
@@ -119,28 +106,27 @@ def logistic_shift(rate: float = 8.0, midpoint: float = 0.5) -> ShiftFunction:
         p = value(x)
         return rate * p * (1.0 - p)
 
-    return ShiftFunction(
-        kind="logistic",
-        value=value,
-        derivative=derivative,
-        params={"rate": float(rate), "midpoint": float(midpoint)},
-    )
+    return ShiftFunction(value, derivative)
 
 
 def clamped_polynomial_shift(coefficients) -> ShiftFunction:
     """Polynomial in ascending-power coefficients, clamped to [0, 1].
 
     The derivative is the polynomial derivative where the raw value lies
-    strictly inside (0, 1) and zero on the clamped plateaus.  Clamp-crossing
-    points are reported as breakpoints.
+    strictly inside (0, 1) and zero on the clamped plateaus.
     """
     coeffs = tuple(float(c) for c in coefficients)
     if not coeffs:
         raise ValueError("need at least one polynomial coefficient")
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError("polynomial coefficients must be finite")
+    # the derivative's coefficients j * c_j, as Polynomial.deriv forms them, on
+    # floats: an overflow gives inf here, where numpy would warn
+    slopes = [j * c for j, c in enumerate(coeffs)][1:]
+    if not all(math.isfinite(c) for c in slopes):
+        raise ValueError(f"polynomial derivative coefficients must be finite, got {slopes}")
     poly = np.polynomial.Polynomial(coeffs)
-    dpoly = poly.deriv() if len(coeffs) > 1 else np.polynomial.Polynomial([0.0])
+    dpoly = np.polynomial.Polynomial(slopes or [0.0])
 
     # Far out a polynomial of degree 2 or more can overflow to +-inf: the clip sends
     # that to the plateau value 0 or 1 it stands for, and the select to slope 0.
@@ -154,19 +140,7 @@ def clamped_polynomial_shift(coefficients) -> ShiftFunction:
             raw, slope = poly(x), dpoly(x)
         return np.where((raw > 0.0) & (raw < 1.0), slope, 0.0)
 
-    breakpoints = []
-    if len(coeffs) > 1:
-        for level in (0.0, 1.0):
-            for root in (poly - level).roots():
-                if abs(root.imag) < 1e-9:
-                    breakpoints.append(float(root.real))
-    return ShiftFunction(
-        kind="clamped-polynomial",
-        value=value,
-        derivative=derivative,
-        params={"coefficients": list(coeffs)},
-        breakpoints=tuple(sorted(breakpoints)),
-    )
+    return ShiftFunction(value, derivative)
 
 
 def constant_shift(level: float) -> ShiftFunction:
@@ -195,7 +169,13 @@ def tabulated_shift(knots_x, knots_p) -> ShiftFunction:
         raise ValueError("knot coordinates must be strictly increasing")
     if np.any((ps < 0.0) | (ps > 1.0)):
         raise ValueError("knot values must lie in [0, 1]")
-    interp = PchipInterpolator(xs, ps, extrapolate=False)
+    # knots too close overflow the slopes, and the check below (or scipy) refuses them
+    with np.errstate(over="ignore"):
+        interp = PchipInterpolator(xs, ps, extrapolate=False)
+    # the cubic raises the offset from its knot to the third power: a span beyond
+    # about 5.6e102 reads NaN at the knot that closes it, where the offset is largest
+    if not np.all(np.isfinite(interp(xs))):
+        raise ValueError("the interpolant is not finite at every knot")
     dinterp = interp.derivative()
     lo, hi = xs[0], xs[-1]
     p_lo, p_hi = ps[0], ps[-1]
@@ -212,10 +192,4 @@ def tabulated_shift(knots_x, knots_p) -> ShiftFunction:
         # dinterp is NaN outside the knots (extrapolate=False), where the select gives 0.0
         return np.where((x >= lo) & (x <= hi), dinterp(x), 0.0)
 
-    return ShiftFunction(
-        kind="tabulated",
-        value=value,
-        derivative=derivative,
-        params={"knots_x": [float(v) for v in xs], "knots_p": [float(v) for v in ps]},
-        breakpoints=tuple(float(v) for v in xs),
-    )
+    return ShiftFunction(value, derivative)

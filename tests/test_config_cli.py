@@ -1,6 +1,7 @@
 """Configuration parsing, the command-line surface, and its file artifacts."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -34,7 +35,6 @@ class TestConfigParsing:
     def test_round_trip_is_identity(self):
         cfg = parse_config(
             {
-                "model": "bernoulli-squared",
                 "shift": {"kind": "logistic", "params": {"rate": 4.0, "midpoint": 0.3}},
                 "domain": [-1.0, 2.0],
                 "flow": "prm",
@@ -159,25 +159,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"'inverse:0.5,0.5': inverse schedule offset must be >= 1$"):
             parse_config({"schedule": "inverse:0.5,0.5"})
 
-    def test_capped_fit_without_cap_names_both_keys(self):
-        with pytest.raises(ConfigError, match="fit_mode.*epsilon_cap"):
-            parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": None})
-        assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.0}).epsilon_cap == 0.0
+    def test_document_keys_are_the_fields(self):
+        document = to_document(ExperimentConfig())
+        assert set(document) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert len(document) == 21
 
-    def test_fit_follows_the_cap(self):
-        assert parse_config({}).fit_mode == "delta-zero"
-        capped = parse_config({"epsilon_cap": 0.5})
-        assert capped.fit_mode == to_document(capped)["fit_mode"] == "epsilon-capped"
-        assert parse_config({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}) == capped
-        message = r"^fit_mode 'delta-zero' is not 'epsilon-capped', the fit epsilon_cap 0.5 gives$"
-        with pytest.raises(ConfigError, match=message):
-            parse_config({"fit_mode": "delta-zero", "epsilon_cap": 0.5})
+    @pytest.mark.parametrize(
+        "doc, keys",
+        [({"model": "bernoulli-squared"}, "model"), ({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}, "fit_mode"),
+         ({"model": "bernoulli-squared", "fit_mode": "delta-zero"}, "fit_mode, model")],
+        ids=["model", "fit-mode", "both"],
+    )
+    def test_model_and_fit_mode_are_unknown_keys(self, doc, keys):
+        # the one model and the fit that the cap gives are no inputs
+        with pytest.raises(ConfigError, match=rf"^unknown configuration keys: {keys}$"):
+            parse_config(doc)
 
-    def test_bernoulli_phi_is_refused_naming_the_one_model(self):
-        message = r"^unknown model 'bernoulli-phi'; the one model is 'bernoulli-squared'$"
-        with pytest.raises(ConfigError, match=message):
-            parse_config({"model": "bernoulli-phi"})
-        assert parse_config({"model": "bernoulli-squared"}) == ExperimentConfig()
+    def test_config_and_its_documents_share_no_object(self):
+        doc = {"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [0.1, 0.5]}}}
+        cfg = parse_config(doc)
+        doc["shift"]["params"]["coefficients"].append(1.0)
+        doc["shift"]["params"]["extra"] = 1
+        doc["shift"]["kind"] = "bump"
+        to_document(cfg)["shift"]["params"]["coefficients"].append(2.0)
+        assert cfg.shift == {"kind": "clamped-polynomial", "params": {"coefficients": [0.1, 0.5]}}
+        assert cfg == parse_config({"shift": {"kind": "clamped-polynomial", "params": {"coefficients": [0.1, 0.5]}}})
 
     def test_document_must_be_an_object(self):
         # only library callers reach this: the CLI refuses a non-object file first
@@ -507,6 +513,16 @@ class TestCliCommands:
         assert (out / "constants.json").read_bytes() == first
 
 
+# the configuration of a simulate summary.json written while documents named the model and the fit
+SUMMARY_CONFIG_WITH_MODEL_AND_FIT = {
+    "domain": [-0.5, 1.5], "epsilon_cap": None, "eq_tol": 1e-09, "fit_mode": "delta-zero", "flow": "rgd",
+    "grid_n": 2001, "h": 0.01, "hi": 1.0, "lo": 0.0, "match_radius": 0.001, "model": "bernoulli-squared",
+    "noise": "none", "radius": 0.4, "refine_tol": 1e-10, "schedule": "constant:0.01", "seed": 0,
+    "shift": {"kind": "bump", "params": {}}, "steps": 5000, "t_end": 50.0, "theta": 0.5, "x0": [0.1],
+    "x_star": [0.0],
+}
+
+
 class TestCliErrors:
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -538,24 +554,17 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("command", ["certify", "bounds"])
     def test_cap_alone_picks_the_capped_fit(self, tmp_path, command):
-        # a document that also names the fit, and a saved delta-zero document
-        # whose cap the flag replaces, write the bytes of the flag alone
-        capped, saved = tmp_path / "capped.json", tmp_path / "saved.json"
-        capped.write_text(json.dumps({"fit_mode": "epsilon-capped", "epsilon_cap": 0.5}))
+        # a saved uncapped document whose cap the flag replaces writes the bytes of the flag alone
+        saved = tmp_path / "saved.json"
         saved.write_text(json.dumps(to_document(ExperimentConfig())))
-        spellings = {
-            "flag": ["--epsilon-cap", "0.5"],
-            "document": ["--config", str(capped)],
-            "saved": ["--config", str(saved), "--epsilon-cap", "0.5"],
-        }
+        spellings = {"flag": ["--epsilon-cap", "0.5"], "saved": ["--config", str(saved), "--epsilon-cap", "0.5"]}
         for name, flags in spellings.items():
             assert cli.main([command, *flags, "--out", str(tmp_path / name)]) == 0, name
-        flag = tmp_path / "flag"
+        flag, other = tmp_path / "flag", tmp_path / "saved"
         names = sorted(p.name for p in flag.iterdir())
-        for other in ("document", "saved"):
-            assert sorted(p.name for p in (tmp_path / other).iterdir()) == names
-            for name in names:
-                assert (tmp_path / other / name).read_bytes() == (flag / name).read_bytes(), (other, name)
+        assert sorted(p.name for p in other.iterdir()) == names
+        for name in names:
+            assert (other / name).read_bytes() == (flag / name).read_bytes(), name
         if command == "certify":
             assert read_json(flag / "envelope.json")["fit_mode"] == "epsilon-capped"
 
@@ -572,25 +581,29 @@ class TestCliErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "document, flags, message",
+        "document, flags, keys",
         [
-            ({"fit_mode": "epsilon-capped", "epsilon_cap": None}, [],
-             "fit_mode 'epsilon-capped' is not 'delta-zero', the fit epsilon_cap null gives"),
-            # a file that is wrong on its own stays wrong under a new cap
-            ({"fit_mode": "affine"}, ["--epsilon-cap", "0.5"],
-             "fit_mode 'affine' is not 'epsilon-capped', the fit epsilon_cap 0.5 gives"),
-            ({"fit_mode": "delta-zero", "epsilon_cap": 0.3}, ["--epsilon-cap", "0.5"],
-             "fit_mode 'delta-zero' is not 'epsilon-capped', the fit epsilon_cap 0.5 gives"),
+            (SUMMARY_CONFIG_WITH_MODEL_AND_FIT, [], "fit_mode, model"),
+            ({"model": "bernoulli-squared"}, [], "model"),
+            # a cap flag does not drop a fit that its file names
+            ({"fit_mode": "delta-zero"}, ["--epsilon-cap", "0.5"], "fit_mode"),
         ],
-        ids=["contradiction", "typo-under-cap-flag", "contradiction-under-cap-flag"],
+        ids=["summary-naming-model-and-fit", "model", "fit-under-cap-flag"],
     )
-    def test_document_whose_fit_is_not_its_caps_exits_2(self, tmp_path, capsys, document, flags, message):
+    def test_document_naming_model_or_fit_exits_2(self, tmp_path, capsys, document, flags, keys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(document))
         out = tmp_path / "o"
         assert cli.main(["certify", "--config", str(cfg), *flags, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert capsys.readouterr().err == f"configuration error: unknown configuration keys: {keys}\n"
         assert not out.exists()
+
+    def test_summary_without_model_and_fit_reruns_to_itself(self, tmp_path):
+        document = {k: v for k, v in SUMMARY_CONFIG_WITH_MODEL_AND_FIT.items() if k not in ("model", "fit_mode")}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps(document))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_json(out / "summary.json")["config"] == document
 
     @pytest.mark.parametrize(
         "argv",
@@ -796,12 +809,25 @@ class TestCliErrors:
             ([], {"theta": 1}, 2, "configuration error: theta must lie strictly inside (0, 1), got 1.0"),
             (["--seed", "-1"], None, 2, "configuration error: seed must be nonnegative, got -1"),
             (["--steps", "-5"], None, 2, "configuration error: steps must be nonnegative, got -5"),
+            # shift parameters whose p or p' is not finite, refused before numpy can warn
+            (["--shift-kind", "tabulated", "--shift-params", '{"knots_x": [-1e150, 1e150], "knots_p": [0, 1]}'],
+             None, 2, "configuration error: invalid shift parameters: the interpolant is not finite at every knot"),
+            (["--shift-kind", "tabulated", "--shift-params", '{"knots_x": [0, 1e-300, 1], "knots_p": [0, 0.5, 1]}'],
+             None, 2, "configuration error: invalid shift parameters: the interpolant is not finite at every knot"),
+            (["--shift-kind", "logistic", "--shift-params", '{"midpoint": 1e308}'], None, 2,
+             "configuration error: invalid shift parameters: "
+             "logistic rate * (x - midpoint) overflows on the domain [-0.5, 1.5]"),
+            (["--shift-kind", "clamped-polynomial", "--shift-params", '{"coefficients": [0, 1e308, 1e308]}'],
+             None, 2, "configuration error: invalid shift parameters: "
+             "polynomial derivative coefficients must be finite, got [1e+308, inf]"),
         ],
         ids=["seed-not-integer", "shift-kind-unknown", "shift-params-not-object", "domain-of-one",
              "flow-bogus", "flow-prm-flow", "eq-tol-negative", "out-empty", "logistic-parameter-unknown", "tabulated-without-knots-p",
              "noise-not-string", "schedule-not-string", "config-file-list", "shift-params-not-json",
              "out-below-a-file", "t-end-zero", "h-negative", "match-radius-zero", "refine-tol-negative",
-             "radius-negative", "grid-n-one", "theta-one", "seed-negative", "steps-negative"],
+             "radius-negative", "grid-n-one", "theta-one", "seed-negative", "steps-negative",
+             "tabulated-knots-too-far-apart", "tabulated-knots-too-close", "logistic-overflowing-midpoint",
+             "polynomial-overflowing-slopes"],
     )
     def test_refusal_exit_code_and_message(self, tmp_path, capsys, argv, doc, code, message):
         (tmp_path / "file").write_text("")

@@ -162,7 +162,7 @@ def nan_above(cut):
     def value(x):
         return math.nan if x > cut else pf.bump_phi(x)
 
-    return pf.ShiftFunction(kind="nan-above", value=value, derivative=pf.bump_phi_prime)
+    return pf.ShiftFunction(value=value, derivative=pf.bump_phi_prime)
 
 
 ORACLE_SHIFTS = {
@@ -535,7 +535,7 @@ class TestDiscreteRecursion:
         assert peak < 4e6
 
     def test_nan_iterate_stops_scalar_loop(self):
-        shift = pf.ShiftFunction(kind="nan", value=lambda x: float("nan"), derivative=lambda x: 0.0)
+        shift = pf.ShiftFunction(value=lambda x: float("nan"), derivative=lambda x: 0.0)
         model = pf.BernoulliSquaredModel(shift=shift)
         traj = pf.discrete_rgd(
             model, v(0.5), 100, pf.StepSchedule.constant(0.01), pf.NoiseSpec.none()

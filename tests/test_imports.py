@@ -114,9 +114,9 @@ class TestImportContract:
         assert rc == 2
         assert modules.isdisjoint(NUMERIC)
 
-    def test_fit_contradicting_the_cap_exits_2_without_numpy(self, tmp_path):
+    def test_unknown_keys_exit_2_without_numpy(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fit_mode": "delta-zero", "epsilon_cap": 0.5}))
+        cfg.write_text(json.dumps({"fit_mode": "delta-zero", "model": "bernoulli-squared", "epsilon_cap": 0.5}))
         rc, modules = fresh_modules(CLI, "certify", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert rc == 2
         assert modules.isdisjoint(NUMERIC)
@@ -162,6 +162,18 @@ def no_sort_or_text_kernels(monkeypatch):
 
 
 class TestKernelContract:
+    def test_building_a_clamped_polynomial_calls_no_linalg(self, monkeypatch):
+        # its clamp crossings are computed by no one, so nothing finds polynomial roots
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)):
+                def refuse(*args, _name=name, **kwargs):
+                    raise AssertionError(f"np.linalg.{_name} called")
+
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for coefficients in ((0.25, 0.0, 1.0), (0.2, 0.5, 0.0, 0.1)):
+            shift = pf.clamped_polynomial_shift(coefficients)
+            assert np.isfinite(shift.value(np.linspace(-1.0, 1.0, 5))).all() and np.isfinite(shift.derivative(0.3))
+
     @pytest.mark.parametrize(
         "argv",
         [

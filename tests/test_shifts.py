@@ -1,5 +1,6 @@
 """The shift maps: values, derivatives, and their finite-difference agreement."""
 
+import dataclasses
 import math
 import warnings
 
@@ -228,7 +229,8 @@ class TestClampedPolynomial:
         assert float(s.value(3.0)) == 1.0
         assert float(s.derivative(0.5)) == 1.0
         assert float(s.derivative(-2.0)) == 0.0
-        assert set(s.breakpoints) == {0.0, 1.0}
+        # the kinks are at the clamp levels 0 and 1: slope 1 between them, 0 outside
+        assert [float(s.derivative(x)) for x in (-1e-9, 1e-9, 1 - 1e-9, 1 + 1e-9)] == [0.0, 1.0, 1.0, 0.0]
 
     def test_constant_shift_is_flat(self):
         s = pf.constant_shift(0.5)
@@ -242,8 +244,11 @@ class TestClampedPolynomial:
 
     def test_quadratic_derivative_matches_fd_off_breakpoints(self):
         s = pf.clamped_polynomial_shift((0.1, 0.2, 0.5))
+        # the kinks solve 0.1 + 0.2x + 0.5x^2 = level: the discriminant 0.04 - 2 (0.1 - level)
+        # is negative at level 0 and 1.84 at level 1, so the roots are -0.2 - sqrt(1.84) and -0.2 + sqrt(1.84)
+        kinks = [-0.2 - math.sqrt(1.84), -0.2 + math.sqrt(1.84)]
         for x in np.linspace(-0.8, 1.0, 41):
-            if min(abs(x - b) for b in s.breakpoints) < 1e-2:
+            if min(abs(x - b) for b in kinks) < 1e-2:
                 continue
             assert scaled_error(fd_derivative(s.value, x), float(s.derivative(x))) <= 1e-5
 
@@ -276,9 +281,10 @@ class TestTabulated:
         assert np.all((p >= 0.0) & (p <= 1.0))
 
     def test_derivative_matches_fd_between_knots(self):
-        s = pf.tabulated_shift([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.2, 0.6, 0.9, 1.0])
+        knots = [0.0, 0.25, 0.5, 0.75, 1.0]
+        s = pf.tabulated_shift(knots, [0.0, 0.2, 0.6, 0.9, 1.0])
         for x in np.linspace(0.05, 0.95, 37):
-            if min(abs(x - b) for b in s.breakpoints) < 2e-2:
+            if min(abs(x - b) for b in knots) < 2e-2:
                 continue
             assert scaled_error(fd_derivative(s.value, x), float(s.derivative(x))) <= 1e-5
 
@@ -294,8 +300,16 @@ class TestTabulated:
 
     @pytest.mark.parametrize(
         "xs,ps",
-        [([0.0], [0.0]), ([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.2])],
+        [([0.0], [0.0]), ([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.2]), ([-1e150, 1e150], [0.0, 1.0])],
     )
     def test_rejects_bad_knots(self, xs, ps):
         with pytest.raises(ValueError):
             pf.tabulated_shift(xs, ps)
+
+
+def test_a_shift_is_its_two_functions():
+    assert [f.name for f in dataclasses.fields(pf.ShiftFunction)] == ["value", "derivative"]
+    shifts = (pf.bump_shift(), pf.logistic_shift(), pf.clamped_polynomial_shift((0.1, 0.5)),
+              pf.tabulated_shift([0.0, 1.0], [0.0, 1.0]))
+    for shift in shifts:
+        assert set(vars(shift)) == {"value", "derivative"}
