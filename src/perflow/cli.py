@@ -9,8 +9,10 @@ Flags override values from the configuration file, which overrides built-in
 defaults.  ``_COMMANDS`` is the one table of commands: handler, help line and
 the configuration keys its flags set.  A flag is spelled after its key
 (``t_end`` -> ``--t-end``; ``grid_n`` is ``--grid``, ``radius`` is ``--r``)
-and typed after the key's default.  A handler computes and returns its
-artifacts, ``{file name: JSON object | (header, columns)}``; ``main`` alone
+and typed after the key's default: ``--domain`` takes two numbers and
+``--shift`` the JSON object a file holds.  A flag replaces its key whole.
+A handler computes and returns its artifacts,
+``{file name: JSON object | (header, columns)}``; ``main`` alone
 builds the model, creates ``--out`` and writes them in the order returned,
 so a command that fails writes nothing.  Output is deterministic given the
 configuration and seed: floats are emitted with 17 significant digits
@@ -304,6 +306,9 @@ _COMMANDS = {
 
 _FLAG_NAMES = {"grid_n": "--grid", "radius": "--r"}
 _FLAG_HELP = {
+    "out": "output directory (fixed filenames per command)",
+    "shift": 'the response shift as JSON: {"kind": K, "params": {...}}, as in a file',
+    "domain": "LO HI: the interval of decisions",
     "flow": "rgd | prm | discrete-rgd (simulate only)",
     "schedule": "constant:A | inverse:A,B",
     "noise": "none | gaussian:SIGMA | bernoulli:N",
@@ -314,12 +319,15 @@ _FLAG_HELP = {
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
-def _config_flag(parser, key):
+def _config_flag(parser, key, default):
     """Add the flag that sets configuration key ``key``, typed after its default."""
-    default = getattr(config_mod.ExperimentConfig, key)  # the class holds each field's default
     kwargs = {"dest": key, "help": _FLAG_HELP.get(key)}
-    if not isinstance(default, str):  # int or float; a point (x0, x_star) and None are floats
+    if isinstance(default, dict):  # the shift: a JSON object, as a file spells it
+        kwargs["type"] = json.loads
+    elif not isinstance(default, str):  # numbers; None (epsilon_cap) is a float
         kwargs["type"] = int if isinstance(default, int) else float
+        if isinstance(default, tuple) and len(default) > 1:  # the domain; a point (x0, x_star) takes one
+            kwargs["nargs"] = len(default)
     parser.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), **kwargs)
 
 
@@ -329,18 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate decision-dependent risk flows and certify their convergence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = config_mod.ExperimentConfig()
     for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_NUMBER  # so "-1e-3" and "-.5" are values, as in a file
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="output directory (fixed filenames per command)")
-        p.add_argument("--shift-kind", dest="shift_kind", help="response shift kind")
-        p.add_argument(
-            "--shift-params", dest="shift_params", help="response shift parameters as JSON"
-        )
-        p.add_argument("--domain", nargs=2, type=float, metavar=("LO", "HI"))
-        for key in keys:
-            _config_flag(p, key)
+        for key in ("out", "shift", "domain", *keys):
+            _config_flag(p, key, getattr(defaults, key))
     certify = sub.choices["certify"]
     certify.add_argument(
         "--sweep", action="store_true", help="also emit the constants at radii 0.01, 0.02, ... up to --r"
@@ -361,22 +364,11 @@ def _load_config(args) -> dict:
             raise ConfigError(f"configuration file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration file must hold a JSON object")
-
+    # a flag replaces its key whole, the shift's kind and parameters included
     for key in config_mod.to_document(config_mod.ExperimentConfig()):
         value = getattr(args, key, None)
         if value is not None:
-            doc[key] = list(value) if isinstance(value, (list, tuple)) else value
-
-    if args.shift_kind is not None or args.shift_params is not None:
-        shift = dict(doc.get("shift", {}))
-        if args.shift_kind is not None:
-            shift["kind"] = args.shift_kind
-        if args.shift_params is not None:
-            try:
-                shift["params"] = json.loads(args.shift_params)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--shift-params is not valid JSON: {exc}") from exc
-        doc["shift"] = shift
+            doc[key] = value
     return doc
 
 

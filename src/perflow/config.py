@@ -127,9 +127,6 @@ class NoiseSpec:
         return cls("bernoulli-sample", sample_size=sample_size, seed=seed)
 
 
-_SHIFT_KINDS = ("bump", "logistic", "clamped-polynomial", "tabulated")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated parameters for one command invocation, one field per document key."""
@@ -179,9 +176,8 @@ def _as_float(value, key):
     return number
 
 
-def _as_floats(params, key):
-    """``params[key]`` as a list of floats: a JSON list of finite numbers."""
-    values = params[key]
+def _as_floats(values, key):
+    """``values`` as a list of floats: a JSON list of finite numbers."""
     if not isinstance(values, list):
         _fail(f"{key} must be a list of finite numbers, got {values!r}")
     return [_as_float(v, f"{key}[{i}]") for i, v in enumerate(values)]
@@ -192,6 +188,16 @@ def _as_int(value, key):
         _fail(f"{key} must be an integer, got {value!r}")
     return int(value)
 
+
+# kind -> (its constructor in perflow.shifts, the reader of each parameter it takes).  The
+# constructor by name: parse_config refuses an unknown kind without loading numpy
+_SHIFTS = {
+    "bump": ("bump_shift", {}),
+    "logistic": ("logistic_shift", {"rate": _as_float, "midpoint": _as_float}),
+    "clamped-polynomial": ("clamped_polynomial_shift", {"coefficients": _as_floats}),
+    "tabulated": ("tabulated_shift", {"knots_x": _as_floats, "knots_p": _as_floats}),
+}
+_SHIFT_KINDS = tuple(_SHIFTS)  # a tuple: an unhashable kind is compared, not hashed
 
 # the single-number keys in the order they are checked: (key, reader, test, the rule a refusal names)
 _RANGES = (
@@ -305,35 +311,35 @@ def to_document(cfg: ExperimentConfig) -> dict:
 
 
 def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
-    from .shifts import bump_shift, clamped_polynomial_shift, logistic_shift, tabulated_shift
+    """The shift of ``cfg``: its kind's constructor, called with the parameters the document names.
+
+    A parameter the document leaves out takes the constructor's default.
+    The built ``p`` and ``p'`` must evaluate at both ends of the domain
+    without overflow.
+    """
+    import inspect
+
+    import numpy as np
+
+    from . import shifts
 
     kind, params = cfg.shift["kind"], cfg.shift["params"]
+    name, readers = _SHIFTS[kind]
+    constructor = getattr(shifts, name)
+    signature = inspect.signature(constructor).parameters.values()
+    if not {p.name for p in signature if p.default is p.empty} <= set(params) <= set(readers):
+        takes = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in signature)
+        _fail(f"{kind} shift takes ({takes}), got {sorted(params)}")
     try:
-        if kind == "bump":
-            if params:
-                _fail(f"bump shift takes no parameters, got {sorted(params)}")
-            return bump_shift()
-        if kind == "logistic":
-            logistic = {"rate": 8.0, "midpoint": 0.5}  # logistic_shift's defaults
-            extra = set(params) - set(logistic)
-            if extra:
-                _fail(f"unknown logistic parameters: {sorted(extra)}")
-            logistic.update((k, _as_float(v, f"logistic {k}")) for k, v in params.items())
-            # p evaluates rate * (x - midpoint), which must not overflow at either end of the domain
-            if not all(math.isfinite(logistic["rate"] * (b - logistic["midpoint"])) for b in cfg.domain):
-                raise ValueError(f"logistic rate * (x - midpoint) overflows on the domain {list(cfg.domain)}")
-            return logistic_shift(**logistic)
-        if kind == "clamped-polynomial":
-            extra = set(params) - {"coefficients"}
-            if extra or "coefficients" not in params:
-                _fail("clamped-polynomial shift needs exactly the 'coefficients' parameter")
-            return clamped_polynomial_shift(_as_floats(params, "coefficients"))
-        extra = set(params) - {"knots_x", "knots_p"}
-        if extra or "knots_x" not in params or "knots_p" not in params:
-            _fail("tabulated shift needs exactly 'knots_x' and 'knots_p'")
-        return tabulated_shift(_as_floats(params, "knots_x"), _as_floats(params, "knots_p"))
+        shift = constructor(**{k: readers[k](v, f"{kind} {k}") for k, v in params.items()})
+        ends = np.array(cfg.domain)
+        with np.errstate(over="raise"):
+            shift.value(ends), shift.derivative(ends)
+    except FloatingPointError:
+        _fail(f"invalid shift parameters: p or p' overflows at an end of the domain {list(cfg.domain)}")
     except (TypeError, ValueError) as exc:
         _fail(f"invalid shift parameters: {exc}")
+    return shift
 
 
 def build_model(cfg: ExperimentConfig) -> BernoulliSquaredModel:

@@ -169,8 +169,10 @@ def tabulated_shift(knots_x, knots_p) -> ShiftFunction:
         raise ValueError("knot coordinates must be strictly increasing")
     if np.any((ps < 0.0) | (ps > 1.0)):
         raise ValueError("knot values must lie in [0, 1]")
-    # knots too close overflow the slopes, and the check below (or scipy) refuses them
+    # finite secants can still overflow a knot derivative, which scipy refuses, or the cubic (the check below)
     with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.diff(ps) / np.diff(xs))):
+            raise ValueError("knots too close: a secant slope diff(knots_p) / diff(knots_x) is not finite")
         interp = PchipInterpolator(xs, ps, extrapolate=False)
     # the cubic raises the offset from its knot to the third power: a span beyond
     # about 5.6e102 reads NaN at the knot that closes it, where the offset is largest

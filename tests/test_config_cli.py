@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import perflow.cli as cli
-from perflow import equilibria, flows
-from perflow.config import ExperimentConfig, NoiseSpec, parse_config, to_document
+from perflow import config as config_mod
+from perflow import equilibria, flows, shifts
+from perflow.config import ExperimentConfig, NoiseSpec, build_shift, parse_config, to_document
 from perflow.errors import ConfigError, NumericIntegrationError
 
 
@@ -193,6 +195,16 @@ class TestConfigParsing:
     def test_scalar_x0_promoted_to_vector(self):
         assert parse_config({"x0": 0.3}).x0 == (0.3,)
 
+    @pytest.mark.parametrize("kind", config_mod._SHIFT_KINDS)
+    def test_shift_table_reads_each_constructor_parameter(self, kind):
+        name, readers = config_mod._SHIFTS[kind]
+        assert list(readers) == list(inspect.signature(getattr(shifts, name)).parameters)
+
+    def test_left_out_shift_parameter_takes_the_constructor_default(self):
+        # logistic_shift's midpoint is 0.5, where p is 1/2 at any rate
+        shift = build_shift(parse_config({"shift": {"kind": "logistic", "params": {"rate": 3}}}))
+        assert shift.value(0.5) == 0.5 and shift.derivative(0.5) == 0.75
+
     def test_shift_params_validated_per_kind(self):
         with pytest.raises(ConfigError):
             parse_config({"shift": {"kind": "bump", "params": {"rate": 1.0}}})
@@ -244,8 +256,7 @@ class TestCsvWriter:
 _COMMON_FLAGS = {
     "config": (("--config",), None, None, None),
     "out": (("--out",), None, None, None),
-    "shift_kind": (("--shift-kind",), None, None, None),
-    "shift_params": (("--shift-params",), None, None, None),
+    "shift": (("--shift",), None, json.loads, None),
     "domain": (("--domain",), 2, float, None),
 }
 
@@ -418,8 +429,8 @@ class TestCliCommands:
     def test_scan_without_roots_counts_every_start_divergent(self, tmp_path):
         # p == 0.5 has its only root outside [0.6, 1]
         out = tmp_path / "bas"
-        argv = ["basins", "--grid", "41", "--domain", "0.6", "1", "--shift-kind", "clamped-polynomial",
-                "--shift-params", '{"coefficients": [0.5]}', "--out", str(out)]
+        argv = ["basins", "--grid", "41", "--domain", "0.6", "1", "--out", str(out),
+                "--shift", '{"kind": "clamped-polynomial", "params": {"coefficients": [0.5]}}']
         assert cli.main(argv) == 0
         assert read_json(out / "basins_summary.json")["label_counts"] == {"-1": 41}
 
@@ -571,8 +582,10 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "argv",
         [["certify", "--fit-mode", "epsilon-capped"], ["bounds", "--fit-mode", "delta-zero"],
-         ["simulate", "--model", "bernoulli-squared"], ["certify", "--sweep-step", "0.1"]],
-        ids=["certify-fit-mode", "bounds-fit-mode", "simulate-model", "certify-sweep-step"],
+         ["simulate", "--model", "bernoulli-squared"], ["certify", "--sweep-step", "0.1"],
+         ["equilibria", "--shift-kind", "bump"], ["basins", "--shift-params", '{"rate": 3}']],
+        ids=["certify-fit-mode", "bounds-fit-mode", "simulate-model", "certify-sweep-step", "shift-kind",
+             "shift-params"],
     )
     def test_removed_flags_are_unrecognized(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -777,10 +790,10 @@ class TestCliErrors:
         "argv, doc, code, message",
         [
             ([], {"seed": 1.5}, 2, "configuration error: seed must be an integer, got 1.5"),
-            (["--shift-kind", "cosine"], None, 2,
+            (["--shift", '{"kind": "cosine"}'], None, 2,
              "configuration error: unknown shift kind 'cosine'; "
              "expected one of ('bump', 'logistic', 'clamped-polynomial', 'tabulated')"),
-            (["--shift-params", "[1]"], None, 2, "configuration error: shift.params must be an object"),
+            (["--shift", '{"kind": "bump", "params": [1]}'], None, 2, "configuration error: shift.params must be an object"),
             ([], {"domain": [1]}, 2, "configuration error: domain must be [lo, hi], got [1]"),
             (["--flow", "bogus"], None, 2,
              "configuration error: unknown flow kind 'bogus'; expected one of ('rgd', 'prm', 'discrete-rgd')"),
@@ -788,16 +801,13 @@ class TestCliErrors:
              "configuration error: unknown flow kind 'prm-flow'; expected one of ('rgd', 'prm', 'discrete-rgd')"),
             (["--eq-tol", "-1e-3"], None, 2, "configuration error: eq_tol must be nonnegative, got -0.001"),
             (["--out", ""], None, 2, "configuration error: out must be a non-empty path string, got ''"),
-            (["--shift-kind", "logistic", "--shift-params", '{"slope": 1}'], None, 2,
-             "configuration error: unknown logistic parameters: ['slope']"),
-            (["--shift-kind", "tabulated", "--shift-params", '{"knots_x": [0, 1]}'], None, 2,
-             "configuration error: tabulated shift needs exactly 'knots_x' and 'knots_p'"),
+            (["--shift", '{"kind": "logistic", "params": {"slope": 1}}'], None, 2,
+             "configuration error: logistic shift takes (rate=8.0, midpoint=0.5), got ['slope']"),
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [0, 1]}}'], None, 2,
+             "configuration error: tabulated shift takes (knots_x, knots_p), got ['knots_x']"),
             ([], {"noise": 3}, 2, "configuration error: noise must be a string, got 3"),
             ([], {"schedule": 0.01}, 2, "configuration error: schedule must be a string, got 0.01"),
             ([], [1], 2, "configuration error: configuration file must hold a JSON object"),
-            (["--shift-params", "{"], None, 2,
-             "configuration error: --shift-params is not valid JSON: "
-             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
             (["--out", "{tmp}/file/o"], None, 3, "i/o error: [Errno 20] Not a directory: '{tmp}/file/o'"),
             # one bad value per single-number key, in the order parse_config checks them
             (["--t-end", "0"], None, 2, "configuration error: t_end must be positive, got 0.0"),
@@ -810,23 +820,26 @@ class TestCliErrors:
             (["--seed", "-1"], None, 2, "configuration error: seed must be nonnegative, got -1"),
             (["--steps", "-5"], None, 2, "configuration error: steps must be nonnegative, got -5"),
             # shift parameters whose p or p' is not finite, refused before numpy can warn
-            (["--shift-kind", "tabulated", "--shift-params", '{"knots_x": [-1e150, 1e150], "knots_p": [0, 1]}'],
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [-1e150, 1e150], "knots_p": [0, 1]}}'],
              None, 2, "configuration error: invalid shift parameters: the interpolant is not finite at every knot"),
-            (["--shift-kind", "tabulated", "--shift-params", '{"knots_x": [0, 1e-300, 1], "knots_p": [0, 0.5, 1]}'],
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [0, 1e-300, 1], "knots_p": [0, 0.5, 1]}}'],
              None, 2, "configuration error: invalid shift parameters: the interpolant is not finite at every knot"),
-            (["--shift-kind", "logistic", "--shift-params", '{"midpoint": 1e308}'], None, 2,
-             "configuration error: invalid shift parameters: "
-             "logistic rate * (x - midpoint) overflows on the domain [-0.5, 1.5]"),
-            (["--shift-kind", "clamped-polynomial", "--shift-params", '{"coefficients": [0, 1e308, 1e308]}'],
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [0, 1e-310], "knots_p": [0, 1]}}'],
+             None, 2, "configuration error: invalid shift parameters: "
+             "knots too close: a secant slope diff(knots_p) / diff(knots_x) is not finite"),
+            (["--shift", '{"kind": "logistic", "params": {"midpoint": 1e308}}'], None, 2,
+             "configuration error: invalid shift parameters: p or p' overflows at an end of the domain [-0.5, 1.5]"),
+            (["--shift", '{"kind": "clamped-polynomial", "params": {"coefficients": [0, 1e308, 1e308]}}'],
              None, 2, "configuration error: invalid shift parameters: "
              "polynomial derivative coefficients must be finite, got [1e+308, inf]"),
         ],
         ids=["seed-not-integer", "shift-kind-unknown", "shift-params-not-object", "domain-of-one",
              "flow-bogus", "flow-prm-flow", "eq-tol-negative", "out-empty", "logistic-parameter-unknown", "tabulated-without-knots-p",
-             "noise-not-string", "schedule-not-string", "config-file-list", "shift-params-not-json",
+             "noise-not-string", "schedule-not-string", "config-file-list",
              "out-below-a-file", "t-end-zero", "h-negative", "match-radius-zero", "refine-tol-negative",
              "radius-negative", "grid-n-one", "theta-one", "seed-negative", "steps-negative",
-             "tabulated-knots-too-far-apart", "tabulated-knots-too-close", "logistic-overflowing-midpoint",
+             "tabulated-knots-too-far-apart", "tabulated-knots-too-close", "tabulated-secant-overflow",
+             "logistic-overflowing-midpoint",
              "polynomial-overflowing-slopes"],
     )
     def test_refusal_exit_code_and_message(self, tmp_path, capsys, argv, doc, code, message):
@@ -841,10 +854,27 @@ class TestCliErrors:
         assert capsys.readouterr().err == message.replace("{tmp}", str(tmp_path)) + "\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"][doc is None:]
 
+    def test_malformed_shift_is_refused_by_the_parser(self, tmp_path, capsys):
+        # --shift is typed as JSON, as --grid is typed as an integer
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", "--shift", "{", "--out", str(out)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "perflow simulate: error: argument --shift: invalid loads value: '{'"
+        assert not out.exists()
+
+    def test_shift_flag_replaces_the_files_shift_whole(self, tmp_path):
+        # the file's logistic parameters do not reach the bump that the flag names
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shift": {"kind": "logistic", "params": {"rate": 3}}}))
+        flag, plain = tmp_path / "flag", tmp_path / "plain"
+        assert cli.main(["equilibria", "--config", str(cfg), "--shift", '{"kind": "bump"}', "--out", str(flag)]) == 0
+        assert cli.main(["equilibria", "--out", str(plain)]) == 0
+        assert (flag / "equilibria.json").read_bytes() == (plain / "equilibria.json").read_bytes()
+
     def test_mistyped_shift_parameter_exits_2(self, tmp_path, capsys):
         code = cli.main(
-            ["equilibria", "--shift-kind", "logistic", "--shift-params", '{"rate": "x"}',
-             "--out", str(tmp_path / "o")]
+            ["equilibria", "--shift", '{"kind": "logistic", "params": {"rate": "x"}}', "--out", str(tmp_path / "o")]
         )
         assert code == 2
         assert "configuration error" in capsys.readouterr().err

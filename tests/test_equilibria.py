@@ -67,6 +67,14 @@ def triple_root_model(c, k):
     )
 
 
+def flat_zero_model():
+    # rgd field (x - 0.3)^5 on [-1, 1]: within 1e-10 of 0 on the 20 points 0.290 to 0.309 of a 2001-point lattice
+    return pf.CallableModel(
+        dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
+        grad1=lambda x1, x2: -(x1 - 0.3) ** 5, grad2=lambda x1, x2: np.zeros(1),
+    )
+
+
 def exact_basin_labels(model, kind, reports, xs, eq_tol, match_radius):
     """Basin labels of a scalar autonomous flow, from its roots alone.
 
@@ -150,14 +158,16 @@ class TestFindEquilibria:
 
     # -(x - 0.3)^3: rounding leaves +1.1e-16 on the lattice point 0.3 and a sign
     # change on the cell after it, one zero.  (x - 0.0004)(x - 0.0016): two
-    # zeros in two cells that share the point 0.001
+    # zeros in two cells that share the point 0.001.  (x - 0.3)^5: a run of 20
+    # lattice points within refine_tol, one site at its smallest |f|
     @pytest.mark.parametrize("model, roots", [
         (triple_root_model(1.7, 1.0), [0.3]),
+        (flat_zero_model(), [0.3]),
         (pf.CallableModel(
             dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
             grad1=lambda x1, x2: -(x1 - 0.0004) * (x1 - 0.0016), grad2=lambda x1, x2: np.zeros(1),
         ), [0.0004, 0.0016]),
-    ], ids=["triple", "adjacent-cells"])
+    ], ids=["triple", "flat", "adjacent-cells"])
     def test_each_zero_is_reported_once(self, model, roots):
         assert locations(pf.find_equilibria(model, "rgd", grid_n=2001)) == pytest.approx(roots, abs=1e-7)
 
@@ -543,8 +553,8 @@ class TestSignChartGuard:
         monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1))
         for grid in (400, 2000):
             out = tmp_path / str(grid)
-            argv = ["basins", "--flow", "rgd", "--grid", str(grid), "--shift-kind", "clamped-polynomial",
-                    "--shift-params", '{"coefficients": [0.25, 0.0, 1.0]}', "--out", str(out)]
+            argv = ["basins", "--flow", "rgd", "--grid", str(grid), "--out", str(out),
+                    "--shift", '{"kind": "clamped-polynomial", "params": {"coefficients": [0.25, 0.0, 1.0]}}']
             assert cli.main(argv) == 0
             found = json.loads((out / "equilibria.json").read_text())["equilibria"]
             roots = [e["location"][0] for e in found]
@@ -555,6 +565,17 @@ class TestSignChartGuard:
             left = rows[:, 0] < 0.5
             assert left.sum() == grid // 2 and np.all(rows[left, 1] == 0)
         assert calls == []  # the chart labelled both scans
+
+    def test_flat_zero_is_charted(self, monkeypatch):
+        # at tolerance 0 the flat zero is one sign-change cell, and the one reported root lies in it
+        model = flat_zero_model()
+        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
+        calls = []
+        monkeypatch.setattr(eq_mod, "integrate_ensemble", lambda *a, **k: calls.append(1))
+        basin = pf.basin_scan(model, "rgd", reports, grid_n=2001)
+        assert calls == []
+        # the field points away from 0.3: only the starts at rest within match_radius of it stay
+        assert set(basin.grid[basin.labels == 0, 0].round(3).tolist()) <= {0.299, 0.3, 0.301}
 
     def test_sign_change_without_a_passed_root_falls_back(self, monkeypatch, bump_model, rgd_roots):
         calls, real = [], eq_mod.integrate_ensemble

@@ -6,6 +6,11 @@ depends on ``--out`` (``summary.json`` holds the configuration without it).
 A refactor that keeps the numbers keeps these bytes; one that moves them
 must say which and why.
 
+Four artifacts print ``np.exp`` results at full precision, and numpy's
+AVX-512 exp rounds 1 ULP away from its AVX2 exp on about 5% of inputs.  So
+the digest file also names the SIMD target numpy dispatched to when it was
+written, and a failure prints it next to the running one.
+
 Regenerate the digest file only on purpose; it prints every digest that
 changed, was added or was dropped, so the change can name them::
 
@@ -13,6 +18,7 @@ changed, was added or was dropped, so the change can name them::
 """
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,9 +30,10 @@ import perflow.cli as cli
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 
-LOGISTIC = '{"rate": 8.0, "midpoint": 0.5}'
-TABULATED = '{"knots_x": [-0.5, 0.1, 0.6, 1.5], "knots_p": [0.0, 0.0, 0.9, 1.0]}'
-TANGENT = '{"coefficients": [0.25, 0.0, 1.0]}'  # rgd field (x - 0.5)^2 below 0.866: a double root
+LOGISTIC = '{"kind": "logistic", "params": {"rate": 8.0, "midpoint": 0.5}}'
+TABULATED = '{"kind": "tabulated", "params": {"knots_x": [-0.5, 0.1, 0.6, 1.5], "knots_p": [0.0, 0.0, 0.9, 1.0]}}'
+# rgd field (x - 0.5)^2 below 0.866: a double root
+TANGENT = '{"kind": "clamped-polynomial", "params": {"coefficients": [0.25, 0.0, 1.0]}}'
 DISCRETE = ["simulate", "--flow", "discrete-rgd", "--steps", "20000", "--x0", "0.8",
             "--schedule", "inverse:0.5,10", "--seed", "7"]
 
@@ -45,13 +52,23 @@ CONFIGS = {
     "repro_fig1": ["repro", "fig1"],
     "repro_fig2": ["repro", "fig2"],
     "repro_constants": ["repro", "constants"],
-    "basins_logistic": ["basins", "--flow", "rgd", "--grid", "501",
-                        "--shift-kind", "logistic", "--shift-params", LOGISTIC],
-    "certify_tabulated": ["certify", "--x-star", "0", "--r", "0.3", "--grid", "4001",
-                          "--shift-kind", "tabulated", "--shift-params", TABULATED],
-    "basins_tangent": ["basins", "--flow", "rgd", "--grid", "400",
-                       "--shift-kind", "clamped-polynomial", "--shift-params", TANGENT],
+    "basins_logistic": ["basins", "--flow", "rgd", "--grid", "501", "--shift", LOGISTIC],
+    "certify_tabulated": ["certify", "--x-star", "0", "--r", "0.3", "--grid", "4001", "--shift", TABULATED],
+    "basins_tangent": ["basins", "--flow", "rgd", "--grid", "400", "--shift", TANGENT],
 }
+
+
+def simd_target() -> str:
+    """numpy's highest dispatch target that is enabled together with every target below it.
+
+    ``NPY_DISABLE_CPU_FEATURES=X86_V4`` leaves ``AVX512_ICL`` and
+    ``AVX512_SPR`` flagged as enabled, but the kernels that move the digests
+    (exp among them) then run at ``X86_V3``.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    enabled = list(itertools.takewhile(__cpu_features__.get, __cpu_dispatch__))
+    return enabled[-1] if enabled else "baseline"
 
 
 def artifact_digests(workdir: Path) -> dict:
@@ -74,8 +91,9 @@ def test_artifacts_match_golden_digests(tmp_path, monkeypatch):
     changed = sorted(k for k in pinned["artifacts"] if actual.get(k) != pinned["artifacts"][k])
     extra = sorted(set(actual) - set(pinned["artifacts"]))
     assert not changed and not extra, (
-        f"artifact bytes differ from the digests pinned with numpy {pinned['numpy']} "
-        f"(running numpy {np.__version__}): changed {changed}, unpinned {extra}"
+        f"artifact bytes differ from the digests pinned with numpy {pinned['numpy']} at SIMD target "
+        f"{pinned.get('simd_target')} (running numpy {np.__version__} at {simd_target()}): "
+        f"changed {changed}, unpinned {extra}"
     )
 
 
@@ -99,6 +117,7 @@ if __name__ == "__main__":
         elif pinned.get(key) != digests[key]:
             print(f"{'changed' if key in pinned else 'added'} {key}")
     DIGEST_FILE.write_text(
-        json.dumps({"numpy": np.__version__, "artifacts": digests}, indent=2, sort_keys=True) + "\n"
+        json.dumps({"numpy": np.__version__, "simd_target": simd_target(), "artifacts": digests}, indent=2,
+                   sort_keys=True) + "\n"
     )
     print(f"wrote {len(digests)} digests to {DIGEST_FILE}")

@@ -106,8 +106,11 @@ class TestImportContract:
             ["basins", "--flow", "prm-flow"],
             ["simulate", "--noise", "pink:3"],
             ["simulate", "--schedule", "constant"],
+            ["simulate", "--shift", '{"kind": "cosine"}'],
+            ["simulate", "--shift", '{"kind": bump}'],
         ],
-        ids=["h-0", "flow-bogus", "flow-rgd-flow", "flow-prm-flow", "noise-pink", "schedule-constant"],
+        ids=["h-0", "flow-bogus", "flow-rgd-flow", "flow-prm-flow", "noise-pink", "schedule-constant",
+             "shift-kind-unknown", "shift-not-json"],
     )
     def test_configuration_error_exits_2_without_numpy(self, tmp_path, argv):
         rc, modules = fresh_modules(CLI, *argv, "--out", str(tmp_path / "o"))
