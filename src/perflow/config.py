@@ -315,7 +315,9 @@ def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
 
     A parameter the document leaves out takes the constructor's default.
     The built ``p`` and ``p'`` must evaluate at both ends of the domain
-    without overflow.
+    without overflow.  Only a logistic can fail that today: the bump is
+    bounded, a tabulated shift clips to its knots, and a clamped
+    polynomial evaluates with overflow ignored.
     """
     import inspect
 

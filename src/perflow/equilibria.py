@@ -183,24 +183,29 @@ def classify_equilibrium(
 def _zero_sites(fv, tol):
     """Index spans ``(k, j)`` of the zeros the lattice field ``fv`` shows, in lattice order.
 
-    A site is a point with ``|f| <= tol``, ``(k, k)``, where a run of
-    adjacent such points is one site at its smallest ``|f|`` (a flat zero
+    A site is a point with ``|f| <= tol``, ``(k, k)``: each point where
+    ``f`` is exactly 0, for a row stops there, and one per run of adjacent
+    points with ``0 < |f| <= tol``, at its smallest ``|f|`` (a flat zero
     such as ``(x - 0.3)^5`` stays within 1e-10 over 20 points of a
-    2001-point lattice); a cell whose ends have strict opposite signs and
-    are no such points, ``(k, k + 1)``; or a dip, ``(k - 1, k + 1)``
-    clipped to the lattice: a lattice minimum of ``|f|`` between two cells
-    of one strict sign, no larger than the field's second difference there
-    (one-sided at the ends).  A double root between lattice points leaves
-    a dip of at most an eighth of that difference, so rounding cannot hide
-    it, while a minimum the lattice resolves from zero is no dip.
+    2001-point lattice, none of them exactly 0).  So at ``tol = 0`` every
+    point with ``f == 0`` is a site.  A cell whose ends have strict
+    opposite signs and are no such points is a site ``(k, k + 1)``; a dip
+    is a site ``(k - 1, k + 1)`` clipped to the lattice: a lattice minimum
+    of ``|f|`` between two cells of one strict sign, no larger than the
+    field's second difference there (one-sided at the ends).  A double
+    root between lattice points leaves a dip of at most an eighth of that
+    difference, so rounding cannot hide it, while a minimum the lattice
+    resolves from zero is no dip.
     """
     n, size = fv.size, np.abs(fv)
     point, same = size <= tol, fv[:-1] * fv[1:] > 0
     # a lattice minimum of |f| between cells of one strict sign; an end point has one cell, taken twice
     low = np.concatenate([same[:1], same & (size[1:] <= size[:-1])])
     low &= np.concatenate([same & (size[:-1] <= size[1:]), same[-1:]])
-    runs = np.flatnonzero(np.diff(np.concatenate([[0], point, [0]]))).tolist()  # starts and ends, alternating
-    sites = [(i, i) for i in (k + int(np.argmin(size[k:m])) for k, m in zip(runs[::2], runs[1::2]))]
+    near = point & (fv != 0)
+    runs = np.flatnonzero(np.diff(np.concatenate([[0], near, [0]]))).tolist()  # starts and ends, alternating
+    sites = [(k, k) for k in np.flatnonzero(fv == 0)]
+    sites += [(i, i) for i in (k + int(np.argmin(size[k:m])) for k, m in zip(runs[::2], runs[1::2]))]
     sites += [(k, k + 1) for k in np.flatnonzero((fv[:-1] * fv[1:] < 0) & ~point[:-1] & ~point[1:])]
     for k in np.flatnonzero(low & ~point):
         i = min(max(k, 1), n - 2)  # the second difference, one-sided at the ends

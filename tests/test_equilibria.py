@@ -75,6 +75,11 @@ def flat_zero_model():
     )
 
 
+def plateau_model():
+    # p(x) = x clamped to [0, 1]: the rgd field is exactly 0 on [0, 1]
+    return pf.BernoulliSquaredModel(shift=pf.clamped_polynomial_shift([0.0, 1.0]), domain=(-0.5, 1.5))
+
+
 def exact_basin_labels(model, kind, reports, xs, eq_tol, match_radius):
     """Basin labels of a scalar autonomous flow, from its roots alone.
 
@@ -159,7 +164,9 @@ class TestFindEquilibria:
     # -(x - 0.3)^3: rounding leaves +1.1e-16 on the lattice point 0.3 and a sign
     # change on the cell after it, one zero.  (x - 0.0004)(x - 0.0016): two
     # zeros in two cells that share the point 0.001.  (x - 0.3)^5: a run of 20
-    # lattice points within refine_tol, one site at its smallest |f|
+    # lattice points within refine_tol, none exactly 0, one site at its
+    # smallest |f|.  -x(x - 0.001): exactly 0 at the point 0 and -1.1e-19 at the
+    # next one, two zeros.  The plateau: exactly 0 at each of its 1001 points
     @pytest.mark.parametrize("model, roots", [
         (triple_root_model(1.7, 1.0), [0.3]),
         (flat_zero_model(), [0.3]),
@@ -167,7 +174,12 @@ class TestFindEquilibria:
             dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
             grad1=lambda x1, x2: -(x1 - 0.0004) * (x1 - 0.0016), grad2=lambda x1, x2: np.zeros(1),
         ), [0.0004, 0.0016]),
-    ], ids=["triple", "flat", "adjacent-cells"])
+        (pf.CallableModel(
+            dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
+            grad1=lambda x1, x2: -x1 * (x1 - 0.001), grad2=lambda x1, x2: np.zeros(1),
+        ), [0.0, 0.001]),
+        (plateau_model(), np.linspace(-0.5, 1.5, 2001)[500:1501].tolist()),
+    ], ids=["triple", "flat", "adjacent-cells", "adjacent-points", "plateau"])
     def test_each_zero_is_reported_once(self, model, roots):
         assert locations(pf.find_equilibria(model, "rgd", grid_n=2001)) == pytest.approx(roots, abs=1e-7)
 
@@ -576,6 +588,14 @@ class TestSignChartGuard:
         assert calls == []
         # the field points away from 0.3: only the starts at rest within match_radius of it stay
         assert set(basin.grid[basin.labels == 0, 0].round(3).tolist()) <= {0.299, 0.3, 0.301}
+
+    def test_plateau_starts_stop_where_they_reach_it(self):
+        # every lattice point of [0, 1] is a root: a start above 1 stops at 1, one inside stays put
+        model = plateau_model()
+        basin = pf.basin_scan(model, "rgd", pf.find_equilibria(model, "rgd", grid_n=2001), grid_n=2001)
+        xs = basin.grid[:, 0]
+        assert np.all(basin.labels >= 0) and np.all(basin.statuses == CONVERGED)
+        assert basin.equilibrium_locations[basin.labels, 0] == pytest.approx(np.clip(xs, 0.0, 1.0), abs=1e-12)
 
     def test_sign_change_without_a_passed_root_falls_back(self, monkeypatch, bump_model, rgd_roots):
         calls, real = [], eq_mod.integrate_ensemble
