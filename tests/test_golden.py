@@ -34,6 +34,8 @@ LOGISTIC = '{"kind": "logistic", "params": {"rate": 8.0, "midpoint": 0.5}}'
 TABULATED = '{"kind": "tabulated", "params": {"knots_x": [-0.5, 0.1, 0.6, 1.5], "knots_p": [0.0, 0.0, 0.9, 1.0]}}'
 # rgd field (x - 0.5)^2 below 0.866: a double root
 TANGENT = '{"kind": "clamped-polynomial", "params": {"coefficients": [0.25, 0.0, 1.0]}}'
+# p(x) = x on [0, 1]: the rgd field is exactly 0 there, 1001 lattice roots
+PLATEAU = '{"kind": "clamped-polynomial", "params": {"coefficients": [0, 1]}}'
 DISCRETE = ["simulate", "--flow", "discrete-rgd", "--steps", "20000", "--x0", "0.8",
             "--schedule", "inverse:0.5,10", "--seed", "7"]
 
@@ -55,6 +57,7 @@ CONFIGS = {
     "basins_logistic": ["basins", "--flow", "rgd", "--grid", "501", "--shift", LOGISTIC],
     "certify_tabulated": ["certify", "--x-star", "0", "--r", "0.3", "--grid", "4001", "--shift", TABULATED],
     "basins_tangent": ["basins", "--flow", "rgd", "--grid", "400", "--shift", TANGENT],
+    "basins_plateau": ["basins", "--flow", "rgd", "--shift", PLATEAU],
 }
 
 
