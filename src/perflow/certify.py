@@ -255,10 +255,12 @@ class UltimateBoundReport:
 
     ``admissible`` requires all three hypotheses: the envelope slope beats
     ``c3^2/c4``, the initial condition sits inside the feasible ball, and the
-    offset satisfies the theta condition.  The theta condition is evaluated
-    exactly as stated (prefactor ``sqrt(c2/c1)``); the dimensional-analysis
-    variant with ``sqrt(c1/c2)`` is recorded alongside since the two differ
-    and nothing downstream depends on choosing between them.
+    offset satisfies the theta condition
+    ``delta <= sqrt(c1/c2) (1 - theta) r (c3^2/c4 - eps)``.  That condition
+    is exactly ``ultimate_radius <= r``: the ultimate ball lies inside the
+    ball where ``c1..c4`` were measured, so the argument that the trajectory
+    never leaves it closes.  (The prefactor ``sqrt(c2/c1)`` in its place
+    would allow ultimate balls up to ``c2/c1`` times wider.)
     """
 
     theta: float
@@ -271,7 +273,6 @@ class UltimateBoundReport:
     epsilon_admissible: bool
     initial_condition_admissible: bool
     theta_admissible: bool
-    theta_admissible_variant: bool
     admissible: bool
     initial_distance: float
     certificate: CurvatureCertificate
@@ -316,8 +317,7 @@ def ultimate_bounds(
     epsilon_admissible = c4 > 0 and eps < c3**2 / c4
     initial_condition_admissible = c2 > 0 and d0 <= np.sqrt(max(c1, 0.0) / c2) * cert.radius
     slack = cert.radius * (c3**2 / c4 - eps) if c4 > 0 else float("-inf")
-    theta_admissible = c1 > 0 and delta <= np.sqrt(c2 / c1) * (1.0 - theta) * slack
-    theta_admissible_variant = c2 > 0 and delta <= np.sqrt(max(c1, 0.0) / c2) * (1.0 - theta) * slack
+    theta_admissible = c1 > 0 and c2 > 0 and delta <= np.sqrt(c1 / c2) * (1.0 - theta) * slack
 
     if delta == 0.0:
         mu = 0.0
@@ -345,7 +345,6 @@ def ultimate_bounds(
         epsilon_admissible=bool(epsilon_admissible),
         initial_condition_admissible=bool(initial_condition_admissible),
         theta_admissible=bool(theta_admissible),
-        theta_admissible_variant=bool(theta_admissible_variant),
         admissible=bool(epsilon_admissible and initial_condition_admissible and theta_admissible),
         initial_distance=d0,
         certificate=cert,

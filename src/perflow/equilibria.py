@@ -180,22 +180,25 @@ def classify_equilibrium(
     )
 
 
-def _zero_sites(fv, tol):
+def _zero_sites(fv, tol, flat=None):
     """Index spans ``(k, j)`` of the zeros the lattice field ``fv`` shows, in lattice order.
 
     A site is a point with ``|f| <= tol``, ``(k, k)``: each point where
     ``f`` is exactly 0, for a row stops there, and one per run of adjacent
     points with ``0 < |f| <= tol``, at its smallest ``|f|`` (a flat zero
     such as ``(x - 0.3)^5`` stays within 1e-10 over 20 points of a
-    2001-point lattice, none of them exactly 0).  So at ``tol = 0`` every
-    point with ``f == 0`` is a site.  A cell whose ends have strict
-    opposite signs and are no such points is a site ``(k, k + 1)``; a dip
-    is a site ``(k - 1, k + 1)`` clipped to the lattice: a lattice minimum
-    of ``|f|`` between two cells of one strict sign, no larger than the
-    field's second difference there (one-sided at the ends).  A double
-    root between lattice points leaves a dip of at most an eighth of that
-    difference, so rounding cannot hide it, while a minimum the lattice
-    resolves from zero is no dip.
+    2001-point lattice, none of them exactly 0).  A run beside an exact
+    zero ``k`` for which ``flat(k)`` holds is that zero's, not a site of its
+    own: ``-x^5`` is one zero, while the simple zero 0 of ``-x (x - 0.001)``
+    keeps the run at 0.001.  So at ``tol = 0``, where there are no runs and
+    no ``flat`` is needed, every point with ``f == 0`` is a site.  A cell
+    whose ends have strict opposite signs and are no such points is a site
+    ``(k, k + 1)``; a dip is a site ``(k - 1, k + 1)`` clipped to the
+    lattice: a lattice minimum of ``|f|`` between two cells of one strict
+    sign, no larger than the field's second difference there (one-sided at
+    the ends).  A double root between lattice points leaves a dip of at most
+    an eighth of that difference, so rounding cannot hide it, while a
+    minimum the lattice resolves from zero is no dip.
     """
     n, size = fv.size, np.abs(fv)
     point, same = size <= tol, fv[:-1] * fv[1:] > 0
@@ -205,7 +208,10 @@ def _zero_sites(fv, tol):
     near = point & (fv != 0)
     runs = np.flatnonzero(np.diff(np.concatenate([[0], near, [0]]))).tolist()  # starts and ends, alternating
     sites = [(k, k) for k in np.flatnonzero(fv == 0)]
-    sites += [(i, i) for i in (k + int(np.argmin(size[k:m])) for k, m in zip(runs[::2], runs[1::2]))]
+    # the runs [k, m), less those beside a flat exact zero
+    spans = [(k, m) for k, m in zip(runs[::2], runs[1::2])
+             if not any(0 <= i < n and fv[i] == 0 and flat(i) for i in (k - 1, m))]
+    sites += [(i, i) for i in (k + int(np.argmin(size[k:m])) for k, m in spans)]
     sites += [(k, k + 1) for k in np.flatnonzero((fv[:-1] * fv[1:] < 0) & ~point[:-1] & ~point[1:])]
     for k in np.flatnonzero(low & ~point):
         i = min(max(k, 1), n - 2)  # the second difference, one-sided at the ends
@@ -215,16 +221,19 @@ def _zero_sites(fv, tol):
 
 
 def _dedup(hits, min_separation):
-    kept = []
+    kept, near = [], []  # near: the kept roots within min_separation below the hit in the first coordinate
     # the hits that are not None, as (point, residual), in Python's stable sort: ties
     # keep input order, and no numpy sort kernel is loaded
     for p, r in sorted(((np.atleast_1d(h[0]), h[1]) for h in hits if h is not None), key=lambda h: h[0][0]):
-        for j, (q, s) in enumerate(kept):
-            if np.linalg.norm(p - q) <= min_separation:
-                if abs(r) < abs(s):
+        # a root farther below is farther than min_separation from this hit and every later one
+        near = [j for j in near if p[0] - kept[j][0][0] <= min_separation]
+        for j in near:
+            if np.linalg.norm(p - kept[j][0]) <= min_separation:
+                if abs(r) < abs(kept[j][1]):
                     kept[j] = p, r
                 break
         else:
+            near.append(len(kept))
             kept.append((p, r))
     return kept
 
@@ -263,12 +272,14 @@ def find_equilibria(
     """Locate and classify all zeros of a flow's field resolvable on the grid.
 
     Scalar models: refine each site of ``_zero_sites`` on ``grid_n`` samples
-    of the field over the domain interval once.  A point is kept, a
-    sign-change cell bisected until the residual drops to ``refine_tol``,
-    and a dip reported if its golden-section minimum of ``|f|`` is within
-    ``refine_tol``.  Higher dimensions: damped Newton from every lattice
-    seed.  Roots closer than ``10 * refine_tol`` are merged.  An empty list
-    simply means no zero was resolved.
+    of the field over the domain interval once, an exact lattice zero being
+    flat when the field's central-difference derivative there is within
+    ``_HESSIAN_TOL``.  A point is kept, a sign-change cell bisected until
+    the residual drops to ``refine_tol``, and a dip reported if its
+    golden-section minimum of ``|f|`` is within ``refine_tol``.  Higher
+    dimensions: damped Newton from every lattice seed.  Roots closer than
+    ``10 * refine_tol`` are merged.  An empty list simply means no zero was
+    resolved.
     """
     if grid_n < MIN_ROOT_GRID:
         raise ValueError(f"grid must have at least {MIN_ROOT_GRID} points")
@@ -282,11 +293,14 @@ def find_equilibria(
         def f_scalar(v):
             return float(np.ravel(field(_one_state(model, v)))[0])
 
+        def flat(k):  # the field's own Jacobian at the exact lattice zero xs[k]
+            return abs(finite_diff_jacobian(field, xs[k:k + 1])[0, 0]) <= _HESSIAN_TOL
+
         hits = [
             (xs[k], fv[k]) if k == j
             else _bisect(f_scalar, xs[k], xs[j], fv[k], refine_tol) if fv[k] * fv[j] < 0
             else _golden(f_scalar, xs[k], xs[j], refine_tol)
-            for k, j in _zero_sites(fv, refine_tol)
+            for k, j in _zero_sites(fv, refine_tol, flat)
         ]
     else:
         hits = [_newton_root(field, seed, refine_tol, model.domain) for seed in _lattice(lo, hi, grid_n, 3)]
@@ -313,27 +327,31 @@ def _sign_chart(xs, fv, roots, match_radius, eq_tol):
     it has at least ``MIN_ROOT_GRID`` points, the field is finite on all of
     them (a row would stop where it is not), and the span of every site of
     ``_zero_sites(fv, 0.0)`` holds one of ``roots``.
+
+    Each question is a bisection into the ascending list of those roots: a
+    start with ``f > 0`` takes the first root strictly above it and one with
+    ``f < 0`` the last strictly below; a start at rest takes the nearer of
+    its two neighbours in the list, the lower on a tie (among equal roots,
+    the first); a site ``(k, j)`` holds a root when the first root at or
+    above ``xs[k]`` is at most ``xs[j]``.
     """
     n = xs.size
     if n < MIN_ROOT_GRID or not np.isfinite(fv).all():
         return None
-    # Python's sorted: a handful of roots, and no numpy sort kernel is loaded
+    # Python's sorted: no numpy sort kernel is loaded
     order = sorted((i for i in range(roots.size) if xs[0] <= roots[i] <= xs[-1]), key=roots.__getitem__)
-    labels = np.full(n, DIVERGENT)
-    below = -np.inf
-    for i in order:
-        r = roots[i]
-        # f < 0: the nearest root below (the last written); f > 0: r, from the previous root on
-        labels = np.where(((fv < 0) & (xs > r)) | ((fv > 0) & (below <= xs) & (xs < r)), i, labels)
-        below = r
-
-    if not all(any(xs[k] <= roots[i] <= xs[j] for i in order) for k, j in _zero_sites(fv, 0.0)):
+    at = roots[order]
+    below, upto = np.searchsorted(at, xs, "left"), np.searchsorted(at, xs, "right")  # roots < xs[k], <= xs[k]
+    if not all(below[k] < at.size and at[below[k]] <= xs[j] for k, j in _zero_sites(fv, 0.0)):
         return None
 
+    owner = np.array(order + [DIVERGENT])  # its last entry serves the index at.size and -1: no root there
+    labels = np.where(fv > 0, owner[upto], np.where(fv < 0, owner[below - 1], DIVERGENT))
     rest = np.sqrt(fv * fv) <= eq_tol  # np.linalg.norm's arithmetic
     for k in np.flatnonzero(rest).tolist():
-        near = min(order, key=lambda i: abs(xs[k] - roots[i]), default=None)
-        labels[k] = DIVERGENT if near is None or abs(xs[k] - roots[near]) > match_radius else near
+        # the nearer neighbour, the lower on a tie, labelled by the first root at its location
+        r = min(at[max(below[k] - 1, 0):below[k] + 1].tolist(), key=lambda r: abs(xs[k] - r), default=None)
+        labels[k] = DIVERGENT if r is None or abs(xs[k] - r) > match_radius else order[np.searchsorted(at, r)]
     statuses = np.full(n, LEFT_DOMAIN, dtype=object)
     statuses[rest | (labels != DIVERGENT)] = CONVERGED
     return labels, statuses

@@ -165,19 +165,26 @@ def tabulated_shift(knots_x, knots_p) -> ShiftFunction:
         raise ValueError("need at least two knots")
     if xs.size != ps.size:
         raise ValueError("knot coordinate and value arrays differ in length")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
+        raise ValueError("knot coordinates and values must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("knot coordinates must be strictly increasing")
     if np.any((ps < 0.0) | (ps > 1.0)):
         raise ValueError("knot values must lie in [0, 1]")
-    # finite secants can still overflow a knot derivative, which scipy refuses, or the cubic (the check below)
-    with np.errstate(over="ignore"):
+    # finite secants can still make a knot derivative or a coefficient of the cubic
+    # non-finite inside scipy (an overflow, an inf - inf, a division by an underflowed
+    # square); both are refused below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if not np.all(np.isfinite(np.diff(ps) / np.diff(xs))):
             raise ValueError("knots too close: a secant slope diff(knots_p) / diff(knots_x) is not finite")
-        interp = PchipInterpolator(xs, ps, extrapolate=False)
-    # the cubic raises the offset from its knot to the third power: a span beyond
-    # about 5.6e102 reads NaN at the knot that closes it, where the offset is largest
-    if not np.all(np.isfinite(interp(xs))):
-        raise ValueError("the interpolant is not finite at every knot")
+        try:
+            interp = PchipInterpolator(xs, ps, extrapolate=False)
+        except ValueError:  # the knots are finite and ordered: only a non-finite derivative is left to refuse
+            raise ValueError("knots too close or too far apart: a derivative at a knot is not finite") from None
+        # the cubic raises the offset from its knot to the third power: a span beyond
+        # about 5.6e102 reads NaN at the knot that closes it, where the offset is largest
+        if not np.all(np.isfinite(interp(xs))):
+            raise ValueError("the interpolant is not finite at every knot")
     dinterp = interp.derivative()
     lo, hi = xs[0], xs[-1]
     p_lo, p_hi = ps[0], ps[-1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import perflow as pf
+from perflow.equilibria import PRM_MINIMIZER
 
 
 def v(x):
@@ -220,6 +221,59 @@ class TestPerturbationEnvelope:
         # ball); 0 and 1 ended in bare numpy errors
         with pytest.raises(ValueError, match="grid points"):
             pf.estimate_perturbation_envelope(bump_model, v(0.0), 0.4, grid_n=grid_n)
+
+
+def bound_sweep(model, x_star):
+    """Bound reports at radii 0.01-0.10 about ``x_star`` (grid 2001).
+
+    Envelope caps none, 0, 0.01, 0.02, 0.05 and 0.1; ``x0`` at half and at
+    all of the feasible radius above ``x_star``; the 19 theta of
+    ``theta_tradeoff``.
+    """
+    for radius in np.arange(1, 11) / 100:
+        cert = pf.estimate_curvature_constants(model, x_star, radius, grid_n=2001)
+        feasible = pf.feasible_radius(cert)
+        for cap in (None, 0.0, 0.01, 0.02, 0.05, 0.1):
+            env = pf.estimate_perturbation_envelope(model, x_star, radius, grid_n=2001, epsilon_cap=cap)
+            for share in (0.5, 1.0):
+                yield from pf.theta_tradeoff(cert, env, x_star + share * feasible)
+
+
+def stated_theta_condition(report):
+    """The theta condition with the prefactor ``sqrt(c2/c1)``, which ``admissible`` does not use."""
+    cert, env = report.certificate, report.envelope
+    slack = cert.radius * (cert.c3**2 / cert.c4 - env.epsilon)
+    return env.delta <= np.sqrt(cert.c2 / cert.c1) * (1.0 - report.theta) * slack
+
+
+class TestThetaCondition:
+    """An admissible report keeps its transient and its ultimate ball inside the certified ball."""
+
+    @pytest.mark.parametrize("shift", ["bump", "logistic"])
+    def test_admissible_bounds_stay_in_the_certified_ball(self, shift):
+        model = pf.BernoulliSquaredModel(shift=pf.bump_shift() if shift == "bump" else pf.logistic_shift())
+        # the logistic's lower PR minimiser, -0.0423
+        x_star = v(0.0) if shift == "bump" else next(
+            r.location for r in pf.find_equilibria(model, "prm") if PRM_MINIMIZER in r.labels)
+        admissible = [r for r in bound_sweep(model, x_star) if r.admissible]
+        assert len(admissible) == {"bump": 1182, "logistic": 30}[shift]
+        for r in admissible:
+            radius = r.certificate.radius
+            assert r.ultimate_radius <= radius
+            # x0 at all of the feasible radius: sqrt(c2/c1) * sqrt(c1/c2) * r rounds up to 1 ulp above r
+            assert r.transient_prefactor * r.initial_distance <= radius + np.spacing(radius)
+
+    def test_stated_prefactor_would_admit_wider_ultimate_balls(self, bump_model):
+        # 24 configurations of the bump pass the condition with sqrt(c2/c1)
+        # while their ultimate balls are 1.0003 to 1.11 times the certified one
+        wider = [
+            r for r in bound_sweep(bump_model, v(0.0))
+            if r.epsilon_admissible and r.initial_condition_admissible and stated_theta_condition(r)
+            and r.ultimate_radius > r.certificate.radius
+        ]
+        ratios = [r.ultimate_radius / r.certificate.radius for r in wider]
+        assert len(wider) == 24 and 1.0003 < min(ratios) and max(ratios) < 1.111
+        assert not any(r.theta_admissible or r.admissible for r in wider)
 
 
 class TestUltimateBounds:

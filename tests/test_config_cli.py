@@ -827,6 +827,13 @@ class TestCliErrors:
             (["--shift", '{"kind": "tabulated", "params": {"knots_x": [0, 1e-310], "knots_p": [0, 1]}}'],
              None, 2, "configuration error: invalid shift parameters: "
              "knots too close: a secant slope diff(knots_p) / diff(knots_x) is not finite"),
+            # PCHIP's knot derivatives overflow from finite secants: an inf - inf, and an overflow alone
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [-1e-312, 1e-176, 1e308], '
+                         '"knots_p": [0.2, 0.6, 0.7]}}'], None, 2, "configuration error: invalid shift parameters: "
+             "knots too close or too far apart: a derivative at a knot is not finite"),
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [0, 1e-308, 2], "knots_p": [0, 1, 1]}}'],
+             None, 2, "configuration error: invalid shift parameters: "
+             "knots too close or too far apart: a derivative at a knot is not finite"),
             (["--shift", '{"kind": "logistic", "params": {"midpoint": 1e308}}'], None, 2,
              "configuration error: invalid shift parameters: p or p' overflows at an end of the domain [-0.5, 1.5]"),
             (["--shift", '{"kind": "clamped-polynomial", "params": {"coefficients": [0, 1e308, 1e308]}}'],
@@ -839,6 +846,7 @@ class TestCliErrors:
              "out-below-a-file", "t-end-zero", "h-negative", "match-radius-zero", "refine-tol-negative",
              "radius-negative", "grid-n-one", "theta-one", "seed-negative", "steps-negative",
              "tabulated-knots-too-far-apart", "tabulated-knots-too-close", "tabulated-secant-overflow",
+             "tabulated-knot-derivative-invalid", "tabulated-knot-derivative-overflow",
              "logistic-overflowing-midpoint",
              "polynomial-overflowing-slopes"],
     )

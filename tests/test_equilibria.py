@@ -75,6 +75,14 @@ def flat_zero_model():
     )
 
 
+def line_model(grad1):
+    # rgd field -grad1(x) on [-1, 1]
+    return pf.CallableModel(
+        dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
+        grad1=grad1, grad2=lambda x1, x2: np.zeros(1),
+    )
+
+
 def plateau_model():
     # p(x) = x clamped to [0, 1]: the rgd field is exactly 0 on [0, 1]
     return pf.BernoulliSquaredModel(shift=pf.clamped_polynomial_shift([0.0, 1.0]), domain=(-0.5, 1.5))
@@ -166,7 +174,9 @@ class TestFindEquilibria:
     # zeros in two cells that share the point 0.001.  (x - 0.3)^5: a run of 20
     # lattice points within refine_tol, none exactly 0, one site at its
     # smallest |f|.  -x(x - 0.001): exactly 0 at the point 0 and -1.1e-19 at the
-    # next one, two zeros.  The plateau: exactly 0 at each of its 1001 points
+    # next one, two zeros.  -x^5: exactly 0 at the point 0, within refine_tol
+    # on the 9 points each side, and flat there, one zero.  The plateau:
+    # exactly 0 at each of its 1001 points
     @pytest.mark.parametrize("model, roots", [
         (triple_root_model(1.7, 1.0), [0.3]),
         (flat_zero_model(), [0.3]),
@@ -178,10 +188,20 @@ class TestFindEquilibria:
             dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
             grad1=lambda x1, x2: -x1 * (x1 - 0.001), grad2=lambda x1, x2: np.zeros(1),
         ), [0.0, 0.001]),
+        (line_model(lambda x1, x2: x1 ** 5), [0.0]),
         (plateau_model(), np.linspace(-0.5, 1.5, 2001)[500:1501].tolist()),
-    ], ids=["triple", "flat", "adjacent-cells", "adjacent-points", "plateau"])
+    ], ids=["triple", "flat", "adjacent-cells", "adjacent-points", "flat-on-a-point", "plateau"])
     def test_each_zero_is_reported_once(self, model, roots):
         assert locations(pf.find_equilibria(model, "rgd", grid_n=2001)) == pytest.approx(roots, abs=1e-7)
+
+    def test_dedup_compares_a_hit_only_with_roots_just_below_it(self, monkeypatch):
+        # the plateau's 1001 lattice roots: each hit meets at most the root
+        # kept before it, where comparing with every kept root made 502,502 calls
+        calls, norm = [], np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        hits = [(x, 0.0) for x in np.linspace(-0.5, 1.5, 2001)[500:1501][::-1]]
+        kept = eq_mod._dedup(hits, 1e-9)
+        assert len(kept) == 1001 and len(calls) <= 2 * len(hits)
 
     def test_dedup_keeps_input_order_of_equal_first_coordinates(self):
         a, b, c = np.array([0.5, 1.0]), np.array([0.5, -1.0]), np.array([0.25, 3.0])
@@ -589,6 +609,15 @@ class TestSignChartGuard:
         # the field points away from 0.3: only the starts at rest within match_radius of it stay
         assert set(basin.grid[basin.labels == 0, 0].round(3).tolist()) <= {0.299, 0.3, 0.301}
 
+    def test_flat_zero_on_a_lattice_point_takes_every_moving_start(self, monkeypatch):
+        # -x^5: one root, 0.0, where three once sent 986 starts to -0.001
+        model = line_model(lambda x1, x2: x1 ** 5)
+        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
+        basin = chart_scan(monkeypatch, model, "rgd", reports, 2001, ExperimentConfig())
+        moving = np.abs(basin.grid[:, 0] ** 5) > ExperimentConfig().eq_tol
+        assert locations(reports) == [0.0] and moving.sum() == 1970
+        assert np.all(basin.labels[moving] == 0)
+
     def test_plateau_starts_stop_where_they_reach_it(self):
         # every lattice point of [0, 1] is a root: a start above 1 stops at 1, one inside stays put
         model = plateau_model()
@@ -667,8 +696,42 @@ def three_root_model(a, rate=10.0):
     )
 
 
+class CountedLattice(np.ndarray):
+    """An array, and each of its slices, that appends every ufunc call it takes part in to ``counts``."""
+
+    counts: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.counts.append(ufunc.__name__)
+        plain = [np.asarray(a) if isinstance(a, CountedLattice) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 class TestSignChartRule:
     """What the chart gives where nearest-root or horizon rules would differ."""
+
+    def test_many_roots_equal_the_monotone_oracle(self, monkeypatch):
+        # rgd field sin(20 pi x): 41 roots k / 20, attracting and repelling in turn
+        model = line_model(lambda x1, x2: -np.sin(20.0 * np.pi * x1))
+        cfg = ExperimentConfig()
+        reports = pf.find_equilibria(model, "rgd", grid_n=cfg.grid_n)
+        assert locations(reports) == pytest.approx(np.arange(-20, 21) / 20, abs=1e-12)
+        basin = chart_scan(monkeypatch, model, "rgd", reports, cfg.grid_n, cfg)
+        xs = basin.grid[:, 0]
+        expected = exact_basin_labels(model, "rgd", reports, xs, cfg.eq_tol, cfg.match_radius)
+        assert len(set(expected.tolist())) == 41 and np.array_equal(basin.labels, expected)
+
+    def test_plateau_chart_makes_no_pass_over_the_lattice_per_root(self, monkeypatch):
+        # 1001 roots: one pass per root took about 5000 ufunc calls on the lattice
+        model = plateau_model()
+        xs = np.linspace(-0.5, 1.5, 2001)
+        fv = pf.rgd_vector_field(model, xs[:, None])[:, 0]
+        roots = np.array(locations(pf.find_equilibria(model, "rgd", grid_n=2001)))
+        counts = []
+        monkeypatch.setattr(CountedLattice, "counts", counts)
+        labels, _ = eq_mod._sign_chart(xs.view(CountedLattice), fv.view(CountedLattice), roots, 1e-3, 1e-9)
+        assert roots[labels] == pytest.approx(np.clip(xs, 0.0, 1.0), abs=1e-12)
+        assert len(counts) <= 20, len(counts)
 
     # a = 2e-4 and 7e-4: all three roots lie within one match_radius (1e-3),
     # so a start is labelled by the side of the repelling root it starts on,

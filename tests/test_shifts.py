@@ -300,7 +300,8 @@ class TestTabulated:
 
     @pytest.mark.parametrize(
         "xs,ps",
-        [([0.0], [0.0]), ([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.2]), ([-1e150, 1e150], [0.0, 1.0])],
+        [([0.0], [0.0]), ([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.2]), ([-1e150, 1e150], [0.0, 1.0]),
+         ([0.0, np.inf], [0.0, 1.0]), ([0.0, 1.0], [0.0, np.nan])],
     )
     def test_rejects_bad_knots(self, xs, ps):
         with pytest.raises(ValueError):
