@@ -67,20 +67,17 @@ def triple_root_model(c, k):
     )
 
 
-def flat_zero_model():
-    # rgd field (x - 0.3)^5 on [-1, 1]: within 1e-10 of 0 on the 20 points 0.290 to 0.309 of a 2001-point lattice
-    return pf.CallableModel(
-        dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
-        grad1=lambda x1, x2: -(x1 - 0.3) ** 5, grad2=lambda x1, x2: np.zeros(1),
-    )
-
-
 def line_model(grad1):
     # rgd field -grad1(x) on [-1, 1]
     return pf.CallableModel(
         dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
         grad1=grad1, grad2=lambda x1, x2: np.zeros(1),
     )
+
+
+def flat_zero_model():
+    # rgd field (x - 0.3)^5 on [-1, 1]: within 1e-10 of 0 on the 20 points 0.290 to 0.309 of a 2001-point lattice
+    return line_model(lambda x1, x2: -(x1 - 0.3) ** 5)
 
 
 def plateau_model():
@@ -180,14 +177,8 @@ class TestFindEquilibria:
     @pytest.mark.parametrize("model, roots", [
         (triple_root_model(1.7, 1.0), [0.3]),
         (flat_zero_model(), [0.3]),
-        (pf.CallableModel(
-            dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
-            grad1=lambda x1, x2: -(x1 - 0.0004) * (x1 - 0.0016), grad2=lambda x1, x2: np.zeros(1),
-        ), [0.0004, 0.0016]),
-        (pf.CallableModel(
-            dimension=1, domain=pf.interval(-1.0, 1.0), risk=lambda x1, x2: 0.0,
-            grad1=lambda x1, x2: -x1 * (x1 - 0.001), grad2=lambda x1, x2: np.zeros(1),
-        ), [0.0, 0.001]),
+        (line_model(lambda x1, x2: -(x1 - 0.0004) * (x1 - 0.0016)), [0.0004, 0.0016]),
+        (line_model(lambda x1, x2: -x1 * (x1 - 0.001)), [0.0, 0.001]),
         (line_model(lambda x1, x2: x1 ** 5), [0.0]),
         (plateau_model(), np.linspace(-0.5, 1.5, 2001)[500:1501].tolist()),
     ], ids=["triple", "flat", "adjacent-cells", "adjacent-points", "flat-on-a-point", "plateau"])
