@@ -187,11 +187,13 @@ def _zero_sites(fv, tol, flat=None):
     ``f`` is exactly 0, for a row stops there, and one per run of adjacent
     points with ``0 < |f| <= tol``, at its smallest ``|f|`` (a flat zero
     such as ``(x - 0.3)^5`` stays within 1e-10 over 20 points of a
-    2001-point lattice, none of them exactly 0).  A run beside an exact
-    zero ``k`` for which ``flat(k)`` holds is that zero's, not a site of its
-    own: ``-x^5`` is one zero, while the simple zero 0 of ``-x (x - 0.001)``
-    keeps the run at 0.001.  So at ``tol = 0``, where there are no runs and
-    no ``flat`` is needed, every point with ``f == 0`` is a site.  A cell
+    2001-point lattice, none of them exactly 0).  A run of one sign beside
+    an exact zero ``z`` is that zero's, not a site of its own, when
+    ``flat(z, i)`` holds for the run's point ``i`` next to it: ``-x^5`` is
+    one zero, while ``-x (x - 0.001)``, at any scale, keeps the run at
+    0.001, and a run with a sign change stays a site.  So at ``tol = 0``,
+    where there are no runs and no ``flat`` is needed, every point with
+    ``f == 0`` is a site.  A cell
     whose ends have strict opposite signs and are no such points is a site
     ``(k, k + 1)``; a dip is a site ``(k - 1, k + 1)`` clipped to the
     lattice: a lattice minimum of ``|f|`` between two cells of one strict
@@ -208,9 +210,9 @@ def _zero_sites(fv, tol, flat=None):
     near = point & (fv != 0)
     runs = np.flatnonzero(np.diff(np.concatenate([[0], near, [0]]))).tolist()  # starts and ends, alternating
     sites = [(k, k) for k in np.flatnonzero(fv == 0)]
-    # the runs [k, m), less those beside a flat exact zero
-    spans = [(k, m) for k, m in zip(runs[::2], runs[1::2])
-             if not any(0 <= i < n and fv[i] == 0 and flat(i) for i in (k - 1, m))]
+    # the runs [k, m), less those of one sign that an exact zero z beside them is flat into
+    spans = [(k, m) for k, m in zip(runs[::2], runs[1::2]) if abs(np.sign(fv[k:m]).sum()) < m - k
+             or not any(0 <= z < n and fv[z] == 0 and flat(z, i) for z, i in ((k - 1, k), (m, m - 1)))]
     sites += [(i, i) for i in (k + int(np.argmin(size[k:m])) for k, m in spans)]
     sites += [(k, k + 1) for k in np.flatnonzero((fv[:-1] * fv[1:] < 0) & ~point[:-1] & ~point[1:])]
     for k in np.flatnonzero(low & ~point):
@@ -273,8 +275,10 @@ def find_equilibria(
 
     Scalar models: refine each site of ``_zero_sites`` on ``grid_n`` samples
     of the field over the domain interval once, an exact lattice zero being
-    flat when the field's central-difference derivative there is within
-    ``_HESSIAN_TOL``.  A point is kept, a sign-change cell bisected until
+    flat into the run beside it when the field midway to the run's first
+    point has that point's sign and no larger size: the field of a flat zero
+    grows away from it, while a second zero one step on turns or lifts it
+    mid-cell, whatever the field's scale.  A point is kept, a sign-change cell bisected until
     the residual drops to ``refine_tol``, and a dip reported if its
     golden-section minimum of ``|f|`` is within ``refine_tol``.  Higher
     dimensions: damped Newton from every lattice seed.  Roots closer than
@@ -293,8 +297,9 @@ def find_equilibria(
         def f_scalar(v):
             return float(np.ravel(field(_one_state(model, v)))[0])
 
-        def flat(k):  # the field's own Jacobian at the exact lattice zero xs[k]
-            return abs(finite_diff_jacobian(field, xs[k:k + 1])[0, 0]) <= _HESSIAN_TOL
+        def flat(z, i):  # mid-cell from the exact zero xs[z], the field has fv[i]'s sign and no larger size
+            mid = f_scalar(0.5 * xs[z] + 0.5 * xs[i])
+            return np.sign(mid) == np.sign(fv[i]) and abs(mid) <= abs(fv[i])
 
         hits = [
             (xs[k], fv[k]) if k == j

@@ -171,17 +171,23 @@ class TestFindEquilibria:
     # zeros in two cells that share the point 0.001.  (x - 0.3)^5: a run of 20
     # lattice points within refine_tol, none exactly 0, one site at its
     # smallest |f|.  -x(x - 0.001): exactly 0 at the point 0 and -1.1e-19 at the
-    # next one, two zeros.  -x^5: exactly 0 at the point 0, within refine_tol
-    # on the 9 points each side, and flat there, one zero.  The plateau:
-    # exactly 0 at each of its 1001 points
+    # next one, two zeros, and so at 1e-4 times that, where the slope at 0 is
+    # 1e-7.  -x^5: exactly 0 at the point 0, within refine_tol on the 9 points
+    # each side, and flat there, one zero.  1e-3 x^3 (x - 0.0045): within
+    # refine_tol from 0.001 to 0.019, across the simple zero 0.0045, so that
+    # run stays a site, at its smallest |f|.  The plateau: exactly 0 at each
+    # of its 1001 points
     @pytest.mark.parametrize("model, roots", [
         (triple_root_model(1.7, 1.0), [0.3]),
         (flat_zero_model(), [0.3]),
         (line_model(lambda x1, x2: -(x1 - 0.0004) * (x1 - 0.0016)), [0.0004, 0.0016]),
         (line_model(lambda x1, x2: -x1 * (x1 - 0.001)), [0.0, 0.001]),
+        (line_model(lambda x1, x2: 1e-4 * x1 * (x1 - 0.001)), [0.0, 0.001]),
         (line_model(lambda x1, x2: x1 ** 5), [0.0]),
+        (line_model(lambda x1, x2: -1e-3 * x1 ** 3 * (x1 - 0.0045)), [0.0, 0.001]),
         (plateau_model(), np.linspace(-0.5, 1.5, 2001)[500:1501].tolist()),
-    ], ids=["triple", "flat", "adjacent-cells", "adjacent-points", "flat-on-a-point", "plateau"])
+    ], ids=["triple", "flat", "adjacent-cells", "adjacent-points", "adjacent-points-small",
+            "flat-on-a-point", "sign-change-in-a-run", "plateau"])
     def test_each_zero_is_reported_once(self, model, roots):
         assert locations(pf.find_equilibria(model, "rgd", grid_n=2001)) == pytest.approx(roots, abs=1e-7)
 
@@ -608,6 +614,19 @@ class TestSignChartGuard:
         moving = np.abs(basin.grid[:, 0] ** 5) > ExperimentConfig().eq_tol
         assert locations(reports) == [0.0] and moving.sum() == 1970
         assert np.all(basin.labels[moving] == 0)
+
+    def test_small_simple_zero_beside_an_attractor_keeps_its_basin(self, monkeypatch):
+        # rgd field -1e-4 x (x - 0.001): 0 repels and 0.001, one lattice step
+        # on, attracts every start above 0, though the slope at 0 is only 1e-7
+        # (both inconclusive to the classifier, so no oracle by labels)
+        model = line_model(lambda x1, x2: 1e-4 * x1 * (x1 - 0.001))
+        reports = pf.find_equilibria(model, "rgd", grid_n=2001)
+        basin = chart_scan(monkeypatch, model, "rgd", reports, 2001, ExperimentConfig())
+        xs = basin.grid[:, 0]
+        moving = np.abs(1e-4 * xs * (xs - 0.001)) > ExperimentConfig().eq_tol
+        assert locations(reports) == pytest.approx([0.0, 0.001], abs=1e-12)
+        assert np.all(basin.labels[moving & (xs > 0)] == 1) and np.all(basin.labels[moving & (xs < 0)] == -1)
+        assert np.all(basin.labels[xs > 0.0011] != 0)
 
     def test_plateau_starts_stop_where_they_reach_it(self):
         # every lattice point of [0, 1] is a root: a start above 1 stops at 1, one inside stays put
