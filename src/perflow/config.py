@@ -10,9 +10,11 @@ silently fall back to a default.
 
 This module also owns the run vocabulary that the document names: the flow
 kinds, the whole-step horizon rule and the noise and step-schedule specs,
-which :mod:`perflow.flows` re-exports.  None of it needs numpy, so parsing
-a document, and refusing a bad one, loads no numeric module; only the
-functions that build a shift or a model import them.
+which :mod:`perflow.flows` re-exports.  None of it needs numpy, and only
+the functions that build a shift or a model import the numeric modules.
+:func:`parse_config` ends by building the shift, which reads and checks
+its parameters, so only a document refused before that step loads no
+numeric module; one that reaches it loads them, accepted or refused.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigError
 
@@ -189,14 +191,16 @@ def _as_int(value, key):
     return int(value)
 
 
-# kind -> (its constructor in perflow.shifts, the reader of each parameter it takes).  The
-# constructor by name: parse_config refuses an unknown kind without loading numpy
+# kind -> its constructor in perflow.shifts, by name: parse_config refuses an unknown kind
+# without loading numpy.  The constructor's signature is the kind's one parameter list
 _SHIFTS = {
-    "bump": ("bump_shift", {}),
-    "logistic": ("logistic_shift", {"rate": _as_float, "midpoint": _as_float}),
-    "clamped-polynomial": ("clamped_polynomial_shift", {"coefficients": _as_floats}),
-    "tabulated": ("tabulated_shift", {"knots_x": _as_floats, "knots_p": _as_floats}),
+    "bump": "bump_shift",
+    "logistic": "logistic_shift",
+    "clamped-polynomial": "clamped_polynomial_shift",
+    "tabulated": "tabulated_shift",
 }
+# a shift parameter's reader, by the annotation of the constructor parameter it fills
+_READERS = {float: _as_float, Sequence[float]: _as_floats}
 _SHIFT_KINDS = tuple(_SHIFTS)  # a tuple: an unhashable kind is compared, not hashed
 
 # the single-number keys in the order they are checked: (key, reader, test, the rule a refusal names)
@@ -313,35 +317,23 @@ def to_document(cfg: ExperimentConfig) -> dict:
 def build_shift(cfg: ExperimentConfig) -> ShiftFunction:
     """The shift of ``cfg``: its kind's constructor, called with the parameters the document names.
 
-    A parameter the document leaves out takes the constructor's default.
-    The built ``p`` and ``p'`` must evaluate at both ends of the domain
-    without overflow.  Only a logistic can fail that today: the bump is
-    bounded, a tabulated shift clips to its knots, and a clamped
-    polynomial evaluates with overflow ignored.
+    Each parameter is read by the reader that its annotation names, and one
+    the document leaves out takes the constructor's default.
     """
     import inspect
-
-    import numpy as np
 
     from . import shifts
 
     kind, params = cfg.shift["kind"], cfg.shift["params"]
-    name, readers = _SHIFTS[kind]
-    constructor = getattr(shifts, name)
-    signature = inspect.signature(constructor).parameters.values()
-    if not {p.name for p in signature if p.default is p.empty} <= set(params) <= set(readers):
-        takes = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in signature)
+    constructor = getattr(shifts, _SHIFTS[kind])
+    signature = inspect.signature(constructor, eval_str=True).parameters
+    if not {k for k, p in signature.items() if p.default is p.empty} <= set(params) <= set(signature):
+        takes = ", ".join(k if p.default is p.empty else f"{k}={p.default!r}" for k, p in signature.items())
         _fail(f"{kind} shift takes ({takes}), got {sorted(params)}")
     try:
-        shift = constructor(**{k: readers[k](v, f"{kind} {k}") for k, v in params.items()})
-        ends = np.array(cfg.domain)
-        with np.errstate(over="raise"):
-            shift.value(ends), shift.derivative(ends)
-    except FloatingPointError:
-        _fail(f"invalid shift parameters: p or p' overflows at an end of the domain {list(cfg.domain)}")
+        return constructor(**{k: _READERS[signature[k].annotation](v, f"{kind} {k}") for k, v in params.items()})
     except (TypeError, ValueError) as exc:
         _fail(f"invalid shift parameters: {exc}")
-    return shift
 
 
 def build_model(cfg: ExperimentConfig) -> BernoulliSquaredModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,12 +95,9 @@ def logistic_shift(rate: float = 8.0, midpoint: float = 0.5) -> ShiftFunction:
         raise ValueError(f"logistic rate must be positive, got {rate}")
 
     def value(x):
-        z = -rate * (np.asarray(x, dtype=float) - midpoint)
-        if z.ndim == 0 and z < 700.0:  # one state that cannot overflow: errstate would double its cost
-            return 1.0 / (1.0 + np.exp(z))
-        # far below the midpoint exp overflows to inf, and p is exactly 0 there
+        # far from the midpoint the exponent or its exp overflows to +-inf, and p is exactly 0 or 1 there
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(z))
+            return 1.0 / (1.0 + np.exp(-rate * (np.asarray(x, dtype=float) - midpoint)))
 
     def derivative(x):
         p = value(x)
@@ -109,7 +106,7 @@ def logistic_shift(rate: float = 8.0, midpoint: float = 0.5) -> ShiftFunction:
     return ShiftFunction(value, derivative)
 
 
-def clamped_polynomial_shift(coefficients) -> ShiftFunction:
+def clamped_polynomial_shift(coefficients: Sequence[float]) -> ShiftFunction:
     """Polynomial in ascending-power coefficients, clamped to [0, 1].
 
     The derivative is the polynomial derivative where the raw value lies
@@ -150,7 +147,7 @@ def constant_shift(level: float) -> ShiftFunction:
     return clamped_polynomial_shift((level,))
 
 
-def tabulated_shift(knots_x, knots_p) -> ShiftFunction:
+def tabulated_shift(knots_x: Sequence[float], knots_p: Sequence[float]) -> ShiftFunction:
     """Monotone-cubic interpolation through ``(x_i, p_i)`` knots.
 
     Uses a shape-preserving cubic (no overshoot between knots), so values
@@ -185,7 +182,11 @@ def tabulated_shift(knots_x, knots_p) -> ShiftFunction:
         # about 5.6e102 reads NaN at the knot that closes it, where the offset is largest
         if not np.all(np.isfinite(interp(xs))):
             raise ValueError("the interpolant is not finite at every knot")
-    dinterp = interp.derivative()
+        # a span can still overflow inside, or in its derivative's coefficients, while it meets
+        # its knots finitely; its far end, just short of the next knot, has its largest offset
+        dinterp, inside = interp.derivative(), np.nextafter(xs[1:], -np.inf)
+        if not all(np.all(np.isfinite(f.c)) and np.all(np.isfinite(f(inside))) for f in (interp, dinterp)):
+            raise ValueError("the interpolant or its derivative is not finite between knots")
     lo, hi = xs[0], xs[-1]
     p_lo, p_hi = ps[0], ps[-1]
 

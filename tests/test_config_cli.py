@@ -5,7 +5,10 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import math
+import warnings
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -194,11 +197,6 @@ class TestConfigParsing:
 
     def test_scalar_x0_promoted_to_vector(self):
         assert parse_config({"x0": 0.3}).x0 == (0.3,)
-
-    @pytest.mark.parametrize("kind", config_mod._SHIFT_KINDS)
-    def test_shift_table_reads_each_constructor_parameter(self, kind):
-        name, readers = config_mod._SHIFTS[kind]
-        assert list(readers) == list(inspect.signature(getattr(shifts, name)).parameters)
 
     def test_left_out_shift_parameter_takes_the_constructor_default(self):
         # logistic_shift's midpoint is 0.5, where p is 1/2 at any rate
@@ -534,6 +532,16 @@ SUMMARY_CONFIG_WITH_MODEL_AND_FIT = {
 }
 
 
+# each kind's constructor parameters, the one list of what the kind takes
+SHIFT_SIGNATURES = {
+    kind: inspect.signature(getattr(shifts, name), eval_str=True).parameters
+    for kind, name in config_mod._SHIFTS.items()
+}
+SHIFT_PARAMETERS = [(kind, name) for kind, parameters in SHIFT_SIGNATURES.items() for name in parameters]
+SPAN_REFUSAL = ("configuration error: invalid shift parameters: "
+                "the interpolant or its derivative is not finite between knots")
+
+
 class TestCliErrors:
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -834,8 +842,15 @@ class TestCliErrors:
             (["--shift", '{"kind": "tabulated", "params": {"knots_x": [0, 1e-308, 2], "knots_p": [0, 1, 1]}}'],
              None, 2, "configuration error: invalid shift parameters: "
              "knots too close or too far apart: a derivative at a knot is not finite"),
-            (["--shift", '{"kind": "logistic", "params": {"midpoint": 1e308}}'], None, 2,
-             "configuration error: invalid shift parameters: p or p' overflows at an end of the domain [-0.5, 1.5]"),
+            # PCHIP spans that meet their knots finitely but overflow between them: in the derivative's
+            # coefficients, to NaN on [-0.5, 0), and to +inf that the [0, 1] clip would read as 1
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [-3.064614720871098e-16, '
+                         '-1.7077518059835434e-103, 0.0], "knots_p": [0.46, 0.0, 0.58]}}'], None, 2, SPAN_REFUSAL),
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [-1.4859470455966496e+154, '
+                         '-2.9788732769964786e-208, 8.409552819359731e+18], "knots_p": [0.95, 0.5, 1.0]}}'],
+             None, 2, SPAN_REFUSAL),
+            (["--shift", '{"kind": "tabulated", "params": {"knots_x": [-1e103, -1, 0], "knots_p": [0.2, 0.6, 0.9]}}'],
+             None, 2, SPAN_REFUSAL),
             (["--shift", '{"kind": "clamped-polynomial", "params": {"coefficients": [0, 1e308, 1e308]}}'],
              None, 2, "configuration error: invalid shift parameters: "
              "polynomial derivative coefficients must be finite, got [1e+308, inf]"),
@@ -847,7 +862,8 @@ class TestCliErrors:
              "radius-negative", "grid-n-one", "theta-one", "seed-negative", "steps-negative",
              "tabulated-knots-too-far-apart", "tabulated-knots-too-close", "tabulated-secant-overflow",
              "tabulated-knot-derivative-invalid", "tabulated-knot-derivative-overflow",
-             "logistic-overflowing-midpoint",
+             "tabulated-derivative-coefficient-overflow", "tabulated-nan-between-knots",
+             "tabulated-overflow-under-the-clip",
              "polynomial-overflowing-slopes"],
     )
     def test_refusal_exit_code_and_message(self, tmp_path, capsys, argv, doc, code, message):
@@ -861,6 +877,35 @@ class TestCliErrors:
         assert cli.main(argv) == code
         assert capsys.readouterr().err == message.replace("{tmp}", str(tmp_path)) + "\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"][doc is None:]
+
+    @pytest.mark.parametrize("bad, spelled", [(True, "True"), ("1", "'1'"), (math.inf, "inf")],
+                             ids=["boolean", "string", "non-finite"])
+    @pytest.mark.parametrize("kind, name", SHIFT_PARAMETERS, ids=[f"{k}-{n}" for k, n in SHIFT_PARAMETERS])
+    def test_each_shift_parameter_is_read_by_its_annotation(self, tmp_path, capsys, kind, name, bad, spelled):
+        annotation = SHIFT_SIGNATURES[kind][name].annotation
+        assert annotation in (float, Sequence[float])  # no parameter lacks a reader
+        value, entry = (bad, "") if annotation is float else ([bad], "[0]")
+        # every parameter the kind takes is bad; the readers run in document order, so `name`'s speaks
+        params = {name: value, **dict.fromkeys(SHIFT_SIGNATURES[kind], value)}
+        argv = ["simulate", "--t-end", "1", "--shift", json.dumps({"kind": kind, "params": params})]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        message = f"configuration error: {kind} {name}{entry} must be a finite number, got {spelled}"
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_logistic_whose_exponent_overflows_runs_with_p_zero(self, tmp_path):
+        # rate * (x - 1e308) overflows on the whole domain: p and p' are exactly 0 there
+        shift = {"kind": "logistic", "params": {"midpoint": 1e308}}
+        built = build_shift(parse_config({"shift": shift}))
+        xs = np.linspace(-0.5, 1.5, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.any(built.value(xs)) and not np.any(built.derivative(xs))
+            for command in ("equilibria", "basins", "simulate"):
+                assert cli.main([command, "--shift", json.dumps(shift), "--out", str(tmp_path / command)]) == 0
+        # the rgd field -(x - p) is -x: one root at 0
+        roots = read_json(tmp_path / "equilibria" / "equilibria.json")["equilibria"]
+        assert [r["location"] for r in roots] == [[0.0]]
 
     def test_malformed_shift_is_refused_by_the_parser(self, tmp_path, capsys):
         # --shift is typed as JSON, as --grid is typed as an integer

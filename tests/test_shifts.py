@@ -207,18 +207,20 @@ class TestLogistic:
             pf.logistic_shift(rate=0.0)
 
     def test_overflowing_exp_gives_zero_without_warning(self):
-        # rate 1000 on [-0.5, 1.5]: exp's argument spans -1000..1000
-        s = pf.logistic_shift(rate=1000.0, midpoint=0.5)
         xs = np.linspace(-0.5, 1.5, 2001)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            p, dp = s.value(xs), s.derivative(xs)
-            floats = np.array([s.value(float(x)) for x in xs])
-        with np.errstate(over="ignore"):  # the unguarded formula
-            want = 1.0 / (1.0 + np.exp(-1000.0 * (xs - 0.5)))
-        assert p[0] == dp[0] == 0.0
-        assert np.array_equal(p.view(np.int64), want.view(np.int64))
-        assert np.array_equal(floats.view(np.int64), want.view(np.int64))
+        # rate 1000 on [-0.5, 1.5]: exp's argument spans -1000..1000; midpoint 1e308:
+        # the argument itself overflows to +inf on the whole domain
+        for rate, midpoint in ((1000.0, 0.5), (8.0, 1e308)):
+            s = pf.logistic_shift(rate=rate, midpoint=midpoint)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p, dp = s.value(xs), s.derivative(xs)
+                floats = np.array([s.value(float(x)) for x in xs])
+            with np.errstate(over="ignore"):  # the unguarded formula
+                want = 1.0 / (1.0 + np.exp(-rate * (xs - midpoint)))
+            assert p[0] == dp[0] == 0.0
+            assert np.array_equal(p.view(np.int64), want.view(np.int64))
+            assert np.array_equal(floats.view(np.int64), want.view(np.int64))
 
 
 class TestClampedPolynomial:
@@ -306,6 +308,34 @@ class TestTabulated:
     def test_rejects_bad_knots(self, xs, ps):
         with pytest.raises(ValueError):
             pf.tabulated_shift(xs, ps)
+
+    def test_every_built_shift_keeps_the_pchip_shape_between_knots(self):
+        # knots spread log-uniformly over the whole float range: about a third build,
+        # and every one that does must read as PCHIP does analytically inside each span
+        rng = np.random.default_rng(32)
+        fractions = np.array([0.1, 0.5, 0.9])
+        built = 0
+        for _ in range(3000):
+            k = int(rng.integers(2, 5))
+            magnitudes = 10.0 ** rng.uniform(-320, 308, k)
+            xs = np.sort(np.where(rng.random(k) < 0.1, 0.0, rng.choice([-1.0, 1.0], k) * magnitudes))
+            ps = np.round(rng.random(k), 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    s = pf.tabulated_shift(xs.tolist(), ps.tolist())
+                except ValueError:
+                    continue
+            built += 1
+            for a, b, pa, pb in zip(xs, xs[1:], ps, ps[1:]):
+                # fractions of the span (a convex mix cannot overflow) and the points just inside both ends
+                inner = np.concatenate([a * (1.0 - fractions) + b * fractions,
+                                        [np.nextafter(a, np.inf), np.nextafter(b, -np.inf)]])
+                p, dp = s.value(inner), s.derivative(inner)
+                # the cubic's evaluation roundoff is a few ulps of its knot values (7.8e-16 at most seen)
+                assert np.all((p >= min(pa, pb) - 1e-12) & (p <= max(pa, pb) + 1e-12)), (xs, ps, inner, p)
+                assert np.all(np.isfinite(dp)), (xs, ps, inner, dp)
+        assert built > 500
 
 
 def test_a_shift_is_its_two_functions():
